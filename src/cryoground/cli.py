@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .config import ConfigError, parse_config
+    from .fem import FemError
     from .mesh import MeshError
+    from .physics import PhysicsError
     from .simulate import SimulationError, SolverFailure, run
 
     try:
@@ -66,7 +68,7 @@ def _cmd_run(args) -> int:
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except (MeshError, SimulationError) as e:
+    except (FemError, MeshError, PhysicsError, SimulationError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     last = records[-1] if records else None

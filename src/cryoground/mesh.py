@@ -33,6 +33,10 @@ BOX_FACE_TAGS = {"-x": 1, "+x": 2, "-y": 3, "+y": 4, "-z": 5, "+z": 6}
 # hexahedron into tetrahedra sharing the main diagonal.
 _KUHN_PATHS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
+_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# local node triples of the four faces of a tet
+_TET_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
 
 def _signed_volumes(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Signed volume det(edge matrix)/6 for every cell, vectorized."""
@@ -89,10 +93,7 @@ class Mesh:
             vols = _signed_volumes(self.nodes, self.cells)
             flip = vols < 0.0
             if flip.any():
-                self.cells[flip, 2], self.cells[flip, 3] = (
-                    self.cells[flip, 3].copy(),
-                    self.cells[flip, 2].copy(),
-                )
+                self.cells[flip, 2:] = self.cells[flip][:, [3, 2]]
 
         for arr in (self.nodes, self.cells, self.cell_region, self.boundary_facets, self.facet_tag):
             arr.flags.writeable = False
@@ -126,6 +127,22 @@ class BoxMeshSpec:
             raise MeshError(f"divisions must be integers >= 1, got {self.divisions}")
 
 
+def _volumes(p: np.ndarray, first: int = 0) -> np.ndarray:
+    """Positive volumes of tets from their (m, 4, 3) corners.  Raises
+    DegenerateCellError, naming tet ``first + i``, when some |volume| is at
+    most 1e-14 (longest edge)^3; one edge at a time keeps temporaries (m, 3)."""
+    vols = np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+    longest2 = np.zeros(len(p))
+    for i, j in _TET_EDGES:
+        np.maximum(longest2, ((p[:, i] - p[:, j]) ** 2).sum(axis=1), out=longest2)
+    bad = np.flatnonzero(np.abs(vols) <= 1e-14 * np.sqrt(longest2) ** 3)
+    if len(bad):
+        raise DegenerateCellError(
+            f"cell {first + bad[0]} is degenerate (volume {vols[bad[0]]:.3e})"
+        )
+    return np.abs(vols)
+
+
 def tet_volume(mesh: Mesh, cell: int) -> float:
     """Volume of one tetrahedral cell.
 
@@ -134,24 +151,13 @@ def tet_volume(mesh: Mesh, cell: int) -> float:
     """
     if not 0 <= cell < mesh.n_cells:
         raise IndexError(f"cell index {cell} out of range [0, {mesh.n_cells})")
-    p = mesh.nodes[mesh.cells[cell]]
-    e = p[1:] - p[0]
-    vol = float(np.linalg.det(e)) / 6.0
-    edges = p[:, None, :] - p[None, :, :]
-    longest = float(np.sqrt((edges**2).sum(axis=2)).max())
-    if abs(vol) <= 1e-14 * longest**3:
-        raise DegenerateCellError(f"cell {cell} is degenerate (volume {vol:.3e})")
-    return abs(vol)
+    return float(_volumes(mesh.nodes[mesh.cells[cell : cell + 1]], first=cell)[0])
 
 
 def cell_volumes(mesh: Mesh) -> np.ndarray:
-    """Positive volumes of all cells; raises on any degenerate cell."""
-    vols = _signed_volumes(mesh.nodes, mesh.cells)
-    if len(vols):
-        bad = np.flatnonzero(np.abs(vols) <= 0.0)
-        if len(bad):
-            raise DegenerateCellError(f"cell {bad[0]} is degenerate (volume 0)")
-    return np.abs(vols)
+    """Positive volumes of all cells; raises on any degenerate cell, with
+    the threshold of tet_volume."""
+    return _volumes(mesh.nodes[mesh.cells])
 
 
 def generate_box(spec: BoxMeshSpec, region: int = 1) -> Mesh:
@@ -161,93 +167,85 @@ def generate_box(spec: BoxMeshSpec, region: int = 1) -> Mesh:
     ``region``.  The six box faces carry facet tags 1..6 in the order
     -x, +x, -y, +y, -z, +z.
     """
+    return _generate(spec, region)[0]
+
+
+def _generate(spec: BoxMeshSpec, region: int) -> tuple[Mesh, tuple]:
+    """generate_box, also returning the _faces of its cells, so that a
+    carve of the box needs no second sort."""
     nx, ny, nz = (int(d) for d in spec.divisions)
-    lx, ly, lz = (float(e) for e in spec.extents)
-
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    zs = np.linspace(0.0, lz, nz + 1)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
     # node id = i + (nx+1) * (j + (ny+1) * k), x fastest
-    nodes = np.column_stack(
-        [
-            gx.transpose(2, 1, 0).ravel(),
-            gy.transpose(2, 1, 0).ravel(),
-            gz.transpose(2, 1, 0).ravel(),
-        ]
-    )
+    axes = [np.linspace(0.0, float(e), d + 1) for e, d in zip(spec.extents, (nx, ny, nz))]
+    gz, gy, gx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    nodes = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    def node_id(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    ii = ii.transpose(2, 1, 0).ravel()
-    jj = jj.transpose(2, 1, 0).ravel()
-    kk = kk.transpose(2, 1, 0).ravel()
-
-    # hex corner ids indexed by (dx, dy, dz)
-    corner = {
-        (dx, dy, dz): node_id(ii + dx, jj + dy, kk + dz)
-        for dx in (0, 1)
-        for dy in (0, 1)
-        for dz in (0, 1)
-    }
-
-    nhex = len(ii)
-    cells = np.empty((nhex, 6, 4), dtype=np.int64)
+    kk, jj, ii = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    origin = (ii + (nx + 1) * (jj + (ny + 1) * kk)).ravel()  # hex corner (0, 0, 0)
+    stride = (1, nx + 1, (nx + 1) * (ny + 1))
+    cells = np.empty((len(origin), 6, 4), dtype=np.int64)
     for t, path in enumerate(_KUHN_PATHS):
-        steps = [(0, 0, 0)]
-        for axis in path:
-            prev = steps[-1]
-            nxt = list(prev)
-            nxt[axis] += 1
-            steps.append(tuple(nxt))
-        for v, d in enumerate(steps):
-            cells[:, t, v] = corner[d]
+        cells[:, t] = origin[:, None] + np.cumsum([0] + [stride[a] for a in path])
     cells = cells.reshape(-1, 4)
     cell_region = np.full(len(cells), int(region), dtype=np.int64)
 
-    faces, counts = _all_faces(cells)
-    bfaces = faces[counts == 1]
+    faces = _faces(cells)
+    unique, _, _, counts = faces
+    bfaces = unique[counts == 1]
 
     # classify each boundary face by the grid plane all three nodes share
-    fi = bfaces % (nx + 1)
-    fj = (bfaces // (nx + 1)) % (ny + 1)
-    fk = bfaces // ((nx + 1) * (ny + 1))
+    grid = (bfaces % (nx + 1), (bfaces // (nx + 1)) % (ny + 1), bfaces // stride[2])
     tags = np.zeros(len(bfaces), dtype=np.int64)
-    planes = [
-        (fi, 0, BOX_FACE_TAGS["-x"]),
-        (fi, nx, BOX_FACE_TAGS["+x"]),
-        (fj, 0, BOX_FACE_TAGS["-y"]),
-        (fj, ny, BOX_FACE_TAGS["+y"]),
-        (fk, 0, BOX_FACE_TAGS["-z"]),
-        (fk, nz, BOX_FACE_TAGS["+z"]),
-    ]
-    for coord, value, tag in planes:
-        on = (coord == value).all(axis=1) & (tags == 0)
-        tags[on] = tag
+    for axis, (coord, n) in enumerate(zip(grid, (nx, ny, nz))):
+        for sign, value in (("-", 0), ("+", n)):
+            on = (coord == value).all(axis=1) & (tags == 0)
+            tags[on] = BOX_FACE_TAGS[sign + "xyz"[axis]]
     if (tags == 0).any():
         raise MeshError("internal error: unclassified boundary facet in generate_box")
 
-    return Mesh(nodes, cells, cell_region, bfaces, tags)
+    # Mesh may swap two nodes of a cell; that leaves its face triples as they are
+    return Mesh(nodes, cells, cell_region, bfaces, tags), faces
 
 
-def _all_faces(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique sorted node triples over the 4 faces of every cell, with
-    occurrence counts."""
-    f = np.concatenate(
-        [cells[:, [0, 1, 2]], cells[:, [0, 1, 3]], cells[:, [0, 2, 3]], cells[:, [1, 2, 3]]]
-    )
-    f = np.sort(f, axis=1)
-    return np.unique(f, axis=0, return_counts=True)
+def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable lexicographic order of integer triples, and the start and
+    length of each run of equal rows in that order.  lexsort compares the
+    columns one by one, so no packed key can overflow."""
+    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+    s = rows[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return order, starts, np.diff(np.append(starts, len(s)))
+
+
+def _faces(cells: np.ndarray) -> tuple:
+    """Sort the 4m faces of m cells, as sorted node triples, once.  Returns
+    (unique, owner, starts, counts): the distinct triples in lexicographic
+    order, the cell of each face in that order, and the position of each
+    distinct triple's first face and its number of faces."""
+    faces = np.sort(cells[:, _TET_FACES].reshape(-1, 3), axis=1)
+    order, starts, counts = _sorted_runs(faces)
+    return faces[order[starts]], order // 4, starts, counts
+
+
+def _find(table: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Row of ``table`` equal to each ``query`` row, or -1.  Rows are sorted
+    node triples, unique in ``table``; the stable sort puts a table row
+    first in its run."""
+    both = np.concatenate([table, query])
+    order, starts, counts = _sorted_runs(both)
+    first = np.repeat(order[starts], counts)
+    is_query = order >= len(table)
+    out = np.empty(len(query), dtype=np.int64)
+    out[order[is_query] - len(table)] = np.where(first < len(table), first, -1)[is_query]
+    return out
 
 
 def boundary_face_counts(mesh: Mesh) -> np.ndarray:
     """For each boundary facet, the number of cells it is a face of."""
-    faces, counts = _all_faces(mesh.cells)
-    lookup = {tuple(f): int(c) for f, c in zip(faces, counts)}
-    key = np.sort(mesh.boundary_facets, axis=1)
-    return np.array([lookup.get(tuple(f), 0) for f in key], dtype=np.int64)
+    unique, _, _, counts = _faces(mesh.cells)
+    run = _find(unique, np.sort(mesh.boundary_facets, axis=1))
+    return np.append(counts, 0)[run]  # run -1 picks the appended 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +279,13 @@ def read_msh(path) -> Mesh:
                 return s
         return None
 
+    def read_count(section):
+        count_line = next_line()
+        try:
+            return int(count_line)
+        except (TypeError, ValueError):
+            raise MshFormatError(f"{path}: malformed ${section} count {count_line!r}") from None
+
     s = next_line()
     if s != "$MeshFormat":
         raise MshFormatError(f"{path}: expected $MeshFormat first, got {s!r}")
@@ -305,12 +310,7 @@ def read_msh(path) -> Mesh:
         if s is None:
             break
         if s == "$Nodes":
-            count_line = next_line()
-            try:
-                n = int(count_line)
-            except (TypeError, ValueError):
-                raise MshFormatError(f"{path}: malformed $Nodes count {count_line!r}") from None
-            for _ in range(n):
+            for _ in range(read_count("Nodes")):
                 row = (next_line() or "").split()
                 if len(row) != 4:
                     raise MshFormatError(f"{path}: malformed node line {row}")
@@ -319,12 +319,7 @@ def read_msh(path) -> Mesh:
             if next_line() != "$EndNodes":
                 raise MshFormatError(f"{path}: missing $EndNodes")
         elif s == "$Elements":
-            count_line = next_line()
-            try:
-                n = int(count_line)
-            except (TypeError, ValueError):
-                raise MshFormatError(f"{path}: malformed $Elements count {count_line!r}") from None
-            for _ in range(n):
+            for _ in range(read_count("Elements")):
                 row = (next_line() or "").split()
                 if len(row) < 3:
                     raise MshFormatError(f"{path}: malformed element line {row}")
@@ -346,12 +341,9 @@ def read_msh(path) -> Mesh:
         elif s.startswith("$"):
             # skip unknown section (e.g. $PhysicalNames)
             name = s[1:]
-            while True:
-                t = next_line()
+            while (t := next_line()) != f"$End{name}":
                 if t is None:
                     raise MshFormatError(f"{path}: section ${name} not terminated")
-                if t == f"$End{name}":
-                    break
         else:
             raise MshFormatError(f"{path}: unexpected content {s!r}")
 
@@ -361,19 +353,14 @@ def read_msh(path) -> Mesh:
     if len(id_map) != len(node_ids):
         raise MshFormatError(f"{path}: duplicate node ids")
 
-    cells, cregion, facets, ftag = [], [], [], []
+    kept = {etype: ([], []) for etype in _MSH_NODES_PER_TYPE}  # (node ids, tags) per type
     for etype, tag, nids in elements:
         try:
-            mapped = [id_map[v] for v in nids]
+            kept[etype][0].append([id_map[v] for v in nids])
         except KeyError as e:
             raise MshFormatError(f"{path}: element references unknown node id {e.args[0]}") from None
-        if etype == _MSH_TET:
-            cells.append(mapped)
-            cregion.append(tag)
-        else:
-            facets.append(mapped)
-            ftag.append(tag)
-
+        kept[etype][1].append(tag)
+    (cells, cregion), (facets, ftag) = kept[_MSH_TET], kept[_MSH_TRIANGLE]
     return Mesh(
         np.array(coords, dtype=np.float64).reshape(-1, 3),
         np.array(cells, dtype=np.int64).reshape(-1, 4),
@@ -404,19 +391,15 @@ class BoxMeshPlan:
     carve: tuple = ()
 
 
-def _centroid_mask(mesh: Mesh, bounds) -> np.ndarray:
-    x0, x1, y0, y1, z0, z1 = (float(v) for v in bounds)
-    c = mesh.nodes[mesh.cells].mean(axis=1)
-    return (
-        (c[:, 0] >= x0) & (c[:, 0] <= x1)
-        & (c[:, 1] >= y0) & (c[:, 1] <= y1)
-        & (c[:, 2] >= z0) & (c[:, 2] <= z1)
-    )
+def _inside(centroids: np.ndarray, bounds) -> np.ndarray:
+    """Mask of centroids inside (x0, x1, y0, y1, z0, z1), faces included."""
+    lo, hi = np.asarray(bounds, dtype=np.float64).reshape(3, 2).T
+    return ((centroids >= lo) & (centroids <= hi)).all(axis=1)
 
 
 def paint_region(mesh: Mesh, bounds, tag: int) -> Mesh:
     """Retag all cells whose centroid lies inside the axis-aligned bounds."""
-    inside = _centroid_mask(mesh, bounds)
+    inside = _inside(mesh.nodes[mesh.cells].mean(axis=1), bounds)
     region = mesh.cell_region.copy()
     region[inside] = int(tag)
     return Mesh(mesh.nodes, mesh.cells, region, mesh.boundary_facets, mesh.facet_tag)
@@ -425,41 +408,75 @@ def paint_region(mesh: Mesh, bounds, tag: int) -> Mesh:
 def carve_box(mesh: Mesh, bounds, facet_tag: int) -> Mesh:
     """Remove all cells with centroid inside the bounds.
 
-    Boundary triangles exposed by the removal receive ``facet_tag``;
-    surviving pre-existing boundary facets keep their tags.  Nodes no longer
-    referenced by any cell are dropped and indices compacted.
+    Boundary triangles exposed by the removal receive ``facet_tag``, as do
+    boundary faces missing from the mesh's facet list; listed facets keep
+    their tags.  Nodes no longer referenced by any cell are dropped and
+    indices compacted in order.  Raises MeshError when the bounds hold no
+    cell centroid, or all of them.
     """
-    inside = _centroid_mask(mesh, bounds)
-    if not inside.any():
-        raise MeshError(f"carve bounds {tuple(bounds)} contain no cell centroid")
-    keep = ~inside
+    stage = (_inside(mesh.nodes[mesh.cells].mean(axis=1), bounds), facet_tag, bounds)
+    return _carve(mesh, _faces(mesh.cells), mesh.cell_region, [stage])
+
+
+def _carve(mesh: Mesh, faces: tuple, region: np.ndarray, stages) -> Mesh:
+    """carve_box for each stage in order, each a (mask, facet tag, bounds),
+    done at once on the _faces of ``mesh.cells``: a face that joins the
+    boundary at stage k gets the tag of stage k, and one on the boundary
+    after the first stage keeps its listed tag or takes the first stage's."""
+    unique, owner, starts, _ = faces
+    keep = np.ones(mesh.n_cells, dtype=bool)
+    removed_at = np.zeros(mesh.n_cells, dtype=np.int64)  # 0 for cells that stay
+    for k, (mask, _, bounds) in enumerate(stages, start=1):
+        hit = mask & keep
+        if not hit.any():
+            raise MeshError(f"carve bounds {tuple(bounds)} contain no cell centroid")
+        keep &= ~hit
+        if not keep.any():
+            raise MeshError(f"carve bounds {tuple(bounds)} remove every remaining cell")
+        removed_at[hit] = k
+
+    # A face is on the final boundary when exactly one of its cells stays.
+    # It joined the boundary at the last stage that removed another of its
+    # cells, or before the first stage if it has no other cell.
+    outer = np.flatnonzero(np.add.reduceat(keep[owner], starts, dtype=np.int64) == 1)
+    joined = np.maximum(np.maximum.reduceat(removed_at[owner], starts)[outer], 1)
+    tags = np.array([int(tag) for _, tag, _ in stages], dtype=np.int64)[joined - 1]
+
+    # a listed facet on the boundary since the first stage keeps its tag
+    # (from its last listing, if listed twice)
+    bfaces = unique[outer]
+    listed = _find(bfaces, np.sort(mesh.boundary_facets, axis=1))
+    at = np.flatnonzero(listed >= 0)[::-1]
+    runs, last = np.unique(listed[at], return_index=True)
+    first = joined[runs] == 1
+    tags[runs[first]] = mesh.facet_tag[at[last]][first]
+
     cells = mesh.cells[keep]
-    region = mesh.cell_region[keep]
-
-    faces, counts = _all_faces(cells)
-    bfaces = faces[counts == 1]
-    old_tags = {
-        tuple(f): int(t)
-        for f, t in zip(np.sort(mesh.boundary_facets, axis=1), mesh.facet_tag)
-    }
-    tags = np.array(
-        [old_tags.get(tuple(f), int(facet_tag)) for f in bfaces], dtype=np.int64
-    )
-
-    used = np.unique(cells)
-    remap = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return Mesh(mesh.nodes[used], remap[cells], region, remap[bfaces], tags)
+    used = np.zeros(mesh.n_nodes, dtype=bool)
+    used[cells.ravel()] = True
+    remap = np.cumsum(used) - 1
+    return Mesh(mesh.nodes[used], remap[cells], region[keep], remap[bfaces], tags)
 
 
 def build_planned_box(plan: BoxMeshPlan) -> Mesh:
-    """Generate, paint and carve a box mesh according to the plan."""
-    mesh = generate_box(plan.box, region=plan.region)
+    """Generate, paint and carve a box mesh according to the plan.
+
+    The result equals generate_box followed by each paint_region and then
+    each carve_box of the plan, in order.  The faces are sorted once and
+    the carves applied together as stages: each exposed face gets the tag
+    of the carve that exposed it, and the box faces keep theirs.  A carve
+    that holds no remaining cell centroid, or leaves no cell, raises
+    MeshError naming its bounds.
+    """
+    mesh, faces = _generate(plan.box, plan.region)
+    centroids = mesh.nodes[mesh.cells].mean(axis=1)
+    region = mesh.cell_region.copy()
     for tag, bounds in plan.paint:
-        mesh = paint_region(mesh, bounds, tag)
-    for tag, bounds in plan.carve:
-        mesh = carve_box(mesh, bounds, tag)
-    return mesh
+        region[_inside(centroids, bounds)] = int(tag)
+    if not plan.carve:
+        return Mesh(mesh.nodes, mesh.cells, region, mesh.boundary_facets, mesh.facet_tag)
+    stages = [(_inside(centroids, bounds), tag, bounds) for tag, bounds in plan.carve]
+    return _carve(mesh, faces, region, stages)
 
 
 def write_msh(mesh: Mesh, path) -> None:
@@ -472,17 +489,11 @@ def write_msh(mesh: Mesh, path) -> None:
     out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(mesh.n_nodes)]
     for i, (x, y, z) in enumerate(mesh.nodes, start=1):
         out.append(f"{i} {x:.17g} {y:.17g} {z:.17g}")
-    out.append("$EndNodes")
-    out.append("$Elements")
-    out.append(str(mesh.n_facets + mesh.n_cells))
-    eid = 1
-    for f, tag in zip(mesh.boundary_facets, mesh.facet_tag):
-        a, b, c = (int(v) + 1 for v in f)
-        out.append(f"{eid} 2 2 {int(tag)} {int(tag)} {a} {b} {c}")
-        eid += 1
-    for cell, tag in zip(mesh.cells, mesh.cell_region):
-        a, b, c, d = (int(v) + 1 for v in cell)
-        out.append(f"{eid} 4 2 {int(tag)} {int(tag)} {a} {b} {c} {d}")
-        eid += 1
+    out += ["$EndNodes", "$Elements", str(mesh.n_facets + mesh.n_cells)]
+    elements = [(_MSH_TRIANGLE, f, t) for f, t in zip(mesh.boundary_facets, mesh.facet_tag)]
+    elements += [(_MSH_TET, c, t) for c, t in zip(mesh.cells, mesh.cell_region)]
+    for eid, (etype, ids, tag) in enumerate(elements, start=1):
+        ids = " ".join(str(int(v) + 1) for v in ids)
+        out.append(f"{eid} {etype} 2 {int(tag)} {int(tag)} {ids}")
     out.append("$EndElements")
     path.write_text("\n".join(out) + "\n")

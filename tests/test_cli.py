@@ -1,3 +1,5 @@
+import pytest
+
 from cryoground.cli import main
 
 TINY_RUN = """
@@ -72,6 +74,24 @@ class TestRun:
     def test_workers_override_validated(self, tmp_path, capsys):
         path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(path), "--workers", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("6 = -20.0", "77 = air", "boundary tag 77"),
+            ("divisions = 3 3 3", "divisions = 3 3 3\nregion = 5", "region tag 5"),
+            ("divisions = 3 3 3", "divisions = 3 3 3\ncarve = 9 : 0 1 0 1 0 1", "every remaining cell"),
+        ],
+        ids=["unknown-dirichlet-tag", "unknown-region", "carve-everything"],
+    )
+    def test_bad_input_found_during_run_is_config_error(self, tmp_path, capsys, old, new, message):
+        text = TINY_RUN.format(out=tmp_path / "out")
+        assert old in text
+        path = write(tmp_path, text.replace(old, new))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert message in err
 
 
 class TestOracle:

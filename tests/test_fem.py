@@ -19,7 +19,7 @@ from cryoground.fem import (
     nodes_for_tags,
 )
 from cryoground.linalg import CsrMatrix, cg_solve
-from cryoground.mesh import BoxMeshSpec, Mesh, generate_box
+from cryoground.mesh import BoxMeshSpec, DegenerateCellError, Mesh, generate_box
 from cryoground.parallel import fork_available
 from cryoground.physics import UnknownRegionError
 
@@ -164,6 +164,13 @@ class TestAssemble:
         )
         mesh = Mesh(nodes, [[0, 1, 2, 3]], [1], np.empty((0, 3), int), [])
         with pytest.raises(FemError, match="node 4"):
+            Assembler(mesh, plain_table)
+
+    def test_flattened_cell_rejected(self, plain_table):
+        # volume 1.7e-18: nonzero, but far below 1e-14 * (longest edge)^3
+        nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1e-17]], dtype=float)
+        mesh = Mesh(nodes, [[0, 1, 2, 3]], [1], np.empty((0, 3), int), [])
+        with pytest.raises(DegenerateCellError, match="cell 0"):
             Assembler(mesh, plain_table)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork for worker processes")

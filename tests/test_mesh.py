@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,14 @@ from cryoground.mesh import (
     boundary_face_counts,
     build_planned_box,
     carve_box,
+    cell_volumes,
     generate_box,
     paint_region,
     read_msh,
     tet_volume,
     write_msh,
 )
+from cryoground.scenario import well_mesh_plan
 
 SINGLE_TET_MSH = """$MeshFormat
 2.2 0 8
@@ -261,3 +266,143 @@ class TestPaintAndCarve:
         mesh = build_planned_box(plan)
         assert set(np.unique(mesh.cell_region)) == {1, 2}
         assert 50 in np.unique(mesh.facet_tag)
+
+
+def reference_carve(mesh: Mesh, bounds, tag: int) -> tuple:
+    """carve_box by explicit loops and dicts, as the reference for the sorted
+    version: the five arrays of the carved mesh."""
+    lo, hi = np.reshape(bounds, (3, 2)).T
+    centroids = mesh.nodes[mesh.cells].mean(axis=1)
+    keep = [i for i, c in enumerate(centroids) if not ((c >= lo) & (c <= hi)).all()]
+    cells = mesh.cells[keep]
+    counts = Counter(
+        tuple(sorted(int(cell[v]) for v in face))
+        for cell in cells
+        for face in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    )
+    bfaces = sorted(f for f, n in counts.items() if n == 1)
+    listed = {tuple(sorted(f)): int(t) for f, t in zip(mesh.boundary_facets.tolist(), mesh.facet_tag)}
+    tags = [listed.get(f, tag) for f in bfaces]
+    used = sorted(set(cells.ravel().tolist()))
+    remap = {old: new for new, old in enumerate(used)}
+    return (
+        mesh.nodes[used],
+        np.array([[remap[v] for v in c] for c in cells.tolist()]).reshape(-1, 4),
+        mesh.cell_region[keep],
+        np.array([[remap[v] for v in f] for f in bfaces]).reshape(-1, 3),
+        np.array(tags),
+    )
+
+
+MESH_ARRAYS = ("nodes", "cells", "cell_region", "boundary_facets", "facet_tag")
+
+
+def assert_same_mesh(mesh: Mesh, arrays) -> None:
+    for name, expected in zip(MESH_ARRAYS, arrays):
+        actual = getattr(mesh, name)
+        assert actual.shape == np.shape(expected), name
+        assert np.array_equal(actual, expected), name
+
+
+PLAN_BOX = BoxMeshSpec((4.0, 3.0, 3.0), (4, 3, 3))
+PLANS = {
+    # the second prism shares a face with the first: that face is exposed by
+    # the first carve and gone after the second
+    "adjacent": BoxMeshPlan(
+        box=PLAN_BOX,
+        carve=((7, (1.0, 2.0, 1.0, 2.0, 1.0, 2.0)), (8, (2.0, 3.0, 1.0, 2.0, 1.0, 2.0))),
+    ),
+    # a column through the -z and +z box faces, then a pocket against its side
+    "through-box-face": BoxMeshPlan(
+        box=PLAN_BOX,
+        region=3,
+        carve=((9, (0.0, 1.0, 0.0, 1.0, 0.0, 3.0)), (10, (1.0, 2.0, 0.0, 1.0, 1.0, 2.0))),
+    ),
+    # overlapping paints, and a carve overlapping an earlier one
+    "overlapping": BoxMeshPlan(
+        box=PLAN_BOX,
+        paint=((2, (0.0, 4.0, 0.0, 3.0, 1.5, 3.0)), (5, (1.0, 3.0, 0.0, 3.0, 0.0, 2.0))),
+        carve=((11, (1.0, 3.0, 1.0, 2.0, 1.0, 2.0)), (12, (2.0, 4.0, 1.0, 2.0, 0.0, 3.0))),
+    ),
+}
+
+
+class TestOnePassBuild:
+    # sha256 of the five arrays of the 20^3 well mesh, recorded from the
+    # build that carved prism by prism with np.unique face sets
+    WELL_SHA256 = {
+        "nodes": "9f592d34c006796cffc2b05745fa42bcdf80a968ae3ed262e4fcebb65571b197",
+        "cells": "b391c9349828aef204c9b0ad52ddfd0af94acebf61b8a7f7135ed5c9537a73e1",
+        "cell_region": "a254b85d9986df0a3eecee332a402c42c881b3a7e309d635f6b25f36d1a9fabb",
+        "boundary_facets": "dc0a71a09cb958e8c5c455ddcdefc2de03c5f4e66a6850201020dbfc9e331a57",
+        "facet_tag": "a47775372477f286c85947462ecca0ef9bc3cfdc64d7cca9c819bff82c596126",
+    }
+
+    def test_well_mesh_arrays_pinned(self):
+        mesh = build_planned_box(well_mesh_plan())
+        for name, digest in self.WELL_SHA256.items():
+            arr = getattr(mesh, name)
+            assert arr.dtype.byteorder in "=<", name
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_planned_box_equals_fold(self, name):
+        plan = PLANS[name]
+        mesh = generate_box(plan.box, region=plan.region)
+        for tag, bounds in plan.paint:
+            mesh = paint_region(mesh, bounds, tag)
+        for tag, bounds in plan.carve:
+            expected = reference_carve(mesh, bounds, tag)
+            mesh = carve_box(mesh, bounds, tag)
+            assert_same_mesh(mesh, expected)
+        built = build_planned_box(plan)
+        assert_same_mesh(built, [getattr(mesh, a) for a in MESH_ARRAYS])
+        assert set(np.unique(built.facet_tag)) >= {tag for tag, _ in plan.carve}
+        assert (boundary_face_counts(built) == 1).all()
+
+    def test_carve_msh_with_partial_facet_list(self, tmp_path):
+        box = generate_box(BoxMeshSpec((3.0, 3.0, 3.0), (3, 3, 3)))
+        # list every other facet, with its nodes in reverse order
+        partial = Mesh(
+            box.nodes, box.cells, box.cell_region,
+            box.boundary_facets[::2, ::-1], box.facet_tag[::2],
+        )
+        path = tmp_path / "partial.msh"
+        write_msh(partial, path)
+        mesh = read_msh(path)
+        assert mesh.n_facets == (box.n_facets + 1) // 2
+        bounds = (1.0, 2.0, 1.0, 2.0, 2.0, 3.0)
+        carved = carve_box(mesh, bounds, 40)
+        assert_same_mesh(carved, reference_carve(mesh, bounds, 40))
+        # the 54 unlisted outer triangles less the one in the opening, and the
+        # 10 cavity wall triangles, take the carve's tag
+        assert (carved.facet_tag == 40).sum() == 53 + 10
+        assert (boundary_face_counts(carved) == 1).all()
+
+    def test_carving_every_cell_raises(self):
+        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))
+        with pytest.raises(MeshError, match=r"\(0.0, 1.0, 0.0, 1.0, 0.0, 1.0\).*every"):
+            carve_box(mesh, (0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 9)
+
+    def test_planned_carve_emptying_the_mesh_raises(self):
+        plan = BoxMeshPlan(
+            box=BoxMeshSpec((2.0, 2.0, 2.0), (2, 2, 2)),
+            carve=((7, (0.0, 1.0, 0.0, 2.0, 0.0, 2.0)), (8, (0.5, 2.0, 0.0, 2.0, 0.0, 2.0))),
+        )
+        with pytest.raises(MeshError, match=r"\(0.5, 2.0, 0.0, 2.0, 0.0, 2.0\).*every"):
+            build_planned_box(plan)
+
+    def test_planned_carve_inside_an_earlier_one_raises(self):
+        plan = BoxMeshPlan(
+            box=BoxMeshSpec((2.0, 2.0, 2.0), (2, 2, 2)),
+            carve=((7, (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)), (8, (0.1, 0.9, 0.1, 0.9, 0.1, 0.9))),
+        )
+        with pytest.raises(MeshError, match=r"\(0.1, 0.9, 0.1, 0.9, 0.1, 0.9\).*no cell"):
+            build_planned_box(plan)
+
+    def test_refined_well_mesh_is_watertight(self):
+        mesh = build_planned_box(well_mesh_plan((40, 40, 40)))
+        assert mesh.n_cells == 377_472
+        assert (boundary_face_counts(mesh) == 1).all()
+        # 40^3 box less the 4 x 4 x 40 well and eight 2 x 2 x 14 columns
+        assert cell_volumes(mesh).sum() == pytest.approx(64_000 - 640 - 8 * 56, rel=1e-12)
