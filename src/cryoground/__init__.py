@@ -4,17 +4,15 @@ in heterogeneous ground, with seasonal freezing columns around warm wells.
 
 from .fem import (
     Assembler,
-    DirichletSet,
+    DirichletPlan,
     LinearSystem,
     TemperatureField,
-    apply_dirichlet,
-    assemble,
     cell_coefficients,
-    collect_dirichlet,
     element_lumped_mass,
     element_stiffness,
+    nodes_for_tags,
 )
-from .linalg import CsrMatrix, SolveReport, cg_solve, spmv
+from .linalg import CsrMatrix, SolveReport, cg_solve
 from .mesh import (
     BoxMeshPlan,
     BoxMeshSpec,
@@ -41,12 +39,11 @@ from .physics import (
     phi_delta,
     phi_delta_prime,
 )
-from .simulate import Simulation, SimulationConfig, StepRecord, initialize, run, step
+from .simulate import Simulation, SimulationConfig, StepRecord, initialize, run
 from .verify import (
     MmsCase,
     NeumannCase,
     erf,
-    mms_source,
     neumann_lambda,
     run_neumann_benchmark,
 )
@@ -59,7 +56,7 @@ __all__ = [
     "BoxMeshSpec",
     "ColumnController",
     "CsrMatrix",
-    "DirichletSet",
+    "DirichletPlan",
     "LinearSystem",
     "Material",
     "MaterialTable",
@@ -75,12 +72,9 @@ __all__ = [
     "TemperatureField",
     "air_temperature",
     "alpha_of_phi",
-    "apply_dirichlet",
-    "assemble",
     "carve_box",
     "cell_coefficients",
     "cg_solve",
-    "collect_dirichlet",
     "columns_active",
     "effective_capacity",
     "element_lumped_mass",
@@ -90,16 +84,14 @@ __all__ = [
     "generate_box",
     "initialize",
     "lambda_of_phi",
-    "mms_source",
     "neumann_lambda",
+    "nodes_for_tags",
     "paint_region",
     "phi_delta",
     "phi_delta_prime",
     "read_msh",
     "run",
     "run_neumann_benchmark",
-    "spmv",
-    "step",
     "tet_volume",
     "write_msh",
 ]

@@ -83,13 +83,14 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     from .config import ConfigError, parse_config
     from .mesh import MeshError
+    from .simulate import step_count
 
     try:
         config = parse_config(args.config)
     except (ConfigError, MeshError, OSError, ValueError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    n_steps = int(config.t_max / config.tau + 0.5)
+    n_steps = step_count(config.t_max, config.tau)
     print(f"config OK: {n_steps} steps of {config.tau:.6g} s, workers={config.workers}")
     return EXIT_OK
 

@@ -23,7 +23,6 @@ disjoint row ranges of shared buffers) are managed by cryoground.parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -61,25 +60,6 @@ class TemperatureField:
 
     def copy(self) -> "TemperatureField":
         return TemperatureField(self.values.copy(), self.time)
-
-
-@dataclass
-class DirichletSet:
-    """Deduplicated (node, prescribed value) constraints, sorted by node."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
-            raise FemError("nodes and values must be 1-d arrays of equal length")
-        if len(self.nodes) and (np.diff(self.nodes) <= 0).any():
-            raise FemError("constraint nodes must be strictly increasing (unique)")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass
@@ -466,19 +446,6 @@ class Assembler:
             pass
 
 
-def assemble(
-    mesh: Mesh,
-    field_prev,
-    table: MaterialTable,
-    tau: float,
-    source: np.ndarray | None = None,
-    workers: int = 1,
-) -> LinearSystem:
-    """Assemble one implicit step on a mesh (builds a throwaway Assembler;
-    reuse an Assembler for repeated stepping)."""
-    return Assembler(mesh, table, workers=workers).assemble(field_prev, tau, source=source)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet boundary conditions
 # ---------------------------------------------------------------------------
@@ -495,32 +462,20 @@ def nodes_for_tags(mesh: Mesh, tags) -> np.ndarray:
     return np.unique(mesh.boundary_facets[mask])
 
 
-def collect_dirichlet(mesh: Mesh, tag_values: Mapping[int, float]) -> DirichletSet:
-    """Constraints for all nodes on facets whose tag appears in tag_values.
-
-    Tags are processed in sorted order; where a node lies on facets of two
-    active tags the value of the larger tag wins (a node shared by facets
-    with equal values is simply deduplicated).
-    """
-    n = mesh.n_nodes
-    sel = np.zeros(n, dtype=bool)
-    val = np.zeros(n)
-    for tag in sorted(int(t) for t in tag_values):
-        nodes = nodes_for_tags(mesh, [tag])
-        sel[nodes] = True
-        val[nodes] = float(tag_values[tag])
-    nodes = np.flatnonzero(sel)
-    return DirichletSet(nodes, val[nodes])
-
-
 class DirichletPlan:
     """Precomputed symmetric-elimination positions for a fixed sparsity
-    pattern and constrained node set (values may change per step)."""
+    pattern and constrained node set (values may change per step).
+
+    ``nodes`` must be strictly increasing (as nodes_for_tags returns them):
+    the plan locates a node's value by binary search in this list.
+    """
 
     def __init__(self, matrix: CsrMatrix, nodes: np.ndarray):
         n = matrix.n
         nodes = np.asarray(nodes, dtype=np.int64)
-        if len(nodes) and (nodes.min() < 0 or nodes.max() >= n):
+        if nodes.ndim != 1 or (np.diff(nodes) <= 0).any():
+            raise FemError("constraint nodes must be strictly increasing (unique)")
+        if len(nodes) and (nodes[0] < 0 or nodes[-1] >= n):
             raise FemError(f"constraint node outside [0, {n})")
         self.nodes = nodes
         offs = matrix.row_offsets
@@ -556,7 +511,12 @@ class DirichletPlan:
         self._owner_slot = np.searchsorted(nodes, self._cross_owner)
 
     def apply(self, system: LinearSystem, values: np.ndarray) -> LinearSystem:
-        """Eliminate the constraints in place (matrix values and rhs)."""
+        """Symmetric elimination of the constraints, in place.
+
+        For each constrained node i with value g_i the rhs of every free row
+        j loses A_ji g_i, then row i and column i are zeroed, A_ii = 1 and
+        b_i = g_i.  Symmetry (hence SPD-ness for CG) is preserved.
+        """
         g = np.asarray(values, dtype=np.float64)
         if g.shape != self.nodes.shape:
             raise FemError("constraint value array does not match plan nodes")
@@ -569,15 +529,3 @@ class DirichletPlan:
         b[self.nodes] = g
         return system
 
-
-def apply_dirichlet(system: LinearSystem, dirichlet: DirichletSet) -> LinearSystem:
-    """Symmetric elimination of Dirichlet constraints.
-
-    For each constrained node i with value g_i the rhs of every free row j
-    loses A_ji g_i, then row i and column i are zeroed, A_ii = 1 and
-    b_i = g_i.  Symmetry (hence SPD-ness for CG) is preserved.  The system
-    is modified in place and returned.
-    """
-    if len(dirichlet) == 0:
-        return system
-    return DirichletPlan(system.matrix, dirichlet.nodes).apply(system, dirichlet.values)

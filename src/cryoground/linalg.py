@@ -4,9 +4,10 @@ The matrices produced by one implicit time step are symmetric positive
 definite, so CG with diagonal preconditioning is sufficient; the time-step
 term dominates the diagonal for realistic step sizes, which keeps iteration
 counts low.  Determinism contract: dot products reduce over fixed-size
-chunks combined pairwise in a fixed order, and the row-wise matrix-vector
-product has no cross-row reductions, so results are reproducible bit for
-bit for a given environment regardless of how rows are split into blocks.
+chunks combined pairwise in a fixed order, and the matrix-vector product
+(scipy's CSR kernel, through CsrMatrix.scipy_view) sums each row in storage
+order with no cross-row reductions, so results are reproducible bit for bit
+for a given environment regardless of how rows are split into blocks.
 """
 
 from __future__ import annotations
@@ -170,48 +171,6 @@ class SolveReport:
     residual: float
     converged: bool
     wall_seconds: float
-
-
-def _block_row_sums(prod: np.ndarray, offsets: np.ndarray, lo: int, hi: int, out: np.ndarray):
-    """Sum prod over the entry ranges of rows [lo, hi) into out[lo:hi].
-
-    Rows are grouped by entry count and each group summed along a fixed
-    axis, so a row's result depends only on its own entries; any block
-    partition yields bit-identical output.
-    """
-    starts = offsets[lo:hi]
-    lengths = np.diff(offsets[lo : hi + 1])
-    block = out[lo:hi]
-    block[:] = 0.0
-    for k in np.unique(lengths):
-        if k == 0:
-            continue
-        rows = np.flatnonzero(lengths == k)
-        idx = starts[rows, None] + np.arange(k)
-        block[rows] = prod[idx].sum(axis=1)
-
-
-def spmv(a: CsrMatrix, x: np.ndarray, row_blocks: int = 1) -> np.ndarray:
-    """y = A x.
-
-    ``row_blocks`` splits the rows into contiguous blocks processed
-    independently; every block sums its rows in storage order, so the result
-    is bit-identical for any block count.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.n,):
-        raise LinalgError(f"dimension mismatch: matrix is {a.n}x{a.n}, vector has shape {x.shape}")
-    y = np.empty(a.n)
-    if a.nnz == 0:
-        y[:] = 0.0
-        return y
-    prod = a.values * x[a.column_indices]
-    nb = max(1, min(int(row_blocks), a.n))
-    bounds = np.linspace(0, a.n, nb + 1).astype(np.int64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            _block_row_sums(prod, a.row_offsets, int(lo), int(hi), y)
-    return y
 
 
 def det_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -62,13 +62,13 @@ class Mesh:
     facet_tag: np.ndarray
 
     def __post_init__(self):
-        self.nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
-        self.cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
-        self.cell_region = np.ascontiguousarray(np.asarray(self.cell_region, dtype=np.int64))
-        self.boundary_facets = np.ascontiguousarray(
-            np.asarray(self.boundary_facets, dtype=np.int64).reshape(-1, 3)
-        )
-        self.facet_tag = np.ascontiguousarray(np.asarray(self.facet_tag, dtype=np.int64))
+        # own copies: the orientation fix-up below writes into cells, and the
+        # arrays are frozen afterwards, so no caller array may be aliased
+        self.nodes = np.array(self.nodes, dtype=np.float64, order="C")
+        self.cells = np.array(self.cells, dtype=np.int64, order="C")
+        self.cell_region = np.array(self.cell_region, dtype=np.int64, order="C")
+        self.boundary_facets = np.array(self.boundary_facets, np.int64, order="C").reshape(-1, 3)
+        self.facet_tag = np.array(self.facet_tag, dtype=np.int64, order="C")
 
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise MeshError(f"nodes must be (n, 3), got {self.nodes.shape}")

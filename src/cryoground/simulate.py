@@ -60,10 +60,11 @@ class SimulationConfig:
 
     ``mesh`` may be a file path (Gmsh MSH 2.2), a BoxMeshSpec, a BoxMeshPlan
     (box with painted regions and carved prisms) or an already built Mesh.
-    ``dirichlet`` maps always-active boundary tags to a constant value or
-    the string "air".  ``source`` is an optional volumetric heat source
-    callback f(points, t) -> W/m^3 per node (not reachable from config
-    files; used by verification drivers).
+    ``dirichlet`` maps always-active boundary tags to a constant value, the
+    string "air", or a callback g(points, t) -> deg C per node, evaluated
+    each step on that tag's nodes.  ``source`` is an optional volumetric
+    heat source callback f(points, t) -> W/m^3 per node.  The callbacks
+    are not reachable from config files; verification drivers use them.
     """
 
     mesh: object
@@ -101,9 +102,10 @@ class SimulationConfig:
         if self.surface not in (SURFACE_NONE, SURFACE_AIR):
             raise SimulationError(f"surface must be 'none' or 'air', got {self.surface!r}")
         for tag, value in self.dirichlet.items():
-            if value != AIR_VALUE and not isinstance(value, (int, float)):
+            if value != AIR_VALUE and not isinstance(value, (int, float)) and not callable(value):
                 raise SimulationError(
-                    f"dirichlet value for tag {tag} must be a number or 'air', got {value!r}"
+                    f"dirichlet value for tag {tag} must be a number, 'air' or a "
+                    f"callable, got {value!r}"
                 )
         if self.controller.mode == SEASONAL and self.controller.probe_point is None:
             raise SimulationError("seasonal controller needs a probe_point")
@@ -124,6 +126,13 @@ class StepRecord:
     t_max: float
     t_mean: float
     assemble_seconds: float = 0.0
+
+
+def step_count(t_max: float, tau: float, t_start: float = 0.0) -> int:
+    """Steps a run from t_start to t_max executes: ceil((t_max - t_start) /
+    tau), where a quotient within 1e-12 above an integer counts as that
+    integer (so t_max = 3 * tau is 3 steps despite rounding)."""
+    return max(0, math.ceil((float(t_max) - float(t_start)) / float(tau) - 1e-12))
 
 
 def _build_mesh(source) -> Mesh:
@@ -190,11 +199,16 @@ class Simulation:
 
     # -- dirichlet ----------------------------------------------------------
 
-    def _active_tag_values(self, t_cur: float, t_air: float, active: bool) -> dict[int, float]:
+    def _active_tag_values(self, t_cur: float, t_air: float, active: bool) -> dict[int, object]:
+        """Value of every tag constrained this step: a float, or per-node
+        values (in the order of the tag's nodes) from a callable."""
         ctrl = self.config.controller
         out = {}
         for tag, value in self._static_tags.items():
-            out[tag] = t_air if value == AIR_VALUE else float(value)
+            if callable(value):
+                out[tag] = value(self.mesh.nodes[self._tag_nodes[tag]], t_cur)
+            else:
+                out[tag] = t_air if value == AIR_VALUE else float(value)
         if self.config.surface == SURFACE_AIR:
             out[int(self.config.surface_tag)] = t_air
         if active:
@@ -319,10 +333,9 @@ class Simulation:
             )
 
     def run(self) -> list[StepRecord]:
-        """Execute ceil((t_max - t_start) / tau) steps with snapshots per
+        """Execute step_count(t_max, tau, t_start) steps with snapshots per
         cadence; t_start is nonzero when resuming from a restart."""
-        remaining = float(self.config.t_max) - float(self.field.time)
-        n_steps = max(0, math.ceil(remaining / float(self.config.tau) - 1e-12))
+        n_steps = step_count(self.config.t_max, self.config.tau, self.field.time)
         self._emit_initial()
         try:
             for _ in range(n_steps):
@@ -333,11 +346,6 @@ class Simulation:
 
     def close(self):
         self.assembler.close()
-
-
-def step(sim: Simulation) -> StepRecord:
-    """Advance a simulation by one step (method in function clothing)."""
-    return sim.step()
 
 
 def run(config: SimulationConfig) -> list[StepRecord]:

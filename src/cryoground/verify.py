@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Assembler, DirichletPlan, nodes_for_tags
-from .linalg import CsrMatrix, cg_solve
-from .mesh import BoxMeshSpec, generate_box
+from .fem import TemperatureField
+from .linalg import cg_solve  # noqa: F401  unused; benchmarks/spans.py patches verify.cg_solve
+from .mesh import BoxMeshSpec, Mesh, generate_box
 from .physics import Material, MaterialTable, PhaseModel
-from .simulate import Simulation, SimulationConfig
+from .simulate import Simulation, SimulationConfig, SolverFailure
 
 
 class VerifyError(RuntimeError):
@@ -312,42 +312,39 @@ class MmsCase:
         )
 
 
-def mms_source(case: MmsCase):
-    """(source, boundary) callbacks, each mapping (points, t) to nodal values."""
-    return case.source, case.exact
-
-
-def _pattern_of(assembler: Assembler) -> CsrMatrix:
-    return CsrMatrix(
-        assembler.row_offsets, assembler.column_indices, np.zeros(assembler.nnz)
+def _march_mms(
+    case: MmsCase, mesh: Mesh, tau: float, n_steps: int, solver_tol: float
+) -> Simulation:
+    """Step the manufactured problem n_steps times from the exact initial
+    field, with exact Dirichlet data on all six box faces; returns the
+    closed simulation at its final level."""
+    config = SimulationConfig(
+        mesh=mesh,
+        table=case.table(),
+        tau=tau,
+        t_max=n_steps * tau,
+        dirichlet=dict.fromkeys(range(1, 7), case.exact),
+        cadence=10**9,
+        solver_tol=solver_tol,
+        solver_max_iter=20000,
+        source=case.source,
     )
+    sim = Simulation(config)
+    sim.field = TemperatureField(case.exact(sim.mesh.nodes, 0.0), 0.0)
+    try:
+        for _ in range(n_steps):
+            sim.step()
+    except SolverFailure as e:
+        raise VerifyError(f"MMS solve stalled at residual {e.record.solver.residual:.3e}") from e
+    finally:
+        sim.close()
+    return sim
 
 
-def _step_with_exact_bc(
-    assembler: Assembler,
-    plan: DirichletPlan,
-    bnodes: np.ndarray,
-    case: MmsCase | None,
-    t_values: np.ndarray,
-    points: np.ndarray,
-    tau: float,
-    t_new: float,
-    tol: float,
-) -> np.ndarray:
-    source = case.source(points, t_new) if case is not None else None
-    system = assembler.assemble(t_values, tau, source=source)
-    g = (
-        case.exact(points[bnodes], t_new)
-        if case is not None
-        else t_values[bnodes]
-    )
-    plan.apply(system, g)
-    x0 = t_values.copy()
-    x0[bnodes] = g
-    x, report = cg_solve(system.matrix, system.rhs, x0, tol=tol, max_iter=20000)
-    if not report.converged:
-        raise VerifyError(f"MMS solve stalled at residual {report.residual:.3e}")
-    return x
+def _l2_norm(sim: Simulation, values: np.ndarray) -> float:
+    """Volume-weighted RMS of nodal values over the simulation's mesh."""
+    w = sim.assembler.node_volumes
+    return float(np.sqrt(np.sum(w * values * values) / np.sum(w)))
 
 
 def run_mms(
@@ -360,19 +357,8 @@ def run_mms(
     """March the manufactured problem to t_end with exact Dirichlet data on
     all six faces; returns the volume-weighted L2 error at t_end."""
     mesh = generate_box(BoxMeshSpec(case.lengths, divisions))
-    assembler = Assembler(mesh, case.table())
-    bnodes = nodes_for_tags(mesh, [1, 2, 3, 4, 5, 6])
-    plan = DirichletPlan(_pattern_of(assembler), bnodes)
-
-    values = case.exact(mesh.nodes, 0.0)
-    n_steps = round(t_end / tau)
-    for k in range(1, n_steps + 1):
-        values = _step_with_exact_bc(
-            assembler, plan, bnodes, case, values, mesh.nodes, tau, k * tau, solver_tol
-        )
-    err = values - case.exact(mesh.nodes, n_steps * tau)
-    w = assembler.node_volumes
-    return float(np.sqrt(np.sum(w * err * err) / np.sum(w)))
+    sim = _march_mms(case, mesh, tau, round(t_end / tau), solver_tol)
+    return _l2_norm(sim, sim.field.values - case.exact(mesh.nodes, sim.field.time))
 
 
 def spatial_order_study(
@@ -407,26 +393,15 @@ def temporal_order_study(
     spatial error, so the observed order approaches 1 cleanly.
     """
     case = case or MmsCase()
-    d = (divisions, divisions, divisions)
-    mesh = generate_box(BoxMeshSpec(case.lengths, d))
-    assembler = Assembler(mesh, case.table())
-    bnodes = nodes_for_tags(mesh, [1, 2, 3, 4, 5, 6])
-    plan = DirichletPlan(_pattern_of(assembler), bnodes)
-    w = assembler.node_volumes
+    mesh = generate_box(BoxMeshSpec(case.lengths, (divisions,) * 3))
 
-    def march(n_steps: int) -> np.ndarray:
-        tau = t_end / n_steps
-        values = case.exact(mesh.nodes, 0.0)
-        for k in range(1, n_steps + 1):
-            values = _step_with_exact_bc(
-                assembler, plan, bnodes, case, values, mesh.nodes, tau, k * tau, 1e-13
-            )
-        return values
+    def march(n_steps: int) -> Simulation:
+        return _march_mms(case, mesh, t_end / n_steps, n_steps, 1e-13)
 
-    reference = march(max(step_counts) * reference_refine)
+    reference = march(max(step_counts) * reference_refine).field.values
     errors = []
     for n in step_counts:
-        diff = march(n) - reference
-        errors.append(float(np.sqrt(np.sum(w * diff * diff) / np.sum(w))))
+        sim = march(n)
+        errors.append(_l2_norm(sim, sim.field.values - reference))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return errors, orders

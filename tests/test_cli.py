@@ -53,6 +53,18 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "none.cfg")]) == 2
 
+    def test_step_count_matches_run(self, tmp_path, capsys):
+        """validate and run count the steps by the same rule: t_max = 1.3 tau
+        is 2 steps (the last one ends past t_max)."""
+        text = TINY_RUN.format(out=tmp_path / "out").replace(
+            "tau = 3600\nt_max = 36000", "tau = 1d\nt_max = 1.3d"
+        )
+        path = write(tmp_path, text)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "config OK: 2 steps" in capsys.readouterr().out
+        assert main(["run", "--config", str(path)]) == 0
+        assert "completed 2 steps" in capsys.readouterr().out
+
 
 class TestRun:
     def test_tiny_run_writes_outputs(self, tmp_path, capsys):

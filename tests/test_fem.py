@@ -6,14 +6,12 @@ import pytest
 import cryoground.fem as fem
 from cryoground.fem import (
     Assembler,
-    DirichletSet,
+    DirichletPlan,
     FemError,
+    LinearSystem,
     TemperatureField,
     UnknownTagError,
-    apply_dirichlet,
-    assemble,
     cell_coefficients,
-    collect_dirichlet,
     element_lumped_mass,
     element_stiffness,
     nodes_for_tags,
@@ -22,6 +20,7 @@ from cryoground.linalg import CsrMatrix, cg_solve
 from cryoground.mesh import BoxMeshSpec, DegenerateCellError, Mesh, generate_box
 from cryoground.parallel import fork_available
 from cryoground.physics import UnknownRegionError
+from cryoground.simulate import Simulation, SimulationConfig
 
 
 def random_tet(rng):
@@ -106,7 +105,7 @@ class TestCellCoefficients:
 
 class TestAssemble:
     def test_single_tet_matches_element_ops(self, reference_tet, plain_table):
-        system = assemble(reference_tet, np.zeros(4), plain_table, tau=1.0)
+        system = Assembler(reference_tet, plain_table).assemble(np.zeros(4), tau=1.0)
         k = element_stiffness(reference_tet, 0, 1.0)
         expected = k + np.eye(4) / 24.0
         assert np.allclose(system.matrix.to_dense(), expected, atol=1e-15)
@@ -114,14 +113,14 @@ class TestAssemble:
 
     def test_uniform_field_is_steady(self, unit_box, plain_table):
         c0 = 4.5
-        system = assemble(unit_box, np.full(unit_box.n_nodes, c0), plain_table, tau=2.0)
+        system = Assembler(unit_box, plain_table).assemble(np.full(unit_box.n_nodes, c0), tau=2.0)
         x, report = cg_solve(system.matrix, system.rhs, tol=1e-12)
         assert report.converged
         assert np.abs(x - c0).max() < 1e-10
 
     def test_tau_must_be_positive(self, unit_box, plain_table):
         with pytest.raises(FemError, match="tau"):
-            assemble(unit_box, np.zeros(unit_box.n_nodes), plain_table, tau=0.0)
+            Assembler(unit_box, plain_table).assemble(np.zeros(unit_box.n_nodes), tau=0.0)
 
     def test_stiffness_properties(self, unit_box, soil_table):
         rng = np.random.default_rng(5)
@@ -151,8 +150,8 @@ class TestAssemble:
         f = 2.5
         tau = 3.0
         t0 = np.full(unit_box.n_nodes, 1.0)
-        system = assemble(
-            unit_box, t0, plain_table, tau, source=np.full(unit_box.n_nodes, f)
+        system = Assembler(unit_box, plain_table).assemble(
+            t0, tau, source=np.full(unit_box.n_nodes, f)
         )
         x, report = cg_solve(system.matrix, system.rhs, tol=1e-13)
         assert report.converged
@@ -207,59 +206,69 @@ class TestAssemble:
         assert np.array_equal(got.rhs, serial.rhs)
 
 
+def one_step_field(mesh, table, dirichlet):
+    """Field after one step of a small Simulation from 0 deg C."""
+    config = SimulationConfig(
+        mesh=mesh, table=table, tau=0.1, t_max=0.1, initial_temperature=0.0, dirichlet=dirichlet
+    )
+    sim = Simulation(config)
+    sim.step()
+    sim.close()
+    return sim.field.values
+
+
 class TestCollectDirichlet:
+    """Which nodes the Dirichlet tags constrain, and with which value."""
+
     def test_empty_map(self, unit_box):
-        assert len(collect_dirichlet(unit_box, {})) == 0
+        assert len(nodes_for_tags(unit_box, [])) == 0
 
     def test_top_face_node_count(self):
         mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (3, 4, 5)))
-        ds = collect_dirichlet(mesh, {6: -20.0})
-        assert len(ds) == (3 + 1) * (4 + 1)
-        assert np.allclose(ds.values, -20.0)
-        assert np.allclose(mesh.nodes[ds.nodes, 2], 1.0)
+        nodes = nodes_for_tags(mesh, [6])
+        assert len(nodes) == (3 + 1) * (4 + 1)
+        assert (np.diff(nodes) > 0).all()
+        assert np.allclose(mesh.nodes[nodes, 2], 1.0)
 
-    def test_shared_node_deduplicated(self, unit_box):
-        # faces 1 and 5 share an edge of nodes; equal values appear once
-        ds = collect_dirichlet(unit_box, {1: 3.0, 5: 3.0})
-        assert len(np.unique(ds.nodes)) == len(ds.nodes)
+    def test_shared_node_deduplicated(self, unit_box, plain_table):
+        # faces 1 and 5 share an edge of nodes; equal values constrain them
+        # once (DirichletPlan rejects a repeated node)
         shared = np.intersect1d(nodes_for_tags(unit_box, [1]), nodes_for_tags(unit_box, [5]))
         assert len(shared) > 0
-        assert np.isin(shared, ds.nodes).all()
+        values = one_step_field(unit_box, plain_table, {1: 3.0, 5: 3.0})
+        assert (values[nodes_for_tags(unit_box, [1, 5])] == 3.0).all()
 
-    def test_larger_tag_wins_conflicts(self, unit_box):
-        ds = collect_dirichlet(unit_box, {1: 3.0, 5: 7.0})
-        shared = np.intersect1d(nodes_for_tags(unit_box, [1]), nodes_for_tags(unit_box, [5]))
-        pos = np.searchsorted(ds.nodes, shared)
-        assert np.allclose(ds.values[pos], 7.0)
+    def test_larger_tag_wins_conflicts(self, unit_box, plain_table):
+        face1, face5 = nodes_for_tags(unit_box, [1]), nodes_for_tags(unit_box, [5])
+        shared = np.intersect1d(face1, face5)
+        values = one_step_field(unit_box, plain_table, {1: 3.0, 5: 7.0})
+        assert (values[face5] == 7.0).all()
+        assert (values[np.setdiff1d(face1, shared)] == 3.0).all()
 
     def test_unknown_tag(self, unit_box):
         with pytest.raises(UnknownTagError, match="42"):
-            collect_dirichlet(unit_box, {42: 0.0})
+            nodes_for_tags(unit_box, [42])
 
 
 class TestApplyDirichlet:
     def test_1x1(self):
-        from cryoground.fem import LinearSystem
-
         system = LinearSystem(CsrMatrix.from_dense([[3.0]]), np.array([7.0]))
-        apply_dirichlet(system, DirichletSet(np.array([0]), np.array([5.0])))
+        DirichletPlan(system.matrix, np.array([0])).apply(system, np.array([5.0]))
         assert system.matrix.to_dense().tolist() == [[1.0]]
         assert system.rhs.tolist() == [5.0]
 
     def test_2x2_hand_elimination(self):
-        from cryoground.fem import LinearSystem
-
         system = LinearSystem(
             CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]), np.zeros(2)
         )
-        apply_dirichlet(system, DirichletSet(np.array([0]), np.array([1.0])))
+        DirichletPlan(system.matrix, np.array([0])).apply(system, np.array([1.0]))
         assert system.matrix.to_dense().tolist() == [[1.0, 0.0], [0.0, 2.0]]
         assert system.rhs.tolist() == [1.0, 1.0]
 
     def test_constrain_everything(self, reference_tet, plain_table):
-        system = assemble(reference_tet, np.zeros(4), plain_table, tau=1.0)
+        system = Assembler(reference_tet, plain_table).assemble(np.zeros(4), tau=1.0)
         g = np.array([1.0, 2.0, 3.0, 4.0])
-        apply_dirichlet(system, DirichletSet(np.arange(4), g))
+        DirichletPlan(system.matrix, np.arange(4)).apply(system, g)
         assert np.array_equal(system.matrix.to_dense(), np.eye(4))
         assert np.array_equal(system.rhs, g)
 
@@ -267,8 +276,8 @@ class TestApplyDirichlet:
         rng = np.random.default_rng(4)
         field = rng.uniform(-4, 4, unit_box.n_nodes)
         system = Assembler(unit_box, soil_table).assemble(field, tau=3600.0)
-        ds = collect_dirichlet(unit_box, {6: -20.0, 5: 5.0})
-        apply_dirichlet(system, ds)
+        nodes = nodes_for_tags(unit_box, [5, 6])
+        DirichletPlan(system.matrix, nodes).apply(system, rng.uniform(-20, 5, len(nodes)))
         dense = system.matrix.to_dense()
         assert np.abs(dense - dense.T).max() == 0.0
 
@@ -276,18 +285,20 @@ class TestApplyDirichlet:
         rng = np.random.default_rng(15)
         field = rng.uniform(-2, 2, unit_box.n_nodes)
         tau = 10.0
-        ds = collect_dirichlet(unit_box, {6: -1.5, 1: 2.0})
+        asm = Assembler(unit_box, plain_table)
+        nodes = nodes_for_tags(unit_box, [1, 6])
+        g = np.where(np.isin(nodes, nodes_for_tags(unit_box, [6])), -1.5, 2.0)
 
-        eliminated = assemble(unit_box, field, plain_table, tau)
-        apply_dirichlet(eliminated, ds)
+        eliminated = asm.assemble(field, tau)
+        DirichletPlan(eliminated.matrix, nodes).apply(eliminated, g)
         x_elim, rep = cg_solve(eliminated.matrix, eliminated.rhs, tol=1e-13, max_iter=2000)
         assert rep.converged
 
-        penalty = assemble(unit_box, field, plain_table, tau)
+        penalty = asm.assemble(field, tau)
         dense = penalty.matrix.to_dense()
         b = penalty.rhs.copy()
         big = 1e12
-        for node, value in zip(ds.nodes, ds.values):
+        for node, value in zip(nodes, g):
             dense[node, node] += big
             b[node] += big * value
         x_pen = np.linalg.solve(dense, b)
@@ -295,11 +306,20 @@ class TestApplyDirichlet:
         assert np.abs(x_elim - x_pen).max() <= 1e-6 * denom
 
     def test_structurally_unsymmetric_rejected(self):
-        from cryoground.fem import DirichletPlan
-
         m = CsrMatrix.from_coo(2, [0, 0], [0, 1], [1.0, 2.0])  # missing (1, 0)
         with pytest.raises(FemError, match="symmetric"):
             DirichletPlan(m, np.array([0]))
+
+    @pytest.mark.parametrize(
+        "nodes", [[5, 0, 26], [26, 5, 0], [0, 5, 5], [-1, 5], [5, 27]], ids=str
+    )
+    def test_bad_node_list_rejected(self, plain_table, nodes):
+        """Unsorted, repeated or out-of-range nodes are an error, not a
+        silently wrong elimination or a bare IndexError."""
+        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))  # 27 nodes
+        system = Assembler(mesh, plain_table).assemble(np.zeros(mesh.n_nodes), tau=1.0)
+        with pytest.raises(FemError, match="strictly increasing|outside"):
+            DirichletPlan(system.matrix, np.array(nodes))
 
 
 class TestMaximumPrinciple:
@@ -308,9 +328,10 @@ class TestMaximumPrinciple:
         mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (6, 6, 6)))
         rng = np.random.default_rng(3)
         t_prev = rng.uniform(-5.0, 5.0, mesh.n_nodes)
-        system = assemble(mesh, t_prev, plain_table, tau=0.05)
-        ds = collect_dirichlet(mesh, {5: -20.0, 6: 20.0})
-        apply_dirichlet(system, ds)
+        system = Assembler(mesh, plain_table).assemble(t_prev, tau=0.05)
+        nodes = nodes_for_tags(mesh, [5, 6])
+        g = np.where(np.isin(nodes, nodes_for_tags(mesh, [6])), 20.0, -20.0)
+        DirichletPlan(system.matrix, nodes).apply(system, g)
         x, report = cg_solve(system.matrix, system.rhs, tol=1e-12)
         assert report.converged
         lo = min(-20.0, t_prev.min())

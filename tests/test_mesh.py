@@ -217,6 +217,22 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             unit_box.nodes[0, 0] = 42.0
 
+    def test_caller_arrays_not_aliased(self):
+        """The orientation fix-up works on the mesh's own copy: the caller's
+        cells stay as passed and writable, and read-only input builds."""
+        nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+        cells = np.array([[0, 1, 3, 2]])
+        mesh = Mesh(nodes, cells, [1], np.empty((0, 3), int), [])
+        assert cells.tolist() == [[0, 1, 3, 2]] and cells.flags.writeable
+        assert nodes.flags.writeable
+        assert mesh.cells.tolist() == [[0, 1, 2, 3]]
+
+        cells.flags.writeable = False
+        nodes.flags.writeable = False
+        frozen = Mesh(nodes, cells, [1], np.empty((0, 3), int), [])
+        assert frozen.cells.tolist() == [[0, 1, 2, 3]]
+        assert cells.tolist() == [[0, 1, 3, 2]]
+
     def test_box_spec_invariants(self):
         with pytest.raises(MeshError):
             BoxMeshSpec((1.0, 1.0, 1.0), (0, 1, 1))

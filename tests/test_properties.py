@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryoground.fem import Assembler, DirichletSet, apply_dirichlet
+from cryoground.fem import Assembler, DirichletPlan, nodes_for_tags
 from cryoground.linalg import CsrMatrix, cg_solve
 from cryoground.mesh import BoxMeshSpec, generate_box
 from cryoground.physics import Material, MaterialTable, PhaseModel
@@ -44,7 +44,7 @@ def test_dirichlet_elimination_properties(seed):
     k = int(rng.integers(1, mesh.n_nodes))
     nodes = np.sort(rng.choice(mesh.n_nodes, size=k, replace=False))
     values = rng.uniform(-30.0, 30.0, k)
-    apply_dirichlet(system, DirichletSet(nodes, values))
+    DirichletPlan(system.matrix, nodes).apply(system, values)
 
     dense = system.matrix.to_dense()
     assert np.abs(dense - dense.T).max() == 0.0
@@ -68,9 +68,8 @@ def test_implicit_step_bounded_by_data(seed):
     system = Assembler(mesh, PLAIN).assemble(t_prev, tau=float(rng.uniform(0.001, 100.0)))
 
     g = float(rng.uniform(-25.0, 25.0))
-    from cryoground.fem import collect_dirichlet
-
-    apply_dirichlet(system, collect_dirichlet(mesh, {6: g}))
+    top = nodes_for_tags(mesh, [6])
+    DirichletPlan(system.matrix, top).apply(system, np.full(len(top), g))
     x, report = cg_solve(system.matrix, system.rhs, tol=1e-12, max_iter=4 * mesh.n_nodes)
     assert report.converged
     lo = min(t_prev.min(), g) - 1e-9

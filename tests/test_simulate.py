@@ -56,8 +56,28 @@ class TestInitialize:
         with pytest.raises(SimulationError, match="cadence"):
             initialize(box_config(plain_table, cadence=0))
 
+    def test_dirichlet_value_must_be_number_air_or_callable(self, plain_table):
+        with pytest.raises(SimulationError, match="tag 6"):
+            initialize(box_config(plain_table, dirichlet={6: "hot"}))
+
 
 class TestStep:
+    def test_callable_dirichlet_evaluated_on_tag_nodes(self, plain_table):
+        """A callable value g(points, t) is evaluated each step at the new
+        time level on the nodes of its tag."""
+        calls = []
+
+        def g(points, t):
+            calls.append((len(points), t))
+            return points[:, 0] + t
+
+        sim = Simulation(box_config(plain_table, dirichlet={6: g}))
+        sim.step()
+        sim.step()
+        top = sim._tag_nodes[6]
+        assert calls == [(25, 100.0), (25, 200.0)]
+        assert np.array_equal(sim.field.values[top], sim.mesh.nodes[top, 0] + 200.0)
+
     def test_uniform_equilibrium_without_dirichlet(self, plain_table):
         sim = Simulation(box_config(plain_table))
         rec = sim.step()

@@ -10,7 +10,6 @@ from cryoground.verify import (
     NeumannCase,
     VerifyError,
     erf,
-    mms_source,
     neumann_lambda,
     run_mms,
     run_neumann_benchmark,
@@ -144,7 +143,6 @@ class TestMms:
     def test_source_matches_finite_differences(self):
         case = MmsCase(crho=3.0, lam=0.7, lengths=(1.2, 0.8, 1.0), amplitude=2.0,
                        offset=5.0, t_decay=0.3)
-        src, bc = mms_source(case)
         rng = np.random.default_rng(0)
         pts = rng.uniform(0.1, 0.7, (20, 3))
         t = 0.13
@@ -158,8 +156,7 @@ class TestMms:
                 case.exact(pts + e, t) - 2 * case.exact(pts, t) + case.exact(pts - e, t)
             ) / h**2
         expected = case.crho * dt - case.lam * lap
-        assert np.abs(src(pts, t) - expected).max() < 1e-4
-        assert np.array_equal(bc(pts, t), case.exact(pts, t))
+        assert np.abs(case.source(pts, t) - expected).max() < 1e-4
 
     def test_p1_reproduces_linear_steady_state(self):
         # linear-in-x exact solution, zero source: one-step march must stay
@@ -186,6 +183,18 @@ class TestMms:
             values, rep = cg_solve(system.matrix, system.rhs, values, tol=1e-14)
             assert rep.converged
         assert np.abs(values - exact).max() < 1e-10
+
+    def test_stalled_solve_is_verify_error(self, monkeypatch):
+        """A failed solve inside the MMS march surfaces as VerifyError."""
+        import cryoground.simulate as simulate
+        from cryoground.linalg import SolveReport
+
+        def stall(a, b, x0, tol, max_iter):
+            return x0, SolveReport(max_iter, 1.0, False, 0.0)
+
+        monkeypatch.setattr(simulate, "cg_solve", stall)
+        with pytest.raises(VerifyError, match="stalled at residual"):
+            run_mms((2, 2, 2), tau=0.05, t_end=0.1, case=MmsCase())
 
     def test_error_decreases_with_h(self):
         case = MmsCase()
