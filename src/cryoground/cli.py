@@ -51,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     from .config import ConfigError, parse_config
     from .fem import FemError
+    from .io import SnapshotError
     from .mesh import MeshError
     from .physics import PhysicsError
     from .simulate import SimulationError, SolverFailure, run
@@ -68,7 +69,7 @@ def _cmd_run(args) -> int:
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except (FemError, MeshError, PhysicsError, SimulationError) as e:
+    except (FemError, MeshError, PhysicsError, SimulationError, SnapshotError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     last = records[-1] if records else None
@@ -82,15 +83,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     from .config import ConfigError, parse_config
+    from .io import snapshot_header
     from .mesh import MeshError
     from .simulate import step_count
 
     try:
         config = parse_config(args.config)
+        # a restart resumes at its snapshot's time, as run does
+        t_start = snapshot_header(config.restart)[1] if config.restart is not None else 0.0
     except (ConfigError, MeshError, OSError, ValueError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    n_steps = step_count(config.t_max, config.tau)
+    n_steps = step_count(config.t_max, config.tau, t_start)
     print(f"config OK: {n_steps} steps of {config.tau:.6g} s, workers={config.workers}")
     return EXIT_OK
 

@@ -12,8 +12,9 @@ Mass lumping keeps M diagonal and prevents oscillations at the latent
 spike; one-point coefficient quadrature matches the previous-level
 linearization and cannot produce negative lumped entries.
 
-The Assembler precomputes, per mesh, the element geometry factors and a
-scatter plan that groups CSR slots by how many element entries land in
+The Assembler precomputes, per mesh, the element geometry factors and,
+from one stable sort of the entries' (row, col) keys, the CSR pattern and
+a scatter plan that groups CSR slots by how many element entries land in
 them; per step the work is pure vectorized arithmetic plus segment sums in
 a fixed per-slot order, so assembled values are bit-identical for any
 worker count.  Workers (the calling process plus forked processes, writing
@@ -27,9 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import CsrMatrix
-from .mesh import Mesh, cell_volumes, tet_volume
+from .mesh import Mesh, _volumes, tet_volume
 from .parallel import ForkPool, fork_available, usable_cpus
 from .physics import FREEZING_POROUS, MaterialTable, frozen_thawed_coeffs
+
+# cells per block of the element-geometry pass in Assembler.__init__
+_GEOMETRY_BLOCK = 4096
 
 
 class FemError(ValueError):
@@ -139,33 +143,34 @@ def cell_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _grouped_scatter_plan(slot_of_entry: np.ndarray):
-    """Group entries by target-slot multiplicity.
+def _scatter_plan(key: np.ndarray):
+    """Scatter plan of entries onto slots, the distinct keys ascending.
 
-    Returns (entry_perm, groups) where entry_perm reorders raw entries so
-    that all slots receiving exactly k entries are contiguous, keeping the
-    per-slot entry order fixed, and groups is a list of
-    (k, entry_start, entry_end, slot_ids).
+    One stable sort lists each slot's entries contiguously in entry order;
+    a stable regroup by slot multiplicity (8-bit keys where they fit, which
+    numpy radix-sorts) makes the slots receiving exactly k entries
+    contiguous.  Returns (slot_keys, entry_perm, groups), groups holding
+    (k, entry_start, entry_end, slot_ids).  A temporary key is freed as
+    soon as its sorted copy exists.
     """
-    perm = np.argsort(slot_of_entry, kind="stable")
-    sorted_slots = slot_of_entry[perm]
-    counts = np.bincount(slot_of_entry)
-    count_of_entry = counts[sorted_slots]
-    regroup = np.argsort(count_of_entry, kind="stable")
-    perm = perm[regroup]
-    sorted_slots = sorted_slots[regroup]
-    count_sorted = count_of_entry[regroup]
-
-    groups = []
-    start = 0
-    total = len(perm)
-    while start < total:
-        k = int(count_sorted[start])
-        # all entries of multiplicity k are contiguous after the stable sort
-        end = int(np.searchsorted(count_sorted, k, side="right"))
-        groups.append((k, start, end, sorted_slots[start:end:k].copy()))
-        start = end
-    return perm, groups
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    slot_keys = key[starts]
+    del key, head
+    counts = np.diff(starts, append=len(order))
+    counts = counts.astype(np.min_scalar_type(counts.max()))
+    perm = order[np.argsort(np.repeat(counts, counts), kind="stable")]
+    del order
+    slot_ids = np.argsort(counts, kind="stable")  # ascending within each k
+    groups, e0, s0 = [], 0, 0
+    for k, size in enumerate(np.bincount(counts).tolist()):
+        if size:
+            groups.append((k, e0, e0 + k * size, slot_ids[s0 : s0 + size]))
+            e0, s0 = e0 + k * size, s0 + size
+    return slot_keys, perm, groups
 
 
 def _group_tasks(groups, cell_of_entry: np.ndarray, s0: int, s1: int, cell0: int):
@@ -189,8 +194,11 @@ def _group_tasks(groups, cell_of_entry: np.ndarray, s0: int, s1: int, cell0: int
 class Assembler:
     """Reusable global assembler for a fixed mesh and material table.
 
-    Building the assembler computes element geometry, the CSR sparsity
-    pattern and the deterministic scatter plan; each assemble() call then
+    Building the assembler computes the element geometry in fixed blocks
+    of cells, and sorts the (row, col) keys of the element entries once:
+    the runs of equal keys give the CSR sparsity pattern, and their order
+    is the deterministic stiffness scatter plan (the capacity plan comes
+    likewise from one sort of the cell nodes).  Each assemble() call then
     only evaluates coefficients at the previous temperature and fills a
     fresh value array.  With workers > 1 the per-step fill is split into
     shares, each owning a contiguous range of matrix rows (balanced by
@@ -208,79 +216,71 @@ class Assembler:
         n = mesh.n_nodes
         if m == 0:
             raise FemError("cannot assemble on a mesh with no cells")
-        covered = np.zeros(n, dtype=bool)
-        covered[mesh.cells.ravel()] = True
-        if not covered.all():
-            orphan = int(np.flatnonzero(~covered)[0])
-            raise FemError(
-                f"node {orphan} belongs to no cell; compact the mesh before assembly"
-            )
+        cells = mesh.cells
+        uses = np.bincount(cells.ravel(), minlength=n)
+        if not uses.all():
+            orphan = int(np.argmin(uses))  # the first node no cell uses
+            raise FemError(f"node {orphan} belongs to no cell; compact the mesh before assembly")
 
-        vols = cell_volumes(mesh)
-        p = mesh.nodes[mesh.cells]
-        e = p[:, 1:] - p[:, :1]
-        inv = np.linalg.inv(e)  # (m, 3, 3)
-        grads = np.empty((m, 3, 4))
-        grads[:, :, 1:] = inv
-        grads[:, :, 0] = -inv.sum(axis=2)
-        kgeom = np.einsum("mki,mkj->mij", grads, grads) * vols[:, None, None]
-
-        # per-cell material coefficient tables
-        self._crm = np.empty(m)
-        self._crp = np.empty(m)
-        self._lamm = np.empty(m)
-        self._lamp = np.empty(m)
-        self._lat = np.empty(m)
-        for tag in np.unique(mesh.cell_region):
-            mat = table.for_region(tag)  # raises UnknownRegionError
-            crm, crp, lamm, lamp = frozen_thawed_coeffs(mat)
-            sel = mesh.cell_region == tag
-            self._crm[sel] = crm
-            self._crp[sel] = crp
-            self._lamm[sel] = lamm
-            self._lamp[sel] = lamp
-            self._lat[sel] = table.latent_for(mat)
-
-        # CSR pattern from the 16 entries of every element block
-        rows16 = np.repeat(mesh.cells, 4, axis=1).ravel()
-        cols16 = np.tile(mesh.cells, (1, 4)).ravel()
-        key = rows16 * np.int64(n) + cols16
-        uniq, slot_of_entry = np.unique(key, return_inverse=True)
-        nnz = len(uniq)
-        self.column_indices = (uniq % n).astype(np.int64)
-        urows = (uniq // n).astype(np.int64)
+        # CSR pattern and stiffness scatter plan from one sort of the 16
+        # (row, col) keys of every element block (entry 16 c + 4 i + j)
+        keys, perm_k, self._kgroups = _scatter_plan(
+            (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel()
+        )
+        self.nnz = nnz = len(keys)
+        self.column_indices = keys % n
+        urows = keys // n
         self.row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.row_offsets, urows + 1, 1)
-        np.cumsum(self.row_offsets, out=self.row_offsets)
-        self.nnz = nnz
+        np.cumsum(np.bincount(urows, minlength=n), out=self.row_offsets[1:])
         for arr in (self.row_offsets, self.column_indices):
             arr.flags.writeable = False
 
         # diagonal slot of every row (always present for FEM patterns)
-        diag_hit = self.column_indices == urows
-        self._diag_slots = np.flatnonzero(diag_hit)
+        self._diag_slots = np.flatnonzero(self.column_indices == urows)
         if len(self._diag_slots) != n:
             raise FemError("internal error: missing diagonal slot in pattern")
         self._pattern = CsrMatrix(
             self.row_offsets, self.column_indices, np.zeros(nnz), diagonal_slots=self._diag_slots
         )
 
-        # stiffness scatter plan
-        perm_k, groups_k = _grouped_scatter_plan(slot_of_entry.astype(np.int64))
-        self._kgeom_entries = kgeom.reshape(m, 16).ravel()[perm_k]
-        self._kcell_of_entry = (perm_k // 16).astype(np.int64)
-        self._kgroups = groups_k
+        # element geometry, a block of cells at a time so that the
+        # per-cell temporaries stay small; kgeom holds V * (grad . grad)
+        vols = np.empty(m)
+        kgeom = np.empty((m, 16))
+        for c0 in range(0, m, _GEOMETRY_BLOCK):
+            block = slice(c0, c0 + _GEOMETRY_BLOCK)
+            p = mesh.nodes[cells[block]]
+            vols[block] = _volumes(p, first=c0)  # raises on degenerate cells
+            inv = np.linalg.inv(p[:, 1:] - p[:, :1])
+            grads = np.empty((len(p), 3, 4))
+            grads[:, :, 1:] = inv
+            grads[:, :, 0] = -inv.sum(axis=2)
+            kblock = kgeom[block].reshape(-1, 4, 4)
+            np.einsum("mki,mkj->mij", grads, grads, out=kblock)
+            kblock *= vols[block, None, None]
+        self._kgeom_entries = kgeom.ravel()[perm_k]
+        del kgeom
+        self._kcell_of_entry = perm_k // 16
+        del perm_k
 
-        # lumped-mass scatter plan (4 entries per cell onto node slots)
-        nodes4 = mesh.cells.ravel()
-        perm_m, groups_m = _grouped_scatter_plan(nodes4)
-        self._mgeom_entries = np.repeat(vols / 4.0, 4)[perm_m]
-        self._mcell_of_entry = (perm_m // 4).astype(np.int64)
-        self._mgroups = groups_m
+        # per-cell material coefficient tables
+        unknown = ~np.isin(mesh.cell_region, list(table.materials))
+        if unknown.any():
+            table.for_region(mesh.cell_region[unknown].min())  # raises UnknownRegionError
+        coeffs = np.empty((5, m))
+        for tag, mat in table.materials.items():
+            row = [*frozen_thawed_coeffs(mat), table.latent_for(mat)]
+            coeffs[:, mesh.cell_region == tag] = np.array(row)[:, None]
+        self._crm, self._crp, self._lamm, self._lamp, self._lat = coeffs
 
-        # geometric lumped volumes, for source terms
-        self.node_volumes = np.zeros(n)
-        np.add.at(self.node_volumes, nodes4, np.repeat(vols / 4.0, 4))
+        # lumped-mass scatter plan (4 entries per cell onto node slots) and
+        # the geometric lumped volumes, for source terms
+        nodes4 = cells.ravel()
+        _, perm_m, self._mgroups = _scatter_plan(nodes4)
+        quarter = np.repeat(vols / 4.0, 4)
+        self._mgeom_entries = quarter[perm_m]
+        self._mcell_of_entry = perm_m // 4
+        self.node_volumes = np.bincount(nodes4, weights=quarter, minlength=n)
 
         self._phase = table.phase
         self._pool: ForkPool | None = None

@@ -8,6 +8,7 @@ restart round trips are exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +23,7 @@ PROBES_FILE_NAME = "probes.csv"
 
 _SNAPSHOT_MAGIC = b"CRYOGRND"
 _SNAPSHOT_VERSION = 1
+_SNAPSHOT_HEAD_LEN = len(_SNAPSHOT_MAGIC) + struct.calcsize("<IQd")
 
 
 class SnapshotError(ValueError):
@@ -99,27 +101,37 @@ def snapshot_write(path, field: TemperatureField) -> None:
     Path(path).write_bytes(head + values.tobytes())
 
 
-def snapshot_read(path, expected_nodes: int | None = None) -> TemperatureField:
-    """Read a restart dump written by snapshot_write.
+def snapshot_header(path) -> tuple[int, float]:
+    """(node count, time) of a restart dump written by snapshot_write.
 
-    Raises SnapshotError on magic/version mismatch or, when expected_nodes
-    is given, on a node-count mismatch with the target mesh.
+    Reads only the header.  Raises SnapshotError on a magic or version
+    mismatch and when the file holds fewer values than it declares.
     """
-    raw = Path(path).read_bytes()
-    head_len = len(_SNAPSHOT_MAGIC) + struct.calcsize("<IQd")
-    if len(raw) < head_len or raw[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
+    with open(path, "rb") as f:
+        head = f.read(_SNAPSHOT_HEAD_LEN)
+        size = os.fstat(f.fileno()).st_size
+    if len(head) < _SNAPSHOT_HEAD_LEN or head[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
         raise SnapshotError(f"{path}: not a restart snapshot")
-    version, count, time = struct.unpack_from("<IQd", raw, len(_SNAPSHOT_MAGIC))
+    version, count, time = struct.unpack_from("<IQd", head, len(_SNAPSHOT_MAGIC))
     if version != _SNAPSHOT_VERSION:
         raise SnapshotError(
             f"{path}: snapshot version {version}, this build reads version {_SNAPSHOT_VERSION}"
         )
-    available = (len(raw) - head_len) // 8
+    available = (size - _SNAPSHOT_HEAD_LEN) // 8
     if available < count:
         raise SnapshotError(f"{path}: truncated snapshot ({available} of {count} values)")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=head_len)
+    return count, time
+
+
+def snapshot_read(path, expected_nodes: int | None = None) -> TemperatureField:
+    """Read a restart dump written by snapshot_write.
+
+    Raises SnapshotError as snapshot_header does or, when expected_nodes
+    is given, on a node-count mismatch with the target mesh.
+    """
+    count, time = snapshot_header(path)
     if expected_nodes is not None and count != expected_nodes:
         raise SnapshotError(
             f"{path}: snapshot has {count} nodes, mesh has {expected_nodes}"
         )
-    return TemperatureField(values.copy(), time)
+    return TemperatureField(np.fromfile(path, "<f8", count=count, offset=_SNAPSHOT_HEAD_LEN), time)

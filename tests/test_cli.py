@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from cryoground.cli import main
+from cryoground.fem import TemperatureField
+from cryoground.io import snapshot_write
 
 TINY_RUN = """
 [mesh]
@@ -39,6 +42,28 @@ def write(tmp_path, text, name="run.cfg"):
     return path
 
 
+def write_restart(tmp_path, values, time):
+    """TINY_RUN (tau 3600 s, t_max 36000 s) resuming from a snapshot of
+    ``values`` at ``time``; returns the config and snapshot paths."""
+    snap = tmp_path / "snap.bin"
+    snapshot_write(snap, TemperatureField(values, time))
+    text = TINY_RUN.format(out=tmp_path / "out").replace(
+        "t_max = 36000", f"t_max = 36000\nrestart = {snap}"
+    )
+    return write(tmp_path, text), snap
+
+
+def corrupt(snap, how):
+    raw = bytearray(snap.read_bytes())
+    if how == "bad-magic":
+        raw[:8] = b"NOTCRYOG"
+    elif how == "bad-version":
+        raw[8] = 9
+    else:
+        del raw[-16:]
+    snap.write_bytes(bytes(raw))
+
+
 class TestValidate:
     def test_good_config(self, tmp_path, capsys):
         path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))
@@ -66,6 +91,25 @@ class TestValidate:
         assert "completed 2 steps" in capsys.readouterr().out
 
 
+    def test_restart_steps_counted_from_snapshot_time(self, tmp_path, capsys):
+        """A restart at t = 7200 s runs 8 of the 10 steps to t_max; validate
+        counts the same 8."""
+        path, _ = write_restart(tmp_path, np.full(64, -5.0), 7200.0)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "config OK: 8 steps" in capsys.readouterr().out
+        assert main(["run", "--config", str(path)]) == 0
+        assert "completed 8 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("how", ["bad-magic", "bad-version", "truncated"])
+    def test_unreadable_snapshot_is_config_error(self, tmp_path, capsys, how):
+        path, snap = write_restart(tmp_path, np.full(64, -5.0), 7200.0)
+        corrupt(snap, how)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+
 class TestRun:
     def test_tiny_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -86,6 +130,22 @@ class TestRun:
     def test_workers_override_validated(self, tmp_path, capsys):
         path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(path), "--workers", "0"]) == 2
+
+    def test_missing_restart_file_is_config_error(self, tmp_path, capsys):
+        path, snap = write_restart(tmp_path, np.full(64, -5.0), 0.0)
+        snap.unlink()
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "snap.bin" in err
+
+    def test_snapshot_of_another_mesh_is_config_error(self, tmp_path, capsys):
+        """The 3x3x3 box has 64 nodes; a 10-value snapshot cannot seed it."""
+        path, _ = write_restart(tmp_path, np.zeros(10), 0.0)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "snapshot has 10 nodes, mesh has 64" in err
 
     @pytest.mark.parametrize(
         "old, new, message",

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from cryoground.fem import (
     nodes_for_tags,
 )
 from cryoground.linalg import CsrMatrix, cg_solve
-from cryoground.mesh import BoxMeshSpec, DegenerateCellError, Mesh, generate_box
+from cryoground.mesh import BoxMeshSpec, DegenerateCellError, Mesh, build_planned_box, generate_box
 from cryoground.parallel import fork_available
 from cryoground.physics import UnknownRegionError
+from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
+
+from test_assembly_oracle import lumpy_mesh
 
 
 def random_tet(rng):
@@ -204,6 +209,93 @@ class TestAssemble:
         serial = Assembler(mesh, soil_table).assemble(field, tau=3600.0)
         assert np.array_equal(got.matrix.values, serial.matrix.values)
         assert np.array_equal(got.rhs, serial.rhs)
+
+
+class TestSetup:
+    """Assembler.__init__ builds the pattern and the scatter plans from one
+    sort each and the element geometry in blocks of cells; none of that may
+    move a bit of the assembled values."""
+
+    # sha256 of the assembled arrays on the 20^3 well mesh, recorded with
+    # the two-sort plan builder that preceded the one-sort one (numpy 2.4,
+    # bundled OpenBLAS, x86-64)
+    WELL_SHA256 = {
+        "matrix": "6854697d2a1a1db709f9a398d5d6c2cc92a0aafa24d6548fcb387f40e64a3e06",
+        "rhs": "5fd23df7e1aabd8310e482513672d1ba1b46fed140276248470cff0d0c1dd2d2",
+        "capacity": "31aa074de75df0e1a04deae815e1919621127c2bb7e443f78ab504b4ed606c6b",
+        "node_volumes": "39d8957861fed6b8614ca569492aadb667c7cdfbea6fb40cff97c9526562ef71",
+    }
+
+    @pytest.mark.parametrize(
+        "workers",
+        [1, pytest.param(2, marks=pytest.mark.skipif(not fork_available(), reason="needs fork"))],
+    )
+    def test_well_values_pinned(self, workers, monkeypatch):
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+        mesh = build_planned_box(well_mesh_plan())
+        # straddles the phase band [-1, 1], so the latent spike is active
+        field = np.random.default_rng(2024).uniform(-2.0, 2.0, mesh.n_nodes)
+        asm = Assembler(mesh, default_materials(), workers=workers)
+        try:
+            assert asm.effective_workers() == workers
+            system = asm.assemble(field, tau=86400.0)
+            got = {
+                "matrix": system.matrix.values,
+                "rhs": system.rhs,
+                "capacity": asm.capacity_diagonal(field),
+                "node_volumes": asm.node_volumes,
+            }
+        finally:
+            asm.close()
+        for name, digest in self.WELL_SHA256.items():
+            assert hashlib.sha256(got[name].tobytes()).hexdigest() == digest, name
+
+    def test_geometry_block_size_moves_no_bit(self, monkeypatch):
+        mesh = lumpy_mesh()  # regions 1 (soil) and 2 (sand)
+        table = default_materials()
+        field = np.random.default_rng(35).uniform(-2.0, 2.0, mesh.n_nodes)
+        whole = Assembler(mesh, table)
+        monkeypatch.setattr(fem, "_GEOMETRY_BLOCK", 7)
+        assert mesh.n_cells > 7 * 10
+        blocked = Assembler(mesh, table)
+        for name in ("_kgeom_entries", "_mgeom_entries", "node_volumes"):
+            assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
+        a, b = whole.assemble(field, tau=3600.0), blocked.assemble(field, tau=3600.0)
+        assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
+        assert a.rhs.tobytes() == b.rhs.tobytes()
+
+    def test_degenerate_cell_in_later_block_named_globally(self, plain_table, monkeypatch):
+        box = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))
+        # one flattened tet on four nodes of its own, appended after the box
+        flat = np.array([[3, 0, 0], [4, 0, 0], [3, 1, 0], [3, 0, 1e-17]], dtype=float)
+        mesh = Mesh(
+            np.vstack([box.nodes, flat]),
+            np.vstack([box.cells, box.n_nodes + np.arange(4)[None, :]]),
+            np.append(box.cell_region, 1),
+            box.boundary_facets,
+            box.facet_tag,
+        )
+        monkeypatch.setattr(fem, "_GEOMETRY_BLOCK", 5)
+        with pytest.raises(DegenerateCellError, match=f"cell {box.n_cells} "):
+            Assembler(mesh, plain_table)
+
+    def test_setup_memory_per_cell_bounded(self, plain_table):
+        """Setting up the 16^3 box (24,576 cells) traces 756 B/cell of numpy
+        allocations at its peak; the two-sort builder it replaced traced
+        1,930 B/cell."""
+        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            Assembler(mesh, plain_table)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / mesh.n_cells < 1100
 
 
 def one_step_field(mesh, table, dirichlet):

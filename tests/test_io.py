@@ -4,6 +4,7 @@ import pytest
 from cryoground.fem import TemperatureField
 from cryoground.io import (
     SnapshotError,
+    snapshot_header,
     snapshot_read,
     snapshot_write,
     write_probes,
@@ -99,6 +100,14 @@ class TestSnapshots:
         back = snapshot_read(path)
         assert back.time == field.time
         assert np.array_equal(back.values, field.values)
+
+    def test_header_gives_count_and_time(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        snapshot_write(path, TemperatureField(np.arange(5.0), time=7200.0))
+        assert snapshot_header(path) == (5, 7200.0)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(SnapshotError, match=r"truncated snapshot \(4 of 5 values\)"):
+            snapshot_header(path)
 
     def test_version_mismatch_names_both(self, tmp_path):
         path = tmp_path / "snap.bin"
