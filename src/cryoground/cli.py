@@ -5,7 +5,8 @@ Subcommands:
   simulate validate --config FILE   parse and check a config, run nothing
   simulate oracle neumann ...       melting-front benchmark, CSV on stdout
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (a solve
+that did not converge, or a worker process that failed or died).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def _cmd_run(args) -> int:
     from .fem import FemError
     from .io import SnapshotError
     from .mesh import MeshError
+    from .parallel import WorkerFailure
     from .physics import PhysicsError
     from .simulate import SimulationError, SolverFailure, run
 
@@ -66,7 +68,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         records = run(config)
-    except SolverFailure as e:
+    except (SolverFailure, WorkerFailure) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except (FemError, MeshError, PhysicsError, SimulationError, SnapshotError, OSError) as e:
@@ -114,7 +116,7 @@ def _cmd_oracle_neumann(args) -> int:
     except VerifyError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverFailure as e:
+    except (SolverFailure, WorkerFailure) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     sys.stdout.write(report.as_csv())

@@ -12,13 +12,17 @@ Mass lumping keeps M diagonal and prevents oscillations at the latent
 spike; one-point coefficient quadrature matches the previous-level
 linearization and cannot produce negative lumped entries.
 
-The Assembler precomputes, per mesh, the element geometry factors and,
-from one stable sort of the entries' (row, col) keys, the CSR pattern and
-a scatter plan that groups CSR slots by how many element entries land in
-them; per step the work is pure vectorized arithmetic plus segment sums in
-a fixed per-slot order, so assembled values are bit-identical for any
-worker count.  Workers (the calling process plus forked processes, writing
-disjoint row ranges of shared buffers) are managed by cryoground.parallel.
+K and M are linear in the per-cell coefficients, so the Assembler
+precomputes, per mesh, sparse operators from the element geometry: G_K
+(CSR slots x cells, its rows found by one stable sort of the entries'
+(row, col) keys), G_M (nodes x cells) and the cell-mean operator C (cells
+x nodes).  A step is then C @ T_prev, the coefficient law on the cell
+means, K = G_K @ lam and M = G_M @ c.  CSR products sum each row in
+storage order, so the values are bit-identical for any split of the rows.
+With workers, the fill and the CG solve of a step run in the same
+contiguous row shares (the calling process plus forked processes, writing
+disjoint row ranges of shared buffers; see cryoground.parallel and
+cryoground.linalg).
 """
 
 from __future__ import annotations
@@ -26,14 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as _sp
 
-from .linalg import CsrMatrix
+from .linalg import DOT_CHUNK, CgShares, CsrMatrix, csr_rows, matvec_into
 from .mesh import Mesh, _volumes, tet_volume
-from .parallel import ForkPool, fork_available, usable_cpus
+from .parallel import ForkPool, ShareSync, WorkerFailure, fork_available, usable_cpus
 from .physics import FREEZING_POROUS, MaterialTable, frozen_thawed_coeffs
 
 # cells per block of the element-geometry pass in Assembler.__init__
 _GEOMETRY_BLOCK = 4096
+# commands of the pooled share task
+_FILL, _CG = 0.0, 1.0
 
 
 class FemError(ValueError):
@@ -71,7 +78,8 @@ class LinearSystem:
     """Sparse matrix and right-hand side from one implicit step.
 
     The sparsity pattern arrays are shared with the assembler and read-only;
-    values and rhs are owned by this system.
+    values and rhs are owned by this system, except after
+    assemble(reuse_buffers=True), which hands out the assembler's buffers.
     """
 
     matrix: CsrMatrix
@@ -143,15 +151,14 @@ def cell_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _scatter_plan(key: np.ndarray):
-    """Scatter plan of entries onto slots, the distinct keys ascending.
+def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, ncells: int):
+    """CSR operator that sums weighted cell values onto the distinct keys.
 
-    One stable sort lists each slot's entries contiguously in entry order;
-    a stable regroup by slot multiplicity (8-bit keys where they fit, which
-    numpy radix-sorts) makes the slots receiving exactly k entries
-    contiguous.  Returns (slot_keys, entry_perm, groups), groups holding
-    (k, entry_start, entry_end, slot_ids).  A temporary key is freed as
-    soon as its sorted copy exists.
+    Entry e belongs to cell e // per_cell and carries weights[e].  One
+    stable sort lists each key's entries contiguously in entry order (so in
+    ascending cell order); row i of the operator holds the entries of the
+    i-th smallest key.  Returns (operator, distinct keys ascending); the
+    index arrays are int32.
     """
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -160,50 +167,43 @@ def _scatter_plan(key: np.ndarray):
     starts = np.flatnonzero(head)
     slot_keys = key[starts]
     del key, head
-    counts = np.diff(starts, append=len(order))
-    counts = counts.astype(np.min_scalar_type(counts.max()))
-    perm = order[np.argsort(np.repeat(counts, counts), kind="stable")]
-    del order
-    slot_ids = np.argsort(counts, kind="stable")  # ascending within each k
-    groups, e0, s0 = [], 0, 0
-    for k, size in enumerate(np.bincount(counts).tolist()):
-        if size:
-            groups.append((k, e0, e0 + k * size, slot_ids[s0 : s0 + size]))
-            e0, s0 = e0 + k * size, s0 + size
-    return slot_keys, perm, groups
+    indptr = np.append(starts, len(order)).astype(np.int32)
+    del starts
+    data = weights[order]
+    order //= per_cell
+    op = _sp.csr_matrix(
+        (data, order.astype(np.int32), indptr), shape=(len(indptr) - 1, ncells), copy=False
+    )
+    op.has_sorted_indices = True
+    return op, slot_keys
 
 
-def _group_tasks(groups, cell_of_entry: np.ndarray, s0: int, s1: int, cell0: int):
-    """Restrict multiplicity groups to the target slots [s0, s1).
-
-    Returns (k, entry_start, entry_end, slot_ids, local_cells) per group
-    that has slots in the range; group slots ascend, so the restriction is
-    one contiguous entry range.  local_cells are entry cell ids minus cell0.
-    """
-    tasks = []
-    for k, e0, _e1, slots in groups:
-        i0, i1 = (int(i) for i in np.searchsorted(slots, (s0, s1)))
-        if i1 > i0:
-            a, b = e0 + i0 * k, e0 + i1 * k
-            # a view when cell0 is 0, so the full-range plan copies nothing
-            local = cell_of_entry[a:b] - cell0 if cell0 else cell_of_entry[a:b]
-            tasks.append((k, a, b, slots[i0:i1], local))
-    return tasks
+def _rows_of(op, lo: int, hi: int):
+    return csr_rows(op.indptr, op.indices, op.data, lo, hi, op.shape[1])
 
 
 class Assembler:
     """Reusable global assembler for a fixed mesh and material table.
 
-    Building the assembler computes the element geometry in fixed blocks
-    of cells, and sorts the (row, col) keys of the element entries once:
-    the runs of equal keys give the CSR sparsity pattern, and their order
-    is the deterministic stiffness scatter plan (the capacity plan comes
-    likewise from one sort of the cell nodes).  Each assemble() call then
-    only evaluates coefficients at the previous temperature and fills a
-    fresh value array.  With workers > 1 the per-step fill is split into
-    shares, each owning a contiguous range of matrix rows (balanced by
-    stored entries) of shared buffers and evaluating the coefficients of
-    the span of cells those rows touch; forked worker processes run all
+    The K and M values are linear in the per-cell coefficients, so building
+    the assembler precomputes three sparse operators from the element
+    geometry (computed in fixed blocks of cells):
+    - G_K (nnz x cells): K_vals = G_K @ lam_cell; its rows are the CSR slots
+      of the pattern, found by one stable sort of the (row, col) keys of
+      all element entries;
+    - G_M (nodes x cells): the lumped capacity M = G_M @ c_cell;
+    - C (cells x nodes): the cell-mean temperatures C @ T.
+    Each assemble() call computes the cell means of the previous field,
+    evaluates the coefficient law into preallocated buffers and applies the
+    two operators; a CSR product sums each row in storage order, so every
+    value is bit-identical however the rows are split.
+
+    With workers > 1 the step runs in row shares (see cryoground.parallel):
+    each share owns a contiguous range of matrix rows, cut at multiples of
+    linalg.DOT_CHUNK and balanced by stored entries, and fills those rows
+    of shared buffers from the span of cells the rows touch.  The matrix an
+    assemble(reuse_buffers=True) call returns carries the same shares, so
+    cg_solve runs its loop in them too.  Forked worker processes run all
     shares but the last, which the calling process runs.
     """
 
@@ -222,14 +222,36 @@ class Assembler:
             orphan = int(np.argmin(uses))  # the first node no cell uses
             raise FemError(f"node {orphan} belongs to no cell; compact the mesh before assembly")
 
-        # CSR pattern and stiffness scatter plan from one sort of the 16
-        # (row, col) keys of every element block (entry 16 c + 4 i + j)
-        keys, perm_k, self._kgroups = _scatter_plan(
-            (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel()
+        # element geometry, a block of cells at a time so that the per-cell
+        # temporaries stay small; kgeom holds V * (grad . grad).  The
+        # gradients are the columns of the inverse edge matrix, the
+        # adjugate (cross products of the edges) over the determinant.
+        vols = np.empty(m)
+        kgeom = np.empty((m, 16))
+        for c0 in range(0, m, _GEOMETRY_BLOCK):
+            block = slice(c0, c0 + _GEOMETRY_BLOCK)
+            p = mesh.nodes[cells[block]]
+            e = p[:, 1:] - p[:, :1]
+            adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # rows e2 x e3, e3 x e1, e1 x e2
+            det = np.einsum("mk,mk->m", e[:, 0], adj[:, 0])
+            vols[block] = _volumes(p, first=c0, det=det)  # raises on degenerate cells
+            grads = np.empty((len(p), 3, 4))
+            np.divide(adj.transpose(0, 2, 1), det[:, None, None], out=grads[:, :, 1:])
+            grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
+            kblock = kgeom[block].reshape(-1, 4, 4)
+            np.einsum("mki,mkj->mij", grads, grads, out=kblock)
+            kblock *= vols[block, None, None]
+
+        # G_K and the CSR pattern from one sort of the 16 (row, col) keys of
+        # every element block (entry 16 c + 4 i + j)
+        self._gk, keys = _sum_operator(
+            (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel(), kgeom.ravel(), 16, m
         )
+        del kgeom
         self.nnz = nnz = len(keys)
         self.column_indices = keys % n
         urows = keys // n
+        del keys
         self.row_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(urows, minlength=n), out=self.row_offsets[1:])
         for arr in (self.row_offsets, self.column_indices):
@@ -237,31 +259,27 @@ class Assembler:
 
         # diagonal slot of every row (always present for FEM patterns)
         self._diag_slots = np.flatnonzero(self.column_indices == urows)
+        del urows
         if len(self._diag_slots) != n:
             raise FemError("internal error: missing diagonal slot in pattern")
         self._pattern = CsrMatrix(
             self.row_offsets, self.column_indices, np.zeros(nnz), diagonal_slots=self._diag_slots
         )
 
-        # element geometry, a block of cells at a time so that the
-        # per-cell temporaries stay small; kgeom holds V * (grad . grad)
-        vols = np.empty(m)
-        kgeom = np.empty((m, 16))
-        for c0 in range(0, m, _GEOMETRY_BLOCK):
-            block = slice(c0, c0 + _GEOMETRY_BLOCK)
-            p = mesh.nodes[cells[block]]
-            vols[block] = _volumes(p, first=c0)  # raises on degenerate cells
-            inv = np.linalg.inv(p[:, 1:] - p[:, :1])
-            grads = np.empty((len(p), 3, 4))
-            grads[:, :, 1:] = inv
-            grads[:, :, 0] = -inv.sum(axis=2)
-            kblock = kgeom[block].reshape(-1, 4, 4)
-            np.einsum("mki,mkj->mij", grads, grads, out=kblock)
-            kblock *= vols[block, None, None]
-        self._kgeom_entries = kgeom.ravel()[perm_k]
-        del kgeom
-        self._kcell_of_entry = perm_k // 16
-        del perm_k
+        # G_M (4 entries per cell onto node rows, each V / 4), the geometric
+        # lumped volumes (for source terms) and C (weights 1/4 on the cell's
+        # nodes, in the cell's node order)
+        self._gm, _ = _sum_operator(cells.ravel(), np.repeat(vols / 4.0, 4), 4, m)
+        self.node_volumes = self._gm @ np.ones(m)
+        self._cmean = _sp.csr_matrix(
+            (
+                np.full(4 * m, 0.25),
+                cells.ravel().astype(np.int32),
+                np.arange(0, 4 * m + 1, 4, dtype=np.int32),
+            ),
+            shape=(m, n),
+            copy=False,
+        )
 
         # per-cell material coefficient tables
         unknown = ~np.isin(mesh.cell_region, list(table.materials))
@@ -271,79 +289,75 @@ class Assembler:
         for tag, mat in table.materials.items():
             row = [*frozen_thawed_coeffs(mat), table.latent_for(mat)]
             coeffs[:, mesh.cell_region == tag] = np.array(row)[:, None]
-        self._crm, self._crp, self._lamm, self._lamp, self._lat = coeffs
+        crm, crp, lamm, lamp, lat = coeffs
+        self._phase = model = table.phase
+        self._crm, self._dcr = crm, crp - crm
+        self._lamm, self._dlam = lamm, lamp - lamm
+        self._latd = lat / (2.0 * model.delta)
+        # per-step buffers of the cell values (each process writes its own)
+        self._tm, self._phi, self._lam, self._c = np.empty((4, m))
+        self._band = np.empty((2, m), dtype=bool)
 
-        # lumped-mass scatter plan (4 entries per cell onto node slots) and
-        # the geometric lumped volumes, for source terms
-        nodes4 = cells.ravel()
-        _, perm_m, self._mgroups = _scatter_plan(nodes4)
-        quarter = np.repeat(vols / 4.0, 4)
-        self._mgeom_entries = quarter[perm_m]
-        self._mcell_of_entry = perm_m // 4
-        self.node_volumes = np.bincount(nodes4, weights=quarter, minlength=n)
-
-        self._phase = table.phase
+        self._whole = (
+            slice(0, m), slice(0, nnz), slice(0, n), self._cmean, self._gk, self._gm, self._diag_slots
+        )
+        self._own = None  # (A, M, rhs, CgShares) of serial reuse_buffers calls
         self._pool: ForkPool | None = None
         self._pool_workers = 0
-        self._shared: dict[str, np.ndarray] = {}
-        self._worker_plans: list[tuple] = []
 
-        self._serial_plan = self._row_plan(0, n)
+    # -- per-step fill -----------------------------------------------------
 
-    # -- coefficient evaluation -------------------------------------------
-
-    def _cell_coeff_arrays(self, t_prev: np.ndarray, cells: slice):
-        """Vectorized (c_cell, lam_cell) over a contiguous span of cells."""
+    def _coefficients(self, cells: slice):
+        """The coefficient law at the cell means self._tm[cells], written
+        into self._lam and self._c: phase fraction phi clipped to [0, 1],
+        lam and c interpolated between frozen and thawed, plus the latent
+        spike where the mean lies strictly inside the phase band."""
         model = self._phase
-        tm = t_prev[self.mesh.cells[cells]].mean(axis=1)
-        phi = np.clip((tm - model.t_star + model.delta) / (2.0 * model.delta), 0.0, 1.0)
-        lam = self._lamm[cells] + phi * (self._lamp[cells] - self._lamm[cells])
-        c = self._crm[cells] + phi * (self._crp[cells] - self._crm[cells])
-        inside = (tm > model.t_star - model.delta) & (tm < model.t_star + model.delta)
-        c = c + np.where(inside, self._lat[cells] / (2.0 * model.delta), 0.0)
-        return c, lam
+        tm, phi, lam, c = (a[cells] for a in (self._tm, self._phi, self._lam, self._c))
+        inside, below = (a[cells] for a in self._band)
+        np.subtract(tm, model.t_star, out=phi)
+        phi += model.delta
+        phi /= 2.0 * model.delta
+        np.clip(phi, 0.0, 1.0, out=phi)
+        np.multiply(phi, self._dlam[cells], out=lam)
+        lam += self._lamm[cells]
+        np.multiply(phi, self._dcr[cells], out=c)
+        c += self._crm[cells]
+        np.greater(tm, model.t_star - model.delta, out=inside)
+        np.less(tm, model.t_star + model.delta, out=below)
+        inside &= below
+        np.add(c, self._latd[cells], out=c, where=inside)
 
-    def _row_plan(self, r0: int, r1: int):
-        """Fill plan for matrix rows (and capacity nodes) [r0, r1): the span
-        of cells those rows touch plus the stiffness and mass group tasks
-        restricted to the rows (precomputed; static per mesh).
+    def _fill(self, plan, tau: float, bufs):
+        """K and M values of the plan's rows at the previous field; with
+        tau > 0 also A = K + M/tau and the rhs (M/tau) T_prev of those rows.
 
-        Node and cell numbering of the box meshes both follow the same axis,
-        so a row range touches one contiguous run of cells; on other meshes
-        the span may include cells the rows do not need, which costs time
-        but does not change any value.
+        A plan is (cells, slots, rows, C rows, G_K rows, G_M rows, diagonal
+        slots of the rows): the span of cells its rows touch and the
+        operators' rows for it.  ``bufs`` is (T_prev, K out, M out, rhs
+        out).  The cell buffers are indexed globally, so the products read
+        only the plan's own cells.
         """
-        touched = np.flatnonzero(((self.mesh.cells >= r0) & (self.mesh.cells < r1)).any(axis=1))
-        c0 = int(touched[0]) if len(touched) else 0
-        c1 = int(touched[-1]) + 1 if len(touched) else 0
-        s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
-        k_tasks = _group_tasks(self._kgroups, self._kcell_of_entry, s0, s1, c0)
-        m_tasks = _group_tasks(self._mgroups, self._mcell_of_entry, r0, r1, c0)
-        return slice(c0, c1), k_tasks, m_tasks
-
-    def _fill(self, t_prev, plan, k_out, m_out):
-        """Evaluate the plan's cell coefficients and write the K and M
-        values of its rows; every slot sums its entries in a fixed order."""
-        cells, k_tasks, m_tasks = plan
-        c, lam = self._cell_coeff_arrays(t_prev, cells)
-        for k, e0, e1, slots, local in k_tasks:
-            vals = self._kgeom_entries[e0:e1] * lam[local]
-            k_out[slots] = vals.reshape(-1, k).sum(axis=1)
-        for k, e0, e1, slots, local in m_tasks:
-            vals = self._mgeom_entries[e0:e1] * c[local]
-            m_out[slots] = vals.reshape(-1, k).sum(axis=1)
+        cells, slots, rows, cmean, gk, gm, diag = plan
+        t_prev, k_out, m_out, rhs_out = bufs
+        matvec_into(cmean, t_prev, self._tm[cells])
+        self._coefficients(cells)
+        matvec_into(gk, self._lam, k_out[slots])
+        matvec_into(gm, self._c, m_out[rows])
+        if tau > 0:
+            m_over_tau = m_out[rows] / tau
+            k_out[diag] += m_over_tau
+            np.multiply(m_over_tau, t_prev[rows], out=rhs_out[rows])
 
     # -- assembly ----------------------------------------------------------
 
     def stiffness_values(self, field_prev, workers: int | None = None) -> np.ndarray:
         """CSR value array of K alone (used by property tests)."""
-        k_vals, _ = self._raw_values(self._field_array(field_prev), workers, False)
-        return k_vals
+        return self._values(self._field_array(field_prev), 0.0, workers, False)[0]
 
     def capacity_diagonal(self, field_prev, workers: int | None = None) -> np.ndarray:
         """Lumped capacity diagonal M (J/K per node) at the previous level."""
-        _, m_vals = self._raw_values(self._field_array(field_prev), workers, False)
-        return m_vals
+        return self._values(self._field_array(field_prev), 0.0, workers, False)[1]
 
     def _field_array(self, field_prev) -> np.ndarray:
         vals = field_prev.values if isinstance(field_prev, TemperatureField) else field_prev
@@ -363,19 +377,31 @@ class Assembler:
         nw = min(nw, usable_cpus())
         return nw if fork_available() else 1
 
-    def _raw_values(self, t_prev: np.ndarray, workers: int | None, reuse_buffers: bool):
+    def _values(self, t_prev: np.ndarray, tau: float, workers: int | None, reuse_buffers: bool):
+        """(K or A values, M diagonal, rhs, CgShares or None) at the
+        previous field; see _fill for tau.  With ``reuse_buffers`` the
+        arrays are the assembler's own (the rhs is the CG work vector b of
+        the shares), else fresh."""
         nw = self.effective_workers(workers)
+        n = self.mesh.n_nodes
         if nw > 1:
             self._ensure_pool(nw)
-            self._shared["t_prev"][:] = t_prev
+            self._shared[0][:] = t_prev
+            self._cmd[:2] = (_FILL, tau)
             self._pool.dispatch()
             if reuse_buffers:
-                return self._shared["k_vals"], self._shared["m_vals"]
-            return self._shared["k_vals"].copy(), self._shared["m_vals"].copy()
-        k_vals = np.empty(self.nnz)
-        m_vals = np.empty(self.mesh.n_nodes)
-        self._fill(t_prev, self._serial_plan, k_vals, m_vals)
-        return k_vals, m_vals
+                return (*self._shared[1:], self._pooled_cg)
+            return (*(a.copy() for a in self._shared[1:]), None)
+        if reuse_buffers:
+            if self._own is None:
+                k_vals = np.empty(self.nnz)
+                shares = CgShares(self._pattern.with_values(k_vals))
+                self._own = (k_vals, np.empty(n), shares.work.b[:n], shares)
+            k_vals, m_vals, rhs, shares = self._own
+        else:
+            k_vals, m_vals, rhs, shares = np.empty(self.nnz), np.empty(n), np.empty(n), None
+        self._fill(self._whole, tau, (t_prev, k_vals, m_vals, rhs))
+        return k_vals, m_vals, rhs, shares
 
     def assemble(
         self,
@@ -389,23 +415,21 @@ class Assembler:
 
         ``source`` is an optional nodal volumetric heat source (W/m^3),
         integrated with the geometric lumped weights into the rhs.
-        ``reuse_buffers`` lets a parallel assembler hand out its shared
-        value buffer directly; the returned system is then only valid until
-        the next assemble() call (the sequential time loop uses this).
+        ``reuse_buffers`` lets the assembler hand out its own buffers (and
+        the row shares cg_solve then runs in); the returned system is then
+        only valid until the next assemble() call (the sequential time loop
+        uses this).
         """
         if not tau > 0:
             raise FemError(f"tau must be > 0, got {tau}")
         t_prev = self._field_array(field_prev)
-        k_vals, m_vals = self._raw_values(t_prev, workers, reuse_buffers)
-        m_over_tau = m_vals / tau
-        k_vals[self._diag_slots] += m_over_tau
-        rhs = m_over_tau * t_prev
+        k_vals, _, rhs, shares = self._values(t_prev, float(tau), workers, reuse_buffers)
         if source is not None:
             source = np.asarray(source, dtype=np.float64)
             if source.shape != rhs.shape:
                 raise FemError(f"source shape {source.shape} does not match node count")
             rhs += self.node_volumes * source
-        return LinearSystem(self._pattern.with_values(k_vals), rhs)
+        return LinearSystem(self._pattern.with_values(k_vals, shares), rhs)
 
     # -- worker pool -------------------------------------------------------
 
@@ -413,25 +437,59 @@ class Assembler:
         if self._pool is not None and self._pool_workers == nw and self._pool.alive():
             return
         self.close()
-        self._shared = {
-            "t_prev": ForkPool.shared_array(self.mesh.n_nodes),
-            "k_vals": ForkPool.shared_array(self.nnz),
-            "m_vals": ForkPool.shared_array(self.mesh.n_nodes),
-        }
-        # contiguous row ranges holding about nnz / nw stored entries each
+        n = self.mesh.n_nodes
+        # contiguous row ranges holding about nnz / nw stored entries each,
+        # cut at whole dot-product chunks
         cuts = np.searchsorted(self.row_offsets, self.nnz * np.arange(1, nw) / nw)
-        bounds = [0, *(int(c) for c in cuts), self.mesh.n_nodes]
-        self._worker_plans = [self._row_plan(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
-        self._pool = ForkPool(nw, self._worker_task)
+        cuts = np.minimum(np.round(cuts / DOT_CHUNK).astype(np.int64) * DOT_CHUNK, n)
+        bounds = [0, *cuts.tolist(), n]
+        self._plans = [self._plan(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+        self._pooled_cg = CgShares(
+            self._pattern.with_values(ForkPool.shared_array(self.nnz)),
+            bounds,
+            ForkPool.shared_array,
+            self._run_cg,
+        )
+        self._shared = (
+            ForkPool.shared_array(n),  # T_prev
+            self._pooled_cg.values,  # K, then A
+            ForkPool.shared_array(n),  # M
+            self._pooled_cg.work.b[:n],  # rhs
+        )
+        self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, max_iter)
+        self._sync = ShareSync(nw)
+        self._pool = ForkPool(nw, self._share_task, self._sync)
         self._pool_workers = nw
 
-    def _worker_task(self, w: int):
-        self._fill(
-            self._shared["t_prev"],
-            self._worker_plans[w],
-            self._shared["k_vals"],
-            self._shared["m_vals"],
+    def _plan(self, r0: int, r1: int):
+        """The fill plan of matrix rows [r0, r1) (see _fill)."""
+        touched = self._gm.indices[self._gm.indptr[r0] : self._gm.indptr[r1]]
+        c0, c1 = (int(touched.min()), int(touched.max()) + 1) if len(touched) else (0, 0)
+        s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
+        return (
+            slice(c0, c1),
+            slice(s0, s1),
+            slice(r0, r1),
+            _rows_of(self._cmean, c0, c1),
+            _rows_of(self._gk, s0, s1),
+            _rows_of(self._gm, r0, r1),
+            self._diag_slots[r0:r1],
         )
+
+    def _share_task(self, w: int):
+        command, arg, max_iter = self._cmd
+        if command == _FILL:
+            self._fill(self._plans[w], arg, self._shared)
+        else:
+            barrier = self._sync.barrier
+            self._cg_result = self._pooled_cg.share(w, arg, int(max_iter), lambda: barrier(w))
+
+    def _run_cg(self, tol: float, max_iter: int):
+        if self._pool is None:
+            raise WorkerFailure("pool is closed")
+        self._cmd[:] = (_CG, tol, max_iter)
+        self._pool.dispatch()
+        return self._cg_result
 
     def close(self):
         if self._pool is not None:

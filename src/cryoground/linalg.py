@@ -3,21 +3,31 @@
 The matrices produced by one implicit time step are symmetric positive
 definite, so CG with diagonal preconditioning is sufficient; the time-step
 term dominates the diagonal for realistic step sizes, which keeps iteration
-counts low.  Determinism contract: dot products reduce over fixed-size
-chunks combined pairwise in a fixed order, and the matrix-vector product
-(scipy's CSR kernel, through CsrMatrix.scipy_view) sums each row in storage
-order with no cross-row reductions, so results are reproducible bit for bit
-for a given environment regardless of how rows are split into blocks.
+counts low.
+
+One CG loop (CgShares.share) serves every worker count: the rows are cut into
+contiguous shares, each share runs the loop on its own rows, and the serial
+solver is that loop with one share.  Determinism contract:
+- the matrix-vector product (scipy's CSR kernel) sums each row in storage
+  order, so a row's value does not depend on the share that computes it;
+- vector updates are elementwise;
+- a dot product is the sum, in one fixed order, of per-chunk partials over
+  fixed DOT_CHUNK-entry chunks, and share cuts fall on chunk multiples, so
+  every partial, and hence the sum, is the same for any share split.
+Results are therefore bit-identical for any number of shares, for a given
+environment.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 
 class LinalgError(ValueError):
@@ -28,7 +38,8 @@ class SpdViolationError(LinalgError):
     """The matrix cannot be SPD (non-positive diagonal entry)."""
 
 
-_DOT_CHUNK = 1 << 15
+# entries per dot-product chunk; CG row shares are cut at multiples of it
+DOT_CHUNK = 512
 
 
 @dataclass
@@ -38,7 +49,8 @@ class CsrMatrix:
     Column indices are sorted and unique within each row.  A builder that
     knows where the diagonal entries are stored (every row must have one)
     may pass their positions as ``diagonal_slots``; diagonal() then gathers
-    them instead of searching every row.
+    them instead of searching every row.  ``shares``, when set, are the row
+    shares cg_solve runs in (see CgShares).
     """
 
     row_offsets: np.ndarray
@@ -47,6 +59,7 @@ class CsrMatrix:
     diagonal_slots: np.ndarray | None = field(
         default=None, kw_only=True, repr=False, compare=False
     )
+    shares: "CgShares | None" = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
@@ -70,7 +83,6 @@ class CsrMatrix:
                 or (self.column_indices[slots] != np.arange(self.n)).any()
             ):
                 raise LinalgError("diagonal_slots do not locate the diagonal of every row")
-        self._scipy_pattern = None
 
     @property
     def n(self) -> int:
@@ -129,32 +141,27 @@ class CsrMatrix:
         d[rows[hit]] = self.values[hit]
         return d
 
-    def with_values(self, values: np.ndarray) -> "CsrMatrix":
+    def with_values(self, values: np.ndarray, shares: "CgShares | None" = None) -> "CsrMatrix":
         """Matrix with this one's (already checked) sparsity pattern and
-        diagonal slots and the given values, which it holds without copying.
+        diagonal slots and the given values, which it holds without copying,
+        solved in ``shares`` when they are given.
 
         The pattern arrays are shared and must not change afterwards (the
-        assembler's are read-only); the scipy wrapper of the pattern is then
-        built once and reused by every matrix made this way.
+        assembler's are read-only).
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != (self.nnz,):
             raise LinalgError(f"need {self.nnz} values, got shape {values.shape}")
-        if self._scipy_pattern is None:
-            self._scipy_pattern = self.scipy_view()
         out = copy.copy(self)
         out.values = values
+        out.shares = shares
         return out
 
     def copy(self) -> "CsrMatrix":
         return CsrMatrix(self.row_offsets.copy(), self.column_indices.copy(), self.values.copy())
 
     def scipy_view(self):
-        """Zero-copy scipy wrapper used for the fast matvec kernel."""
-        if self._scipy_pattern is not None:
-            a = copy.copy(self._scipy_pattern)
-            a.data = self.values
-            return a
+        """scipy wrapper of this matrix that shares its values."""
         a = _sp.csr_matrix(
             (self.values, self.column_indices, self.row_offsets), shape=(self.n, self.n), copy=False
         )
@@ -173,28 +180,211 @@ class SolveReport:
     wall_seconds: float
 
 
+def padded_length(n: int) -> int:
+    """n rounded up to whole DOT_CHUNKs: the length of every CG work vector."""
+    return -(-int(n) // DOT_CHUNK) * DOT_CHUNK
+
+
 def det_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product with a fixed-order pairwise reduction over fixed chunks.
+    """Dot product as the fixed-order sum of its per-chunk partials.
 
-    Chunk boundaries depend only on the vector length, so the value does not
-    change with the number of workers anywhere in the pipeline.
+    The vectors are zero-padded to whole DOT_CHUNKs; each chunk's partial
+    is a dot product of its own, and the partials are summed in one fixed
+    order.  A chunk partial does not depend on which row share computes it,
+    so the value does not change with the number of shares (the CG loop
+    reduces exactly this way).
     """
-    n = len(a)
-    if n <= _DOT_CHUNK:
-        return float(np.dot(a, b))
-    parts = [
-        np.dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK]) for i in range(0, n, _DOT_CHUNK)
-    ]
-    arr = np.array(parts)
-    while len(arr) > 1:
-        half = len(arr) // 2
-        tail = arr[2 * half :]
-        arr = np.concatenate([arr[: 2 * half : 2] + arr[1 : 2 * half : 2], tail])
-    return float(arr[0])
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise LinalgError(f"det_dot needs two equal 1-d vectors, got {a.shape} and {b.shape}")
+    npad = padded_length(len(a))
+    if npad != len(a):
+        a, b = (np.concatenate([v, np.zeros(npad - len(v))]) for v in (a, b))
+    return float(np.add.reduce(np.vecdot(a.reshape(-1, DOT_CHUNK), b.reshape(-1, DOT_CHUNK))))
 
 
-def _norm(v: np.ndarray) -> float:
-    return float(np.sqrt(det_dot(v, v)))
+class CgWork:
+    """Vectors and reduction buffers of the CG loop, padded to whole chunks.
+
+    ``alloc(size)`` returns zeroed float64 storage (np.zeros, or shared
+    memory that forked shares see); the padding stays zero, so it adds
+    nothing to any dot product.  ``partials`` holds up to four chunk-partial
+    rows per reduction, in two buffers used by alternate reductions: a
+    share may start the next reduction while a slower one still reads the
+    last.
+    """
+
+    NVEC = 7
+
+    def __init__(self, n: int, alloc=np.zeros):
+        self.n = n
+        npad = padded_length(n)
+        nchunks = npad // DOT_CHUNK
+        store = alloc(self.NVEC * npad + 8 * nchunks)
+        vecs = store[: self.NVEC * npad].reshape(self.NVEC, npad)
+        self.b, self.x, self.r, self.z, self.p, self.q, self.inv_diag = vecs
+        self.partials = store[self.NVEC * npad :].reshape(2, 4, nchunks)
+
+
+def csr_rows(indptr, indices, data, lo: int, hi: int, ncols: int):
+    """scipy CSR of rows [lo, hi) of the CSR arrays (indptr, indices, data),
+    holding a view of ``data`` (scipy may copy the data it is handed, so the
+    view is bound after construction)."""
+    s0, s1 = int(indptr[lo]), int(indptr[hi])
+    block = _sp.csr_matrix(
+        (np.zeros(s1 - s0), indices[s0:s1], indptr[lo : hi + 1] - s0), shape=(hi - lo, ncols)
+    )
+    block.data = data[s0:s1]
+    return block
+
+
+def matvec_into(a, x: np.ndarray, out: np.ndarray):
+    """out = a @ x for a scipy CSR matrix ``a``, written in place: the
+    kernel behind scipy's ``a @ x``, started from zero, so each row sums in
+    storage order exactly as there, without the temporary result."""
+    out.fill(0.0)
+    _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+
+
+def _no_barrier():
+    pass
+
+
+class CgShares:
+    """A fixed-pattern matrix split into contiguous row shares, with the
+    work vectors the CG loop of those shares runs in.
+
+    ``bounds`` are the share cuts (0, ..., n), multiples of DOT_CHUNK
+    between the ends; the default is one share.  solve() runs share() for
+    every share: in the calling process by default, or through ``run(tol,
+    max_iter)``, which an owner of worker processes (fem.Assembler) passes
+    to run the shares concurrently and return the result of one of them.
+    The row blocks view matrix.values, so later in-place changes of the
+    values (Dirichlet elimination) are what the solve sees.  A row without
+    a stored diagonal entry raises SpdViolationError here.
+    """
+
+    def __init__(self, matrix: CsrMatrix, bounds=None, alloc=np.zeros, run=None):
+        n = matrix.n
+        self.values = matrix.values
+        self.bounds = [0, n] if bounds is None else [int(c) for c in bounds]
+        self.work = CgWork(n, alloc)
+        self.blocks = [
+            csr_rows(matrix.row_offsets, matrix.column_indices, matrix.values, lo, hi, n)
+            for lo, hi in zip(self.bounds, self.bounds[1:])
+        ]
+        slots = matrix.diagonal_slots
+        if slots is None:
+            rows = np.repeat(np.arange(n), np.diff(matrix.row_offsets))
+            slots = np.flatnonzero(matrix.column_indices == rows)
+            if len(slots) != n:
+                i = int(np.flatnonzero(np.bincount(rows[slots], minlength=n) == 0)[0])
+                raise SpdViolationError(f"non-positive diagonal entry {0.0:.3e} at row {i}")
+        self.diagonal_slots = slots
+        self._run = run
+
+    def solve(self, tol: float, max_iter: int):
+        if self._run is not None:
+            return self._run(tol, max_iter)
+        return self.share(0, tol, max_iter)
+
+    def share(self, s: int, tol: float, max_iter: int, barrier=_no_barrier):
+        """The CG loop, run by share s on its rows [lo, hi).
+
+        Every share runs this loop concurrently with the same arguments but
+        its own rows.  A share writes only its own rows of the work vectors,
+        reads whole vectors only after a ``barrier()`` (which returns once
+        every share has called it), and contributes its chunk partials to
+        each reduction; each share then sums all partials in the same order,
+        so every share computes the same scalars and takes the same
+        branches.  With one share and a no-op barrier this is the serial
+        solver.  The loop expects w.b and w.x to hold b and x0.
+
+        Returns (iterations, residual, converged, error): error is None, or
+        why the matrix cannot be SPD ("diagonal", or the message of a
+        non-positive p^T A p).
+        """
+        w, a_rows = self.work, self.blocks[s]
+        lo, hi = self.bounds[s], self.bounds[s + 1]
+        own = slice(lo, hi)
+        b, x, r, z, p, q, inv_diag = (v[own] for v in (w.b, w.x, w.r, w.z, w.p, w.q, w.inv_diag))
+        x_all, p_all = w.x[: w.n], w.p[: w.n]  # the matrix's operands
+        # this share's whole chunks, zero padding included, for the partials
+        c0, c1 = lo // DOT_CHUNK, padded_length(hi) // DOT_CHUNK
+        bc, rc, zc, pc, qc = (
+            v[lo : c1 * DOT_CHUNK].reshape(-1, DOT_CHUNK) for v in (w.b, w.r, w.z, w.p, w.q)
+        )
+        step = np.empty(hi - lo)
+        gen = 0
+
+        def reduce(*pairs, flags=0):
+            # the sums of the pairs' dot products and of ``flags`` more rows
+            # the share wrote into the partials of this reduction
+            nonlocal gen
+            parts = w.partials[gen & 1]
+            for k, (u, v) in enumerate(pairs):
+                np.vecdot(u, v, out=parts[k, c0:c1])
+            barrier()
+            gen += 1
+            return [float(np.add.reduce(parts[k])) for k in range(len(pairs) + flags)]
+
+        def residual_into(out):  # out = b - A x on the own rows
+            matvec_into(a_rows, x_all, out)
+            np.subtract(b, out, out=out)
+
+        np.take(self.values, self.diagonal_slots[own], out=inv_diag)
+        bad = w.partials[0, 3, c0:c1]  # flags a non-positive diagonal entry
+        bad[:] = 0.0
+        if hi > lo and (inv_diag <= 0.0).any():
+            bad[0] = 1.0
+        np.divide(1.0, inv_diag, out=inv_diag)
+        residual_into(r)
+        np.multiply(inv_diag, r, out=z)
+        p[:] = z
+        bb, rr, rz, nbad = reduce((bc, bc), (rc, rc), (rc, zc), flags=1)  # also publishes p
+        if nbad:
+            return 0, math.nan, False, "diagonal"
+        denom = math.sqrt(bb) if bb > 0.0 else 1.0
+        residual = math.sqrt(rr) / denom
+        if residual <= tol:
+            return 0, residual, True, None
+
+        iterations = 0
+        for k in range(1, max_iter + 1):
+            matvec_into(a_rows, p_all, q)
+            (pq,) = reduce((pc, qc))
+            if pq <= 0.0:
+                return k, residual, False, f"p^T A p = {pq:.3e} <= 0 at iteration {k}"
+            alpha = rz / pq
+            np.multiply(p, alpha, out=step)
+            x += step
+            np.multiply(q, alpha, out=step)
+            r -= step
+            np.multiply(inv_diag, r, out=z)
+            iterations = k
+            rr, rz_new = reduce((rc, rc), (rc, zc))  # also publishes x
+            if math.sqrt(rr) / denom <= tol:
+                residual_into(q)  # the true residual; q is free until the next product
+                (qq,) = reduce((qc, qc))
+                residual = math.sqrt(qq) / denom
+                if residual <= tol:
+                    return iterations, residual, True, None
+                # recurrence drifted: resync and restart the search direction
+                r[:] = q
+                np.multiply(inv_diag, r, out=z)
+                p[:] = z
+                (rz,) = reduce((rc, zc))  # also publishes p
+                continue
+            beta = rz_new / rz
+            rz = rz_new
+            p *= beta
+            p += z
+            barrier()  # publishes p
+
+        residual_into(q)
+        (qq,) = reduce((qc, qc))
+        return iterations, math.sqrt(qq) / denom, False, None
 
 
 def cg_solve(
@@ -211,7 +401,10 @@ def cg_solve(
     tolerance the residual is recomputed as b - A x and must pass as well,
     otherwise iteration continues.  The relative criterion
     ||b - A x|| / ||b|| <= tol falls back to an absolute one for b = 0.
-    Non-convergence within max_iter is reported, not raised.
+    Non-convergence within max_iter is reported, not raised.  A matrix that
+    carries CgShares over its own values (the assembler's) is solved in
+    those shares; any other in one share.  ``b`` may be the shares' own
+    w.b (the assembler writes its rhs there), which is then not copied.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)
@@ -219,62 +412,24 @@ def cg_solve(
         raise LinalgError(f"rhs shape {b.shape} does not match matrix size {a.n}")
     if tol <= 0:
         raise LinalgError(f"tol must be > 0, got {tol}")
+    x0 = np.zeros(a.n) if x0 is None else np.asarray(x0, dtype=np.float64)
+    if x0.shape != (a.n,):
+        raise LinalgError(f"x0 shape {x0.shape} does not match matrix size {a.n}")
 
-    diag = a.diagonal()
-    if (diag <= 0).any():
+    shares = a.shares
+    if shares is None or shares.values is not a.values:
+        shares = CgShares(a)
+    w = shares.work
+    if b.strides != (8,) or b.__array_interface__["data"][0] != w.b.ctypes.data:
+        w.b[: a.n] = b
+    w.x[: a.n] = x0
+    iterations, residual, converged, error = shares.solve(tol, int(max_iter))
+    if error == "diagonal":
+        diag = a.diagonal()
         i = int(np.argmax(diag <= 0))
         raise SpdViolationError(f"non-positive diagonal entry {diag[i]:.3e} at row {i}")
-    inv_diag = 1.0 / diag
-
-    a_sp = a.scipy_view()
-    x = np.zeros(a.n) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (a.n,):
-        raise LinalgError(f"x0 shape {x.shape} does not match matrix size {a.n}")
-
-    b_norm = _norm(b)
-    denom = b_norm if b_norm > 0.0 else 1.0
-
-    r = b - a_sp @ x
-    residual = _norm(r) / denom
-    if residual <= tol:
-        return x, SolveReport(0, residual, True, time.perf_counter() - t_start)
-
-    z = inv_diag * r
-    p = z.copy()
-    step = np.empty_like(p)
-    rz = det_dot(r, z)
-    iterations = 0
-    converged = False
-    for k in range(1, max_iter + 1):
-        q = a_sp @ p
-        pq = det_dot(p, q)
-        if pq <= 0.0:
-            raise SpdViolationError(f"p^T A p = {pq:.3e} <= 0 at iteration {k}")
-        alpha = rz / pq
-        np.multiply(p, alpha, out=step)
-        x += step
-        np.multiply(q, alpha, out=step)
-        r -= step
-        iterations = k
-        if _norm(r) / denom <= tol:
-            r_true = b - a_sp @ x
-            residual = _norm(r_true) / denom
-            if residual <= tol:
-                converged = True
-                break
-            # recurrence drifted: resync and restart the search direction
-            r = r_true
-            np.multiply(inv_diag, r, out=z)
-            rz = det_dot(r, z)
-            p[:] = z
-            continue
-        np.multiply(inv_diag, r, out=z)
-        rz_new = det_dot(r, z)
-        beta = rz_new / rz
-        rz = rz_new
-        p *= beta
-        p += z
-
-    if not converged:
-        residual = _norm(b - a_sp @ x) / denom
-    return x, SolveReport(iterations, residual, converged, time.perf_counter() - t_start)
+    if error is not None:
+        raise SpdViolationError(error)
+    return w.x[: a.n].copy(), SolveReport(
+        iterations, residual, converged, time.perf_counter() - t_start
+    )

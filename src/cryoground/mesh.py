@@ -127,11 +127,13 @@ class BoxMeshSpec:
             raise MeshError(f"divisions must be integers >= 1, got {self.divisions}")
 
 
-def _volumes(p: np.ndarray, first: int = 0) -> np.ndarray:
-    """Positive volumes of tets from their (m, 4, 3) corners.  Raises
-    DegenerateCellError, naming tet ``first + i``, when some |volume| is at
-    most 1e-14 (longest edge)^3; one edge at a time keeps temporaries (m, 3)."""
-    vols = np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+def _volumes(p: np.ndarray, first: int = 0, det: np.ndarray | None = None) -> np.ndarray:
+    """Positive volumes of tets from their (m, 4, 3) corners, or from the
+    determinants ``det`` of their edge matrices when the caller has them.
+    Raises DegenerateCellError, naming tet ``first + i``, when some |volume|
+    is at most 1e-14 (longest edge)^3; one edge at a time keeps temporaries
+    (m, 3)."""
+    vols = (np.linalg.det(p[:, 1:] - p[:, :1]) if det is None else det) / 6.0
     longest2 = np.zeros(len(p))
     for i, j in _TET_EDGES:
         np.maximum(longest2, ((p[:, i] - p[:, j]) ** 2).sum(axis=1), out=longest2)

@@ -1,11 +1,21 @@
 """Forked worker processes sharing anonymous memory maps.
 
-Parallel assembly needs workers that (a) see the large precomputed scatter
-plans without copying them and (b) write results into buffers the parent
-can read.  Forked children inherit the plans through copy-on-write and the
-result buffers through MAP_SHARED anonymous mmaps, so the only per-dispatch
-traffic is one signal byte down and one up per forked worker; the parent
-runs one share itself.
+Parallel assembly and CG need workers that (a) see the large precomputed
+operators without copying them and (b) write results into buffers the
+parent can read.  Forked children inherit the operators through
+copy-on-write and the result buffers through MAP_SHARED anonymous mmaps;
+the parent runs one share itself.
+
+Shares synchronize through polled flags in one more shared map (ShareSync):
+a dispatch sequence number the workers watch, a completion number and
+status per share, per-share barrier counters and an abort flag.  A polling
+loop spins a bounded number of times, then falls back to short sleeps that
+also check that its peers are alive, so a descheduled share cannot stall
+the others and a dead one is noticed.  A worker idle for longer sleeps on
+its command pipe until the parent wakes it.  Pipes carry only start-up
+wake-ups and shutdown; a failed share is reported as WorkerFailure.  The
+flags rely on aligned 8-byte stores being atomic and seen in program order
+by other processes (as on x86-64).
 
 Fork is required (the task closure is inherited, never pickled); on
 platforms without fork callers fall back to serial execution.
@@ -16,16 +26,23 @@ from __future__ import annotations
 import mmap
 import multiprocessing
 import os
+import select
 import sys
+import time
 import traceback
 import weakref
 
 import numpy as np
 
-_CMD_RUN = b"R"
-_CMD_QUIT = b"Q"
-_RESP_DONE = b"D"
-_RESP_ERROR = b"E"
+_WAKE = b"W"
+_QUIT = b"Q"
+_SPIN = 20_000  # polls before a wait falls back to sleeping
+_NAP = 1e-4  # seconds per sleep of a wait that fell back
+_IDLE_NAP = 0.05  # longest sleep of an idle worker between checks of its flags
+_LINE = 8  # int64 slots per 64-byte cache line; each flag has its own line
+# slots of ShareSync: global lines, then per share the lines below
+_SEQ, _ABORT = 0, 1
+_ARRIVE, _DONE, _FAILED, _ASLEEP = 0, 1, 2, 3
 
 
 def fork_available() -> bool:
@@ -66,20 +83,78 @@ class WorkerFailure(RuntimeError):
     """A worker process reported an exception or died."""
 
 
+class ShareAborted(Exception):
+    """Another share failed; raised in a share waiting at a barrier."""
+
+
+class ShareSync:
+    """Flags in shared memory through which the shares of a pool meet.
+
+    Create it before the pool forks (ForkPool makes its own when given
+    none), so that a task can call barrier() from any share.
+    """
+
+    def __init__(self, nshares: int):
+        self.nshares = int(nshares)
+        self._map = mmap.mmap(-1, 8 * _LINE * (2 + 4 * self.nshares))
+        self._mv = memoryview(self._map).cast("q")
+        # per-process check that the peers are alive; ForkPool sets it
+        self.check_peers = lambda: True
+
+    def slot(self, share: int, kind: int) -> int:
+        return _LINE * (2 + 4 * share + kind)
+
+    def get(self, index: int) -> int:
+        return self._mv[index]
+
+    def set(self, index: int, value: int):
+        self._mv[index] = value
+
+    def abort(self):
+        self._mv[_ABORT * _LINE] = 1
+
+    def wait(self, index: int, target: int):
+        """Poll until slot ``index`` reaches ``target``: spin, then sleep.
+
+        Raises ShareAborted when another share failed, or when check_peers
+        finds a peer dead (the abort flag is then set for the others).
+        """
+        mv, abort_at = self._mv, _ABORT * _LINE
+        spins = 0
+        while mv[index] < target:
+            if mv[abort_at]:
+                raise ShareAborted
+            spins += 1
+            if spins > _SPIN:
+                time.sleep(_NAP)
+                if not self.check_peers():
+                    self.abort()
+                    raise ShareAborted
+
+    def barrier(self, share: int):
+        """Return once every share has called barrier() as often as this one."""
+        mine = self.slot(share, _ARRIVE)
+        target = self._mv[mine] + 1
+        self._mv[mine] = target
+        for s in range(self.nshares):
+            self.wait(self.slot(s, _ARRIVE), target)
+
+
 class ForkPool:
     """Persistent fork-based pool executing ``task(worker_index)`` on demand.
 
     dispatch() runs ``task(w)`` for every w in range(nworkers) concurrently
     and returns when all are done.  Shares 0 .. nworkers - 2 run on forked
     worker processes; the calling process runs the last share itself
-    instead of idling, which saves one wake-up per dispatch.  Shares
-    communicate results through shared arrays created with shared_array()
-    before the pool is constructed.
+    instead of idling.  Shares communicate results through shared arrays
+    created with shared_array() before the pool is constructed, and may meet
+    inside a task at ``sync.barrier(w)``.
     """
 
     @staticmethod
     def shared_array(size: int, dtype=np.float64) -> np.ndarray:
-        """Array backed by an anonymous shared mmap (visible to later forks).
+        """Zeroed array backed by an anonymous shared mmap (visible to later
+        forks).
 
         The returned array keeps the map alive through its .base reference.
         A view that writes must stay within the allocated size.
@@ -88,7 +163,7 @@ class ForkPool:
         buf = mmap.mmap(-1, max(nbytes, 1))
         return np.frombuffer(buf, dtype=dtype, count=int(size))
 
-    def __init__(self, nworkers: int, task):
+    def __init__(self, nworkers: int, task, sync: ShareSync | None = None):
         if not fork_available():
             raise WorkerFailure("fork start method is not available on this platform")
         if int(nworkers) < 1:
@@ -96,47 +171,75 @@ class ForkPool:
         _limit_blas_threads()
         self._nworkers = int(nworkers)
         self._task = task
+        self.sync = ShareSync(self._nworkers) if sync is None else sync
+        if self.sync.nshares != self._nworkers:
+            raise ValueError(f"sync has {self.sync.nshares} shares, pool {self._nworkers}")
+        self._seq = 0
         self._closed = False
         self._procs = []
         self._cmd_w = []
-        self._done_r = []
         ctx = multiprocessing.get_context("fork")
         for w in range(self._nworkers - 1):
             cmd_r, cmd_w = os.pipe()
-            done_r, done_w = os.pipe()
-            proc = ctx.Process(
-                target=self._worker_main, args=(w, cmd_r, done_w), daemon=True
-            )
+            proc = ctx.Process(target=self._worker_main, args=(w, cmd_r), daemon=True)
             proc.start()
             os.close(cmd_r)
-            os.close(done_w)
             self._procs.append(proc)
             self._cmd_w.append(cmd_w)
-            self._done_r.append(done_r)
+        procs = self._procs  # not self: the finalizer below must not keep the pool alive
+        self.sync.check_peers = lambda: all(p.is_alive() for p in procs)
         self._finalizer = weakref.finalize(
-            self, ForkPool._cleanup, self._procs, self._cmd_w, self._done_r
+            self, ForkPool._cleanup, self.sync, self._procs, self._cmd_w
         )
 
-    def _worker_main(self, w: int, cmd_r: int, done_w: int):
+    def _worker_main(self, w: int, cmd_r: int):
         # child: drop inherited parent-side descriptors of other workers
-        for fd in self._cmd_w + self._done_r:
+        for fd in self._cmd_w:
             try:
                 os.close(fd)
             except OSError:
                 pass
+        sync = self.sync
+        parent = os.getppid()
+        sync.check_peers = lambda: os.getppid() == parent
+        seq = 0
         while True:
-            cmd = os.read(cmd_r, 1)
-            if cmd != _CMD_RUN:
-                os._exit(0)
+            seq = self._idle_wait(w, cmd_r, seq)
+            failed = 0
             try:
                 self._task(w)
-                os.write(done_w, _RESP_DONE)
+            except ShareAborted:
+                pass
             except BaseException:
                 traceback.print_exc(file=sys.stderr)
-                try:
-                    os.write(done_w, _RESP_ERROR)
-                except OSError:
-                    os._exit(1)
+                failed = 1
+                sync.abort()
+            sync.set(sync.slot(w, _FAILED), failed)
+            sync.set(sync.slot(w, _DONE), seq)
+
+    def _idle_wait(self, w: int, cmd_r: int, seq: int) -> int:
+        """Next dispatch sequence number after ``seq``; exits the process
+        on shutdown or when the parent is gone."""
+        sync = self.sync
+        seq_at, asleep = _SEQ * _LINE, sync.slot(w, _ASLEEP)
+        for _ in range(_SPIN):
+            if sync.get(seq_at) != seq:
+                break
+        while sync.get(seq_at) == seq:
+            sync.set(asleep, 1)
+            if sync.get(seq_at) != seq:
+                break
+            # a missed wake-up costs at most one nap
+            if select.select([cmd_r], [], [], _IDLE_NAP)[0]:
+                if os.read(cmd_r, 1) in (_QUIT, b""):
+                    os._exit(0)
+            elif not sync.check_peers():
+                os._exit(0)
+        sync.set(asleep, 0)
+        new = sync.get(seq_at)
+        if new < 0:
+            os._exit(0)
+        return new
 
     def alive(self) -> bool:
         return not self._closed and all(p.is_alive() for p in self._procs)
@@ -144,35 +247,54 @@ class ForkPool:
     def dispatch(self):
         if self._closed:
             raise WorkerFailure("pool is closed")
-        for fd in self._cmd_w:
-            os.write(fd, _CMD_RUN)
+        sync = self.sync
+        self._seq += 1
+        sync.set(_SEQ * _LINE, self._seq)
+        for w, fd in enumerate(self._cmd_w):
+            if sync.get(sync.slot(w, _ASLEEP)):
+                os.write(fd, _WAKE)
         own_error = None
         try:
             self._task(self._nworkers - 1)
+        except ShareAborted:
+            pass
         except Exception as exc:
             own_error = exc
-        finally:
-            # collect every reply, so no worker is left mid-protocol
-            replies = [os.read(fd, 1) for fd in self._done_r]
-        for w, resp in enumerate(replies):
-            if resp != _RESP_DONE:
-                self.close()
-                raise WorkerFailure(
-                    f"assembly worker {w} failed (see its traceback on stderr)"
-                    if resp == _RESP_ERROR
-                    else f"assembly worker {w} died"
-                )
+            sync.abort()
+        # wait for every worker, so none is left inside the task
+        failures = []
+        for w, proc in enumerate(self._procs):
+            done, spins = sync.slot(w, _DONE), 0
+            while sync.get(done) != self._seq:
+                spins += 1
+                if spins > _SPIN:
+                    time.sleep(_NAP)
+                    if not proc.is_alive():
+                        sync.abort()
+                        failures.append(f"assembly worker {w} died")
+                        break
+            else:
+                if sync.get(sync.slot(w, _FAILED)):
+                    failures.append(f"assembly worker {w} failed (see its traceback on stderr)")
+        if failures:
+            self.close()
+            raise WorkerFailure("; ".join(failures))
         if own_error is not None:
             self.close()
             raise WorkerFailure(
                 f"assembly worker {self._nworkers - 1} failed: {own_error!r}"
             ) from own_error
+        if sync.get(_ABORT * _LINE):
+            self.close()
+            raise WorkerFailure("a share aborted without a reported cause")
 
     @staticmethod
-    def _cleanup(procs, cmd_w, done_r):
+    def _cleanup(sync, procs, cmd_w):
+        sync.set(_SEQ * _LINE, -1)
+        sync.abort()
         for fd in cmd_w:
             try:
-                os.write(fd, _CMD_QUIT)
+                os.write(fd, _QUIT)
             except OSError:
                 pass
         for p in procs:
@@ -180,14 +302,13 @@ class ForkPool:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=1.0)
-        for fd in cmd_w + done_r:
+        for fd in cmd_w:
             try:
                 os.close(fd)
             except OSError:
                 pass
         procs.clear()
         cmd_w.clear()
-        done_r.clear()
 
     def close(self):
         self._closed = True

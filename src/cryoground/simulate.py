@@ -8,7 +8,8 @@ Dirichlet constraints that are live this step (static tags always, column
 tags only while active, the ground surface when configured), solve with CG
 warm-started from the previous field, and snapshot on the output cadence.
 
-The loop itself is strictly sequential; parallelism lives inside assembly.
+The loop itself is strictly sequential; parallelism lives inside a step,
+whose assembly and CG solve run in the same row shares.
 Runs are reproducible: the same configuration and worker count yield
 bit-identical snapshot and probe files.
 """

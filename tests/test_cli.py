@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import cryoground.fem as fem
 from cryoground.cli import main
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
+from cryoground.parallel import ForkPool, WorkerFailure, fork_available
 
 TINY_RUN = """
 [mesh]
@@ -126,6 +128,20 @@ class TestRun:
         path = write(tmp_path, text)
         assert main(["run", "--config", str(path)]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork for worker processes")
+    def test_worker_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A pool share that dies mid-run is a solver failure, not a crash."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+
+        def dead_share(pool):
+            raise WorkerFailure("assembly worker 0 died")
+
+        monkeypatch.setattr(ForkPool, "dispatch", dead_share)
+        path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))
+        assert main(["run", "--config", str(path), "--workers", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and "worker 0 died" in err
 
     def test_workers_override_validated(self, tmp_path, capsys):
         path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))

@@ -181,14 +181,16 @@ class TestAssemble:
     def test_worker_counts_bit_identical(self, soil_table, monkeypatch):
         # lift the CPU cap so that every count really splits the rows
         monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
-        mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (6, 3, 3)))
+        # 2,925 nodes, as shares are cut at multiples of DOT_CHUNK (512) rows
+        mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (24, 12, 8)))
         rng = np.random.default_rng(8)
         field = rng.uniform(-5, 5, mesh.n_nodes)
         serial = Assembler(mesh, soil_table).assemble(field, tau=3600.0)
         for nw in (2, 3, 4):
             asm = Assembler(mesh, soil_table, workers=nw)
             assert asm.effective_workers() == nw
-            par = asm.assemble(field, tau=3600.0)
+            par = asm.assemble(field, tau=3600.0, reuse_buffers=True)
+            assert np.all(np.diff(par.matrix.shares.bounds) > 0) and len(par.matrix.shares.bounds) == nw + 1
             assert np.array_equal(serial.matrix.values, par.matrix.values)
             assert np.array_equal(serial.rhs, par.rhs)
             asm.close()
@@ -212,18 +214,19 @@ class TestAssemble:
 
 
 class TestSetup:
-    """Assembler.__init__ builds the pattern and the scatter plans from one
-    sort each and the element geometry in blocks of cells; none of that may
-    move a bit of the assembled values."""
+    """Assembler.__init__ builds the pattern and the G_K and G_M operators
+    from one sort each and the element geometry in blocks of cells; none of
+    that may move a bit of the assembled values."""
 
-    # sha256 of the assembled arrays on the 20^3 well mesh, recorded with
-    # the two-sort plan builder that preceded the one-sort one (numpy 2.4,
-    # bundled OpenBLAS, x86-64)
+    # sha256 of the assembled arrays on the 20^3 well mesh, recorded when
+    # the precomputed operators and the closed-form geometry replaced the
+    # grouped scatter plans and np.linalg.inv (numpy 2.4, bundled OpenBLAS,
+    # x86-64); K and M then moved by at most 1.3e-15 relative per entry
     WELL_SHA256 = {
-        "matrix": "6854697d2a1a1db709f9a398d5d6c2cc92a0aafa24d6548fcb387f40e64a3e06",
-        "rhs": "5fd23df7e1aabd8310e482513672d1ba1b46fed140276248470cff0d0c1dd2d2",
-        "capacity": "31aa074de75df0e1a04deae815e1919621127c2bb7e443f78ab504b4ed606c6b",
-        "node_volumes": "39d8957861fed6b8614ca569492aadb667c7cdfbea6fb40cff97c9526562ef71",
+        "matrix": "80978b3778f0f8e55c6c3d65b861ad3c37b0c713a39943d2fb063c78fb1c332b",
+        "rhs": "bf327e13cf1e27a4b30bc32fa760c4a1ba8d321bc7edb15f13ab905c44d96f82",
+        "capacity": "b2dd4ba1e7051fb81a0499ebc652b883cff2d3fe3c190c2bbc8bb66edcaf4e15",
+        "node_volumes": "4b4546b2b08342ea667f13811651626ac152901ce148e1848180bbb7e9ca734e",
     }
 
     @pytest.mark.parametrize(
@@ -258,8 +261,13 @@ class TestSetup:
         monkeypatch.setattr(fem, "_GEOMETRY_BLOCK", 7)
         assert mesh.n_cells > 7 * 10
         blocked = Assembler(mesh, table)
-        for name in ("_kgeom_entries", "_mgeom_entries", "node_volumes"):
-            assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
+        pairs = {
+            "G_K": (whole._gk.data, blocked._gk.data),
+            "G_M": (whole._gm.data, blocked._gm.data),
+            "node_volumes": (whole.node_volumes, blocked.node_volumes),
+        }
+        for name, (a, b) in pairs.items():
+            assert np.array_equal(a, b), name
         a, b = whole.assemble(field, tau=3600.0), blocked.assemble(field, tau=3600.0)
         assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
         assert a.rhs.tobytes() == b.rhs.tobytes()
@@ -280,9 +288,10 @@ class TestSetup:
             Assembler(mesh, plain_table)
 
     def test_setup_memory_per_cell_bounded(self, plain_table):
-        """Setting up the 16^3 box (24,576 cells) traces 756 B/cell of numpy
-        allocations at its peak; the two-sort builder it replaced traced
-        1,930 B/cell."""
+        """Setting up the 16^3 box (24,576 cells) traces 649 B/cell of numpy
+        allocations at its peak (756 B/cell with the grouped scatter plans
+        the operators replaced, 1,930 B/cell with the two-sort builder
+        before them)."""
         mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16)))
         tracing = tracemalloc.is_tracing()
         if not tracing:

@@ -1,12 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cryoground.linalg import (
+    DOT_CHUNK,
+    CgShares,
     CsrMatrix,
     LinalgError,
     SpdViolationError,
     cg_solve,
     det_dot,
+    padded_length,
 )
 
 
@@ -43,8 +49,8 @@ class TestCsrMatrix:
 
 
 class TestSpmv:
-    """The matrix-vector product the solver uses: scipy's CSR kernel on the
-    zero-copy wrapper from CsrMatrix.scipy_view()."""
+    """The matrix-vector product the solver uses: scipy's CSR kernel (the
+    solver calls it on row blocks through linalg.matvec_into)."""
 
     def test_identity(self):
         m = CsrMatrix.from_dense(np.eye(5))
@@ -98,6 +104,75 @@ class TestDetDot:
         rng = np.random.default_rng(3)
         a, b = rng.random(200_000), rng.random(200_000)
         assert det_dot(a, b) == det_dot(a.copy(), b.copy())
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (2, 3), (1, 2, 4), (3,)])
+    def test_same_bits_for_every_share_split(self, cuts):
+        """Shares cut at chunk multiples each compute the partials of their
+        own chunks (into differently aligned storage); summed in chunk
+        order, they give det_dot's value bit for bit."""
+        rng = np.random.default_rng(4)
+        n = 5 * DOT_CHUNK + 37
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        npad = padded_length(n)
+        pa, pb = np.zeros(npad + 1)[1:], np.zeros(npad)  # pa is not 16-byte aligned
+        pa[:n], pb[:n] = a, b
+        bounds = [0, *(c * DOT_CHUNK for c in cuts), npad]
+        parts = np.concatenate(
+            [
+                np.vecdot(pa[lo:hi].reshape(-1, DOT_CHUNK), pb[lo:hi].reshape(-1, DOT_CHUNK))
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+        )
+        assert float(np.add.reduce(parts)) == det_dot(a, b)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(LinalgError):
+            det_dot(np.ones(3), np.ones(4))
+
+
+def _threaded_cg(m, b, bounds, tol=1e-12, max_iter=500):
+    """Run the CG loop of CgShares with one thread per share."""
+    shares = CgShares(m, bounds)
+    w = shares.work
+    w.inv_diag[: m.n] = 1.0 / m.diagonal()
+    w.b[: m.n] = b
+    barrier = threading.Barrier(len(bounds) - 1)
+    results = [None] * (len(bounds) - 1)
+
+    def run(s):
+        results[s] = shares.share(s, tol, max_iter, barrier.wait)
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in range(len(results))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return w.x[: m.n].copy(), results
+
+
+@pytest.mark.parametrize("cuts", [(1,), (1, 2), (1, 3, 4)])
+def test_cg_shares_bit_identical_to_one_share(cuts):
+    """The CG loop run in 2-4 concurrent row shares gives the one-share
+    solution bit for bit, and every share reports the same result."""
+    rng = np.random.default_rng(11)
+    n = 4 * DOT_CHUNK + 100
+    lap = sp.diags([-1.0, 2.2, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
+    for i in rng.integers(0, n - 50, 200):  # some longer-range couplings
+        j = i + 40
+        lap[i, j] = lap[j, i] = -0.05
+        lap[i, i] += 0.05
+        lap[j, j] += 0.05
+    lap = lap.tocsr()
+    lap.sort_indices()
+    m = CsrMatrix(lap.indptr, lap.indices, lap.data)
+    b = rng.standard_normal(n)
+    x1, (one,) = _threaded_cg(m, b, [0, n])
+    assert one[2] and one[0] > 5  # converged after real work
+    xs, results = _threaded_cg(m, b, [0, *(c * DOT_CHUNK for c in cuts), n])
+    assert xs.tobytes() == x1.tobytes()
+    assert all(r == one for r in results)
+    x, report = cg_solve(m, b, tol=1e-12, max_iter=500)
+    assert x.tobytes() == x1.tobytes() and report.iterations == one[0]
 
 
 class TestCgSolve:

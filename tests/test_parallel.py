@@ -1,6 +1,16 @@
+import os
+import time
+
+import numpy as np
 import pytest
 
+import cryoground.fem as fem
+import cryoground.linalg as linalg
+from cryoground.fem import Assembler
+from cryoground.linalg import cg_solve
+from cryoground.mesh import BoxMeshSpec, generate_box
 from cryoground.parallel import ForkPool, WorkerFailure, fork_available
+from cryoground.physics import Material, MaterialTable, PhaseModel
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="fork not available")
 
@@ -65,3 +75,47 @@ def test_dispatch_after_close_rejected():
     pool.close()
     with pytest.raises(WorkerFailure, match="closed"):
         pool.dispatch()
+
+
+def _pooled_system(monkeypatch, fault):
+    """A 2-share assembler of a 10^3 box (1,331 nodes, both shares own rows)
+    whose CG share 0 runs ``fault(barrier)`` after its first barrier, and
+    the system of one step for it."""
+    real = linalg.CgShares.share
+
+    def faulty(self, s, tol, max_iter, barrier):
+        if s == 0:
+            barrier()
+            fault()
+        return real(self, s, tol, max_iter, barrier)
+
+    monkeypatch.setattr(linalg.CgShares, "share", faulty)  # before the pool forks
+    monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+    mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (10, 10, 10)))
+    asm = Assembler(mesh, MaterialTable({1: Material.single_phase(1.0, 1.0)}, PhaseModel()), 2)
+    field = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
+    return asm, asm.assemble(field, tau=0.01, reuse_buffers=True)
+
+
+def _boom():
+    raise RuntimeError("boom inside CG")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(_boom, "worker 0 failed"), (lambda: os._exit(7), "worker 0 died")],
+    ids=["raises", "exits"],
+)
+def test_share_failure_inside_cg_surfaces(monkeypatch, fault, message):
+    asm, system = _pooled_system(monkeypatch, fault)
+    pool = asm._pool
+    procs = list(pool._procs)
+    assert len(system.matrix.shares.bounds) == 3
+    t0 = time.perf_counter()
+    with pytest.raises(WorkerFailure, match=message):
+        cg_solve(system.matrix, system.rhs)
+    assert time.perf_counter() - t0 < 10.0
+    assert not pool.alive() and not any(p.is_alive() for p in procs)
+    with pytest.raises(WorkerFailure, match="closed"):
+        pool.dispatch()
+    asm.close()

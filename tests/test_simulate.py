@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import cryoground.fem as fem
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
 from cryoground.mesh import BoxMeshSpec
+from cryoground.parallel import fork_available
 from cryoground.physics import ColumnController
 from cryoground.simulate import (
     Simulation,
@@ -272,6 +274,40 @@ class TestDeterminism:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork for worker processes")
+    def test_steps_bit_identical_for_any_share_count(self, soil_table, monkeypatch):
+        """Fill and CG run in the same row shares; the 12x12x16 box (2,873
+        nodes) gives 1 to 4 shares with real cuts.  The field starts inside
+        the phase band and one face is held above it."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
+        results = {}
+        for workers in (1, 2, 3, 4):
+            sim = Simulation(
+                box_config(
+                    soil_table,
+                    mesh=BoxMeshSpec((1.0, 1.0, 1.0), (12, 12, 16)),
+                    tau=3600.0,
+                    t_max=5 * 3600.0,
+                    initial_temperature=-0.5,
+                    dirichlet={6: 5.0},
+                    workers=workers,
+                )
+            )
+            try:
+                assert sim.assembler.effective_workers() == workers
+                iterations = [sim.step().solver.iterations for _ in range(5)]
+                if workers > 1:  # every share owns rows
+                    bounds = sim.assembler._pooled_cg.bounds
+                    assert len(bounds) == workers + 1 and np.all(np.diff(bounds) > 0)
+            finally:
+                sim.close()
+            results[workers] = (sim.field.values, iterations)
+        field, iterations = results[1]
+        assert field.min() < -0.5 < 0.0 < field.max()  # crossed the band somewhere
+        for workers in (2, 3, 4):
+            assert results[workers][0].tobytes() == field.tobytes(), workers
+            assert results[workers][1] == iterations, workers
 
 
 class TestConservation:
