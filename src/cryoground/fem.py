@@ -34,7 +34,7 @@ import scipy.sparse as _sp
 
 from .linalg import DOT_CHUNK, CgShares, CsrMatrix, csr_rows, matvec_into
 from .mesh import Mesh, _volumes, tet_volume
-from .parallel import ForkPool, ShareSync, WorkerFailure, fork_available, usable_cpus
+from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
 from .physics import FREEZING_POROUS, MaterialTable, frozen_thawed_coeffs
 
 # cells per block of the element-geometry pass in Assembler.__init__
@@ -371,11 +371,12 @@ class Assembler:
     def effective_workers(self, workers: int | None = None) -> int:
         """Worker processes an assemble() call with this ``workers`` argument
         runs: the request (default: the assembler's own count) capped at the
-        CPUs this process may run on, and 1 where fork is unavailable."""
+        CPUs this process may run on, and 1 where the worker pool is
+        unavailable (see parallel.pool_available)."""
         nw = self.workers if workers is None else max(1, int(workers))
         # extra processes beyond the usable CPUs only add convoy overhead
         nw = min(nw, usable_cpus())
-        return nw if fork_available() else 1
+        return nw if pool_available() else 1
 
     def _values(self, t_prev: np.ndarray, tau: float, workers: int | None, reuse_buffers: bool):
         """(K or A values, M diagonal, rhs, CgShares or None) at the
@@ -439,9 +440,11 @@ class Assembler:
         self.close()
         n = self.mesh.n_nodes
         # contiguous row ranges holding about nnz / nw stored entries each,
-        # cut at whole dot-product chunks
+        # cut at whole dot-product chunks; a cut never passes the last whole
+        # chunk, so a mesh too small for nw shares leaves some empty
         cuts = np.searchsorted(self.row_offsets, self.nnz * np.arange(1, nw) / nw)
-        cuts = np.minimum(np.round(cuts / DOT_CHUNK).astype(np.int64) * DOT_CHUNK, n)
+        cuts = np.round(cuts / DOT_CHUNK).astype(np.int64) * DOT_CHUNK
+        cuts = np.minimum(cuts, n // DOT_CHUNK * DOT_CHUNK)
         bounds = [0, *cuts.tolist(), n]
         self._plans = [self._plan(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
         self._pooled_cg = CgShares(

@@ -27,7 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as _sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+
+try:  # scipy's private CSR kernel, behind a @ x; see matvec_into
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:
+    _csr_matvec = None
 
 
 class LinalgError(ValueError):
@@ -242,7 +246,11 @@ def csr_rows(indptr, indices, data, lo: int, hi: int, ncols: int):
 def matvec_into(a, x: np.ndarray, out: np.ndarray):
     """out = a @ x for a scipy CSR matrix ``a``, written in place: the
     kernel behind scipy's ``a @ x``, started from zero, so each row sums in
-    storage order exactly as there, without the temporary result."""
+    storage order exactly as there, without the temporary result.  Where a
+    scipy release lacks that private kernel, ``a @ x`` is copied into out."""
+    if _csr_matvec is None:
+        np.copyto(out, a @ x)
+        return
     out.fill(0.0)
     _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
 
@@ -255,8 +263,9 @@ class CgShares:
     """A fixed-pattern matrix split into contiguous row shares, with the
     work vectors the CG loop of those shares runs in.
 
-    ``bounds`` are the share cuts (0, ..., n), multiples of DOT_CHUNK
-    between the ends; the default is one share.  solve() runs share() for
+    ``bounds`` are the share cuts (0, ..., n), nondecreasing multiples of
+    DOT_CHUNK between the ends (a share may be empty); the default is one
+    share.  solve() runs share() for
     every share: in the calling process by default, or through ``run(tol,
     max_iter)``, which an owner of worker processes (fem.Assembler) passes
     to run the shares concurrently and return the result of one of them.
@@ -269,6 +278,17 @@ class CgShares:
         n = matrix.n
         self.values = matrix.values
         self.bounds = [0, n] if bounds is None else [int(c) for c in bounds]
+        cuts = self.bounds[1:-1]
+        if (
+            self.bounds[0] != 0
+            or self.bounds[-1] != n
+            or any(c % DOT_CHUNK for c in cuts)
+            or any(hi < lo for lo, hi in zip(self.bounds, self.bounds[1:]))
+        ):
+            raise LinalgError(
+                f"share bounds {self.bounds} must run from 0 to {n} in nondecreasing "
+                f"multiples of {DOT_CHUNK}"
+            )
         self.work = CgWork(n, alloc)
         self.blocks = [
             csr_rows(matrix.row_offsets, matrix.column_indices, matrix.values, lo, hi, n)

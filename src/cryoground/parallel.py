@@ -6,19 +6,23 @@ parent can read.  Forked children inherit the operators through
 copy-on-write and the result buffers through MAP_SHARED anonymous mmaps;
 the parent runs one share itself.
 
-Shares synchronize through polled flags in one more shared map (ShareSync):
-a dispatch sequence number the workers watch, a completion number and
-status per share, per-share barrier counters and an abort flag.  A polling
-loop spins a bounded number of times, then falls back to short sleeps that
-also check that its peers are alive, so a descheduled share cannot stall
-the others and a dead one is noticed.  A worker idle for longer sleeps on
-its command pipe until the parent wakes it.  Pipes carry only start-up
-wake-ups and shutdown; a failed share is reported as WorkerFailure.  The
-flags rely on aligned 8-byte stores being atomic and seen in program order
-by other processes (as on x86-64).
+Every dispatch writes one wake-up byte to each worker's command pipe; a
+worker reads it before it runs its share (after a bounded spin on the
+dispatch number, so a dispatch that follows the last one closely finds the
+byte already written).  Inside a task the shares meet through polled flags
+in one more shared map (ShareSync): a completion number and status per
+share, per-share barrier counters and an abort flag.  A polling loop spins
+a bounded number of times, then falls back to short sleeps that also check
+that its peers are alive, so a descheduled share cannot stall the others
+and a dead one is noticed.  A failed share is reported as WorkerFailure.
 
-Fork is required (the task closure is inherited, never pickled); on
-platforms without fork callers fall back to serial execution.
+The flags carry no fences: a share publishes data with plain stores and
+then a flag, and its peers read the flag and then the data.  That is
+correct only where the CPU keeps stores in order with stores and loads in
+order with loads, as x86 and x86-64 do; weakly ordered CPUs (ARM, POWER)
+may show a peer the flag before the data.  pool_available() is therefore
+false there, as it is without fork (the task closure is inherited, never
+pickled), and callers fall back to serial execution.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import mmap
 import multiprocessing
 import os
-import select
+import platform
 import sys
 import time
 import traceback
@@ -38,15 +42,23 @@ _WAKE = b"W"
 _QUIT = b"Q"
 _SPIN = 20_000  # polls before a wait falls back to sleeping
 _NAP = 1e-4  # seconds per sleep of a wait that fell back
-_IDLE_NAP = 0.05  # longest sleep of an idle worker between checks of its flags
 _LINE = 8  # int64 slots per 64-byte cache line; each flag has its own line
 # slots of ShareSync: global lines, then per share the lines below
 _SEQ, _ABORT = 0, 1
-_ARRIVE, _DONE, _FAILED, _ASLEEP = 0, 1, 2, 3
+_ARRIVE, _DONE, _FAILED = 0, 1, 2
+_PER_SHARE = 3
+# CPUs whose memory model keeps the flag protocol above in order
+_ORDERED_MACHINES = {"x86_64", "amd64", "i386", "i486", "i586", "i686", "x86"}
 
 
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def pool_available() -> bool:
+    """Whether ForkPool can run here: fork exists and the CPU orders the
+    shared-flag stores and loads as the pool needs (x86 and x86-64)."""
+    return fork_available() and platform.machine().lower() in _ORDERED_MACHINES
 
 
 def usable_cpus() -> int:
@@ -96,13 +108,13 @@ class ShareSync:
 
     def __init__(self, nshares: int):
         self.nshares = int(nshares)
-        self._map = mmap.mmap(-1, 8 * _LINE * (2 + 4 * self.nshares))
+        self._map = mmap.mmap(-1, 8 * _LINE * (2 + _PER_SHARE * self.nshares))
         self._mv = memoryview(self._map).cast("q")
         # per-process check that the peers are alive; ForkPool sets it
         self.check_peers = lambda: True
 
     def slot(self, share: int, kind: int) -> int:
-        return _LINE * (2 + 4 * share + kind)
+        return _LINE * (2 + _PER_SHARE * share + kind)
 
     def get(self, index: int) -> int:
         return self._mv[index]
@@ -164,8 +176,11 @@ class ForkPool:
         return np.frombuffer(buf, dtype=dtype, count=int(size))
 
     def __init__(self, nworkers: int, task, sync: ShareSync | None = None):
-        if not fork_available():
-            raise WorkerFailure("fork start method is not available on this platform")
+        if not pool_available():
+            raise WorkerFailure(
+                f"no worker pool on this platform (fork: {fork_available()}, "
+                f"CPU: {platform.machine()!r})"
+            )
         if int(nworkers) < 1:
             raise ValueError(f"a pool needs at least one share, got {nworkers}")
         _limit_blas_threads()
@@ -181,7 +196,7 @@ class ForkPool:
         ctx = multiprocessing.get_context("fork")
         for w in range(self._nworkers - 1):
             cmd_r, cmd_w = os.pipe()
-            proc = ctx.Process(target=self._worker_main, args=(w, cmd_r), daemon=True)
+            proc = ctx.Process(target=self._worker_main, args=(w, cmd_r, cmd_w), daemon=True)
             proc.start()
             os.close(cmd_r)
             self._procs.append(proc)
@@ -192,9 +207,11 @@ class ForkPool:
             self, ForkPool._cleanup, self.sync, self._procs, self._cmd_w
         )
 
-    def _worker_main(self, w: int, cmd_r: int):
-        # child: drop inherited parent-side descriptors of other workers
-        for fd in self._cmd_w:
+    def _worker_main(self, w: int, cmd_r: int, cmd_w: int):
+        # child: drop the inherited parent-side descriptors, its own pipe's
+        # write end included, so that the read below sees end-of-file once
+        # the parent is gone
+        for fd in [*self._cmd_w, cmd_w]:
             try:
                 os.close(fd)
             except OSError:
@@ -202,9 +219,15 @@ class ForkPool:
         sync = self.sync
         parent = os.getppid()
         sync.check_peers = lambda: os.getppid() == parent
-        seq = 0
+        seq_at, seq = _SEQ * _LINE, 0
         while True:
-            seq = self._idle_wait(w, cmd_r, seq)
+            for _ in range(_SPIN):
+                if sync.get(seq_at) != seq:
+                    break
+            # one byte per dispatch, written after the dispatch number
+            if os.read(cmd_r, 1) != _WAKE:
+                os._exit(0)
+            seq = sync.get(seq_at)
             failed = 0
             try:
                 self._task(w)
@@ -217,30 +240,6 @@ class ForkPool:
             sync.set(sync.slot(w, _FAILED), failed)
             sync.set(sync.slot(w, _DONE), seq)
 
-    def _idle_wait(self, w: int, cmd_r: int, seq: int) -> int:
-        """Next dispatch sequence number after ``seq``; exits the process
-        on shutdown or when the parent is gone."""
-        sync = self.sync
-        seq_at, asleep = _SEQ * _LINE, sync.slot(w, _ASLEEP)
-        for _ in range(_SPIN):
-            if sync.get(seq_at) != seq:
-                break
-        while sync.get(seq_at) == seq:
-            sync.set(asleep, 1)
-            if sync.get(seq_at) != seq:
-                break
-            # a missed wake-up costs at most one nap
-            if select.select([cmd_r], [], [], _IDLE_NAP)[0]:
-                if os.read(cmd_r, 1) in (_QUIT, b""):
-                    os._exit(0)
-            elif not sync.check_peers():
-                os._exit(0)
-        sync.set(asleep, 0)
-        new = sync.get(seq_at)
-        if new < 0:
-            os._exit(0)
-        return new
-
     def alive(self) -> bool:
         return not self._closed and all(p.is_alive() for p in self._procs)
 
@@ -250,9 +249,11 @@ class ForkPool:
         sync = self.sync
         self._seq += 1
         sync.set(_SEQ * _LINE, self._seq)
-        for w, fd in enumerate(self._cmd_w):
-            if sync.get(sync.slot(w, _ASLEEP)):
+        for fd in self._cmd_w:
+            try:
                 os.write(fd, _WAKE)
+            except OSError:  # the worker is dead; the wait below reports it
+                pass
         own_error = None
         try:
             self._task(self._nworkers - 1)

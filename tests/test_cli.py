@@ -5,7 +5,7 @@ import cryoground.fem as fem
 from cryoground.cli import main
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
-from cryoground.parallel import ForkPool, WorkerFailure, fork_available
+from cryoground.parallel import ForkPool, WorkerFailure, pool_available
 
 TINY_RUN = """
 [mesh]
@@ -129,7 +129,7 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 3
         assert "solver failure" in capsys.readouterr().err
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork for worker processes")
+    @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
     def test_worker_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         """A pool share that dies mid-run is a solver failure, not a crash."""
         monkeypatch.setattr(fem, "usable_cpus", lambda: 2)

@@ -20,7 +20,7 @@ from cryoground.fem import (
 )
 from cryoground.linalg import CsrMatrix, cg_solve
 from cryoground.mesh import BoxMeshSpec, DegenerateCellError, Mesh, build_planned_box, generate_box
-from cryoground.parallel import fork_available
+from cryoground.parallel import pool_available
 from cryoground.physics import UnknownRegionError
 from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
@@ -177,23 +177,27 @@ class TestAssemble:
         with pytest.raises(DegenerateCellError, match="cell 0"):
             Assembler(mesh, plain_table)
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork for worker processes")
+    @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
     def test_worker_counts_bit_identical(self, soil_table, monkeypatch):
         # lift the CPU cap so that every count really splits the rows
         monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
-        # 2,925 nodes, as shares are cut at multiples of DOT_CHUNK (512) rows
-        mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (24, 12, 8)))
-        rng = np.random.default_rng(8)
-        field = rng.uniform(-5, 5, mesh.n_nodes)
-        serial = Assembler(mesh, soil_table).assemble(field, tau=3600.0)
-        for nw in (2, 3, 4):
-            asm = Assembler(mesh, soil_table, workers=nw)
-            assert asm.effective_workers() == nw
-            par = asm.assemble(field, tau=3600.0, reuse_buffers=True)
-            assert np.all(np.diff(par.matrix.shares.bounds) > 0) and len(par.matrix.shares.bounds) == nw + 1
-            assert np.array_equal(serial.matrix.values, par.matrix.values)
-            assert np.array_equal(serial.rhs, par.rhs)
-            asm.close()
+        # shares are cut at multiples of DOT_CHUNK (512) rows: 2,925 nodes
+        # give every share rows, 112 nodes leave all but the last empty
+        for cells, all_own_rows in (((24, 12, 8), True), ((6, 3, 3), False)):
+            mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), cells))
+            rng = np.random.default_rng(8)
+            field = rng.uniform(-5, 5, mesh.n_nodes)
+            serial = Assembler(mesh, soil_table).assemble(field, tau=3600.0)
+            for nw in (2, 3, 4):
+                asm = Assembler(mesh, soil_table, workers=nw)
+                assert asm.effective_workers() == nw
+                par = asm.assemble(field, tau=3600.0, reuse_buffers=True)
+                bounds = par.matrix.shares.bounds
+                assert len(bounds) == nw + 1
+                assert np.all(np.diff(bounds) > 0) == all_own_rows
+                assert np.array_equal(serial.matrix.values, par.matrix.values)
+                assert np.array_equal(serial.rhs, par.rhs)
+                asm.close()
 
     def test_workers_capped_at_cpu_affinity(self, soil_table, monkeypatch):
         """A process allowed on one CPU assembles serially, whatever it asks."""
@@ -231,7 +235,12 @@ class TestSetup:
 
     @pytest.mark.parametrize(
         "workers",
-        [1, pytest.param(2, marks=pytest.mark.skipif(not fork_available(), reason="needs fork"))],
+        [
+            1,
+            pytest.param(
+                2, marks=pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
+            ),
+        ],
     )
     def test_well_values_pinned(self, workers, monkeypatch):
         monkeypatch.setattr(fem, "usable_cpus", lambda: 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cryoground.linalg as linalg
 from cryoground.linalg import (
     DOT_CHUNK,
     CgShares,
@@ -12,6 +13,7 @@ from cryoground.linalg import (
     SpdViolationError,
     cg_solve,
     det_dot,
+    matvec_into,
     padded_length,
 )
 
@@ -93,6 +95,21 @@ class TestSpmv:
         x = rng.random(40)
         assert np.allclose(m.scipy_view() @ x, a @ x, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("kernel", ["scipy_kernel", "fallback"])
+    def test_matvec_into_equals_product(self, kernel, monkeypatch):
+        """matvec_into writes exactly a @ x into a dirty buffer, through
+        scipy's private kernel or, without it, through a @ x itself."""
+        if kernel == "fallback":
+            monkeypatch.setattr(linalg, "_csr_matvec", None)
+        rng = np.random.default_rng(5)
+        a = random_sparse(300, 0.05, rng)
+        a[11, :] = 0.0
+        view = CsrMatrix.from_dense(a).scipy_view()
+        x = rng.standard_normal(300)
+        out = np.full(300, np.nan)
+        matvec_into(view, x, out)
+        assert out.tobytes() == (view @ x).tobytes()
+
 
 class TestDetDot:
     def test_matches_numpy(self):
@@ -150,10 +167,11 @@ def _threaded_cg(m, b, bounds, tol=1e-12, max_iter=500):
     return w.x[: m.n].copy(), results
 
 
-@pytest.mark.parametrize("cuts", [(1,), (1, 2), (1, 3, 4)])
+@pytest.mark.parametrize("cuts", [(1,), (1, 2), (1, 3, 4), (0, 2, 2, 4)])
 def test_cg_shares_bit_identical_to_one_share(cuts):
-    """The CG loop run in 2-4 concurrent row shares gives the one-share
-    solution bit for bit, and every share reports the same result."""
+    """The CG loop run in 2-5 concurrent row shares, some of them empty,
+    gives the one-share solution bit for bit, and every share reports the
+    same result."""
     rng = np.random.default_rng(11)
     n = 4 * DOT_CHUNK + 100
     lap = sp.diags([-1.0, 2.2, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
@@ -173,6 +191,17 @@ def test_cg_shares_bit_identical_to_one_share(cuts):
     assert all(r == one for r in results)
     x, report = cg_solve(m, b, tol=1e-12, max_iter=500)
     assert x.tobytes() == x1.tobytes() and report.iterations == one[0]
+
+
+@pytest.mark.parametrize(
+    "bounds", [[0, 100, 2148], [0, 1024, 512, 2148], [0, 2560, 2148], [0, 512, 2000]]
+)
+def test_cg_shares_reject_cuts_off_chunks(bounds):
+    """Share cuts must be nondecreasing whole chunks from 0 to n: a cut
+    inside a chunk would let two shares write the same chunk partial."""
+    m = CsrMatrix(np.arange(2149), np.arange(2148), np.ones(2148))
+    with pytest.raises(LinalgError, match="share bounds"):
+        CgShares(m, bounds)
 
 
 class TestCgSolve:

@@ -9,10 +9,10 @@ import cryoground.linalg as linalg
 from cryoground.fem import Assembler
 from cryoground.linalg import cg_solve
 from cryoground.mesh import BoxMeshSpec, generate_box
-from cryoground.parallel import ForkPool, WorkerFailure, fork_available
+from cryoground.parallel import ForkPool, WorkerFailure, pool_available
 from cryoground.physics import Material, MaterialTable, PhaseModel
 
-pytestmark = pytest.mark.skipif(not fork_available(), reason="fork not available")
+pytestmark = pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
 
 
 def test_shared_array_visible_to_workers():

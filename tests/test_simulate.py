@@ -6,8 +6,9 @@ import pytest
 import cryoground.fem as fem
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
+from cryoground.linalg import DOT_CHUNK
 from cryoground.mesh import BoxMeshSpec
-from cryoground.parallel import fork_available
+from cryoground.parallel import pool_available
 from cryoground.physics import ColumnController
 from cryoground.simulate import (
     Simulation,
@@ -275,7 +276,7 @@ class TestDeterminism:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork for worker processes")
+    @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
     def test_steps_bit_identical_for_any_share_count(self, soil_table, monkeypatch):
         """Fill and CG run in the same row shares; the 12x12x16 box (2,873
         nodes) gives 1 to 4 shares with real cuts.  The field starts inside
@@ -308,6 +309,38 @@ class TestDeterminism:
         for workers in (2, 3, 4):
             assert results[workers][0].tobytes() == field.tobytes(), workers
             assert results[workers][1] == iterations, workers
+
+    @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
+    @pytest.mark.parametrize("cells", [(6, 6, 7), (9, 9, 9)], ids=["392_nodes", "1000_nodes"])
+    def test_pooled_steps_with_empty_shares(self, soil_table, monkeypatch, cells):
+        """A mesh with fewer whole DOT_CHUNKs than shares leaves some shares
+        without rows; those must start on chunk cuts and step like the rest."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
+        results = {}
+        for workers in (1, 3, 4):
+            sim = Simulation(
+                box_config(
+                    soil_table,
+                    mesh=BoxMeshSpec((1.0, 1.0, 1.0), cells),
+                    tau=3600.0,
+                    t_max=3 * 3600.0,
+                    initial_temperature=-0.5,
+                    dirichlet={6: 5.0},
+                    workers=workers,
+                )
+            )
+            try:
+                assert sim.assembler.effective_workers() == workers
+                iterations = [sim.step().solver.iterations for _ in range(3)]
+                if workers > 1:
+                    bounds = sim.assembler._pooled_cg.bounds
+                    assert len(bounds) == workers + 1 and 0 in np.diff(bounds)
+                    assert all(c % DOT_CHUNK == 0 for c in bounds[:-1])
+            finally:
+                sim.close()
+            results[workers] = (sim.field.values.tobytes(), iterations)
+        for workers in (3, 4):
+            assert results[workers] == results[1], workers
 
 
 class TestConservation:
