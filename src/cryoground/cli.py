@@ -102,6 +102,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_neumann(args) -> int:
+    from .parallel import WorkerFailure
     from .simulate import SolverFailure
     from .verify import VerifyError, run_neumann_benchmark
 

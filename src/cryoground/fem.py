@@ -16,9 +16,13 @@ K and M are linear in the per-cell coefficients, so the Assembler
 precomputes, per mesh, sparse operators from the element geometry: G_K
 (CSR slots x cells, its rows found by one stable sort of the entries'
 (row, col) keys), G_M (nodes x cells) and the cell-mean operator C (cells
-x nodes).  A step is then C @ T_prev, the coefficient law on the cell
-means, K = G_K @ lam and M = G_M @ c.  CSR products sum each row in
-storage order, so the values are bit-identical for any split of the rows.
+x nodes).  Cells whose coefficients do not depend on the temperature (the
+single-phase layers) contribute a fixed share K_const and M_const, summed
+once; the operators keep only the phase-change cells.  A step is then
+C @ T_prev and the coefficient law on the phase-change cells,
+K = G_K @ lam + K_const and M = G_M @ c + M_const.
+CSR products sum each row in storage order, so the values are
+bit-identical for any split of the rows.
 With workers, the fill and the CG solve of a step run in the same
 contiguous row shares (the calling process plus forked processes, writing
 disjoint row ranges of shared buffers; see cryoground.parallel and
@@ -151,14 +155,14 @@ def cell_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, ncells: int):
+def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, column: np.ndarray):
     """CSR operator that sums weighted cell values onto the distinct keys.
 
-    Entry e belongs to cell e // per_cell and carries weights[e].  One
-    stable sort lists each key's entries contiguously in entry order (so in
-    ascending cell order); row i of the operator holds the entries of the
-    i-th smallest key.  Returns (operator, distinct keys ascending); the
-    index arrays are int32.
+    Entry e belongs to cell e // per_cell and carries weights[e]; cell c is
+    the operator's column column[c].  One stable sort lists each key's
+    entries contiguously in entry order (so in ascending cell order); row i
+    of the operator holds the entries of the i-th smallest key.  Returns
+    (operator, distinct keys ascending); the index arrays are int32.
     """
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -172,10 +176,24 @@ def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, ncells: i
     data = weights[order]
     order //= per_cell
     op = _sp.csr_matrix(
-        (data, order.astype(np.int32), indptr), shape=(len(indptr) - 1, ncells), copy=False
+        (data, column[order], indptr), shape=(len(indptr) - 1, len(column)), copy=False
     )
-    op.has_sorted_indices = True
     return op, slot_keys
+
+
+def _leading_columns(op, ncols: int):
+    """The first ``ncols`` columns of ``op``; each row keeps its entries in
+    storage order, which must list each row's columns below ``ncols`` in
+    ascending order.  Every row of ``op`` must hold an entry (as
+    _sum_operator's do)."""
+    kept = op.indices < ncols
+    indptr = np.zeros(op.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.add.reduceat(kept, op.indptr[:-1], dtype=np.int32), out=indptr[1:])
+    sub = _sp.csr_matrix(
+        (op.data[kept], op.indices[kept], indptr), shape=(op.shape[0], ncols), copy=False
+    )
+    sub.has_sorted_indices = True
+    return sub
 
 
 def _rows_of(op, lo: int, hi: int):
@@ -186,25 +204,30 @@ class Assembler:
     """Reusable global assembler for a fixed mesh and material table.
 
     The K and M values are linear in the per-cell coefficients, so building
-    the assembler precomputes three sparse operators from the element
-    geometry (computed in fixed blocks of cells):
-    - G_K (nnz x cells): K_vals = G_K @ lam_cell; its rows are the CSR slots
-      of the pattern, found by one stable sort of the (row, col) keys of
-      all element entries;
-    - G_M (nodes x cells): the lumped capacity M = G_M @ c_cell;
-    - C (cells x nodes): the cell-mean temperatures C @ T.
-    Each assemble() call computes the cell means of the previous field,
-    evaluates the coefficient law into preallocated buffers and applies the
-    two operators; a CSR product sums each row in storage order, so every
-    value is bit-identical however the rows are split.
+    the assembler precomputes sparse operators from the element geometry
+    (computed in fixed blocks of cells).  A cell is constant when its frozen
+    and thawed capacity and conductivity agree and it carries no latent
+    heat (the material kind is not consulted), else a phase-change cell.
+    - G_K (nnz x phase-change cells): K_vals = G_K @ lam_cell + K_const; its
+      rows are the CSR slots of the pattern, found by one stable sort of the
+      (row, col) keys of all element entries; K_const sums the constant
+      cells' entries once, in the same storage order;
+    - G_M (nodes x phase-change cells): M = G_M @ c_cell + M_const;
+    - C (phase-change cells x nodes): their mean temperatures C @ T.
+    Without constant cells K_const and M_const are zero; without
+    phase-change cells the operators are empty.  Each assemble() call
+    computes the cell means of the previous field, evaluates the
+    coefficient law into preallocated buffers, applies the two operators and
+    adds the constant shares; a CSR product sums each row in storage order,
+    so every value is bit-identical however the rows are split.
 
     With workers > 1 the step runs in row shares (see cryoground.parallel):
     each share owns a contiguous range of matrix rows, cut at multiples of
     linalg.DOT_CHUNK and balanced by stored entries, and fills those rows
-    of shared buffers from the span of cells the rows touch.  The matrix an
-    assemble(reuse_buffers=True) call returns carries the same shares, so
-    cg_solve runs its loop in them too.  Forked worker processes run all
-    shares but the last, which the calling process runs.
+    of shared buffers from the span of phase-change cells the rows touch.
+    The matrix an assemble(reuse_buffers=True) call returns carries the
+    same shares, so cg_solve runs its loop in them too.  Forked worker
+    processes run all shares but the last, which the calling process runs.
     """
 
     def __init__(self, mesh: Mesh, table: MaterialTable, workers: int = 1):
@@ -222,6 +245,27 @@ class Assembler:
             orphan = int(np.argmin(uses))  # the first node no cell uses
             raise FemError(f"node {orphan} belongs to no cell; compact the mesh before assembly")
 
+        # material coefficients (crho-, crho+, lambda-, lambda+, latent) per
+        # region; a cell is constant when its frozen and thawed values agree
+        # and it carries no latent heat, and a phase-change cell otherwise
+        region = mesh.cell_region
+        unknown = ~np.isin(region, list(table.materials))
+        if unknown.any():
+            table.for_region(region[unknown].min())  # raises UnknownRegionError
+        rows = {
+            tag: np.array([*frozen_thawed_coeffs(mat), table.latent_for(mat)])
+            for tag, mat in table.materials.items()
+        }
+        const_tags = [
+            tag for tag, (crm, crp, lamm, lamp, lat) in rows.items()
+            if crp == crm and lamp == lamm and lat == 0.0
+        ]
+        var = ~np.isin(region, const_tags)
+        mv = int(np.count_nonzero(var))
+        # operator columns: the phase-change cells first, then the constant
+        # cells, each kind in cell order
+        column = np.where(var, np.cumsum(var) - 1, mv + np.cumsum(~var) - 1).astype(np.int32)
+
         # element geometry, a block of cells at a time so that the per-cell
         # temporaries stay small; kgeom holds V * (grad . grad).  The
         # gradients are the columns of the inverse edge matrix, the
@@ -238,14 +282,14 @@ class Assembler:
             grads = np.empty((len(p), 3, 4))
             np.divide(adj.transpose(0, 2, 1), det[:, None, None], out=grads[:, :, 1:])
             grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
-            kblock = kgeom[block].reshape(-1, 4, 4)
-            np.einsum("mki,mkj->mij", grads, grads, out=kblock)
-            kblock *= vols[block, None, None]
+            # no view of kgeom outlives the loop, so that del frees it below
+            np.einsum("mki,mkj->mij", grads, grads, out=kgeom[block].reshape(-1, 4, 4))
+            kgeom[block] *= vols[block, None]
 
         # G_K and the CSR pattern from one sort of the 16 (row, col) keys of
         # every element block (entry 16 c + 4 i + j)
-        self._gk, keys = _sum_operator(
-            (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel(), kgeom.ravel(), 16, m
+        gk, keys = _sum_operator(
+            (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel(), kgeom.ravel(), 16, column
         )
         del kgeom
         self.nnz = nnz = len(keys)
@@ -266,40 +310,53 @@ class Assembler:
             self.row_offsets, self.column_indices, np.zeros(nnz), diagonal_slots=self._diag_slots
         )
 
-        # G_M (4 entries per cell onto node rows, each V / 4), the geometric
-        # lumped volumes (for source terms) and C (weights 1/4 on the cell's
-        # nodes, in the cell's node order)
-        self._gm, _ = _sum_operator(cells.ravel(), np.repeat(vols / 4.0, 4), 4, m)
-        self.node_volumes = self._gm @ np.ones(m)
+        # the constant cells' share of K and M is fixed: lam and c of the
+        # constant cells by column, zero for the phase-change cells (whose
+        # zero products leave each row the sum of its constant entries, in
+        # storage order).  G_K and G_M keep the phase-change columns only.
+        fixed = np.zeros((2, m))
+        for tag in const_tags:
+            fixed[:, column[region == tag]] = rows[tag][[2, 0], None]
+        self._k_const = gk @ fixed[0]
+        self._gk = _leading_columns(gk, mv)
+        del gk
+
+        # G_M (4 entries per cell onto node rows, each V / 4) and the
+        # geometric lumped volumes (for source terms)
+        gm, _ = _sum_operator(cells.ravel(), np.repeat(vols / 4.0, 4), 4, column)
+        self.node_volumes = gm @ np.ones(m)
+        self._m_const = gm @ fixed[1]
+        self._gm = _leading_columns(gm, mv)
+        del gm, fixed, column
+
+        # C over the phase-change cells: weights 1/4 on the cell's nodes, in
+        # the cell's node order
         self._cmean = _sp.csr_matrix(
             (
-                np.full(4 * m, 0.25),
-                cells.ravel().astype(np.int32),
-                np.arange(0, 4 * m + 1, 4, dtype=np.int32),
+                np.full(4 * mv, 0.25),
+                cells[var].astype(np.int32).ravel(),
+                np.arange(0, 4 * mv + 1, 4, dtype=np.int32),
             ),
-            shape=(m, n),
+            shape=(mv, n),
             copy=False,
         )
-
-        # per-cell material coefficient tables
-        unknown = ~np.isin(mesh.cell_region, list(table.materials))
-        if unknown.any():
-            table.for_region(mesh.cell_region[unknown].min())  # raises UnknownRegionError
-        coeffs = np.empty((5, m))
-        for tag, mat in table.materials.items():
-            row = [*frozen_thawed_coeffs(mat), table.latent_for(mat)]
-            coeffs[:, mesh.cell_region == tag] = np.array(row)[:, None]
+        coeffs = np.empty((5, mv))
+        var_region = region[var]
+        for tag, row in rows.items():
+            coeffs[:, var_region == tag] = row[:, None]
         crm, crp, lamm, lamp, lat = coeffs
         self._phase = model = table.phase
         self._crm, self._dcr = crm, crp - crm
         self._lamm, self._dlam = lamm, lamp - lamm
         self._latd = lat / (2.0 * model.delta)
-        # per-step buffers of the cell values (each process writes its own)
-        self._tm, self._phi, self._lam, self._c = np.empty((4, m))
-        self._band = np.empty((2, m), dtype=bool)
+        # per-step buffers of the phase-change cells' values (each process
+        # writes its own)
+        self._tm, self._phi, self._lam, self._c = np.empty((4, mv))
+        self._band = np.empty((2, mv), dtype=bool)
 
         self._whole = (
-            slice(0, m), slice(0, nnz), slice(0, n), self._cmean, self._gk, self._gm, self._diag_slots
+            slice(0, mv), slice(0, nnz), slice(0, n),
+            self._cmean, self._gk, self._gm, self._diag_slots,
         )
         self._own = None  # (A, M, rhs, CgShares) of serial reuse_buffers calls
         self._pool: ForkPool | None = None
@@ -333,17 +390,20 @@ class Assembler:
         tau > 0 also A = K + M/tau and the rhs (M/tau) T_prev of those rows.
 
         A plan is (cells, slots, rows, C rows, G_K rows, G_M rows, diagonal
-        slots of the rows): the span of cells its rows touch and the
-        operators' rows for it.  ``bufs`` is (T_prev, K out, M out, rhs
-        out).  The cell buffers are indexed globally, so the products read
-        only the plan's own cells.
+        slots of the rows): the span of phase-change cells its rows touch
+        and the operators' rows for it.  ``bufs`` is (T_prev, K out, M out,
+        rhs out).  The cell buffers are indexed by phase-change cell, so the
+        products read only the plan's own cells; the constant cells' share of
+        the rows is added after them.
         """
         cells, slots, rows, cmean, gk, gm, diag = plan
         t_prev, k_out, m_out, rhs_out = bufs
         matvec_into(cmean, t_prev, self._tm[cells])
         self._coefficients(cells)
         matvec_into(gk, self._lam, k_out[slots])
+        k_out[slots] += self._k_const[slots]
         matvec_into(gm, self._c, m_out[rows])
+        m_out[rows] += self._m_const[rows]
         if tau > 0:
             m_over_tau = m_out[rows] / tau
             k_out[diag] += m_over_tau

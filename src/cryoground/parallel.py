@@ -69,28 +69,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_blas_limited = False
-
-
-def _limit_blas_threads():
-    """Pin BLAS pools to one thread once workers exist.
-
-    Spin-waiting BLAS threads fight the worker processes for cores; the
-    vectors this package feeds BLAS are far too small to benefit from
-    threading anyway.
-    """
-    global _blas_limited
-    if _blas_limited:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1, user_api="blas")
-    except Exception:
-        pass
-    _blas_limited = True
-
-
 class WorkerFailure(RuntimeError):
     """A worker process reported an exception or died."""
 
@@ -183,7 +161,6 @@ class ForkPool:
             )
         if int(nworkers) < 1:
             raise ValueError(f"a pool needs at least one share, got {nworkers}")
-        _limit_blas_threads()
         self._nworkers = int(nworkers)
         self._task = task
         self.sync = ShareSync(self._nworkers) if sync is None else sync

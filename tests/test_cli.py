@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import cryoground.fem as fem
+import cryoground.verify as verify
 from cryoground.cli import main
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
 from cryoground.parallel import ForkPool, WorkerFailure, pool_available
+from cryoground.simulate import SolverFailure
 
 TINY_RUN = """
 [mesh]
@@ -204,3 +206,20 @@ class TestOracle:
 
     def test_bad_beta(self, capsys):
         assert main(["oracle", "neumann", "--beta", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            SolverFailure("CG did not converge", record=None),
+            WorkerFailure("assembly worker 0 died"),
+        ],
+        ids=["solver", "worker"],
+    )
+    def test_solver_failure_exit_code(self, capsys, monkeypatch, failure):
+        def failing_study(**kwargs):
+            raise failure
+
+        monkeypatch.setattr(verify, "run_neumann_benchmark", failing_study)
+        assert main(["oracle", "neumann"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and str(failure) in err

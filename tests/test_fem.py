@@ -19,9 +19,16 @@ from cryoground.fem import (
     nodes_for_tags,
 )
 from cryoground.linalg import CsrMatrix, cg_solve
-from cryoground.mesh import BoxMeshSpec, DegenerateCellError, Mesh, build_planned_box, generate_box
+from cryoground.mesh import (
+    BoxMeshSpec,
+    DegenerateCellError,
+    Mesh,
+    build_planned_box,
+    generate_box,
+    paint_region,
+)
 from cryoground.parallel import pool_available
-from cryoground.physics import UnknownRegionError
+from cryoground.physics import Material, MaterialTable, UnknownRegionError
 from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
 
@@ -181,15 +188,35 @@ class TestAssemble:
     def test_worker_counts_bit_identical(self, soil_table, monkeypatch):
         # lift the CPU cap so that every count really splits the rows
         monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
+        soil = soil_table.materials[1]
+        sand = Material.single_phase(crho=1.34e6, lam=0.47)
+        layered = MaterialTable({1: soil, 2: sand}, soil_table.phase)
+        no_phase_change = MaterialTable(
+            {1: Material.single_phase(crho=2.0e6, lam=2.0), 2: sand}, soil_table.phase
+        )
+        big = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (24, 12, 8)))
+        # a constant (single-phase) layer amid the soil: the shares fill
+        # renumbered phase-change cells and add the constant cells' share
+        painted = paint_region(big, (0.0, 2.0, 0.0, 1.0, 0.25, 0.5), 2)
+        small = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (6, 3, 3)))
         # shares are cut at multiples of DOT_CHUNK (512) rows: 2,925 nodes
-        # give every share rows, 112 nodes leave all but the last empty
-        for cells, all_own_rows in (((24, 12, 8), True), ((6, 3, 3), False)):
-            mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), cells))
+        # give every share rows, 112 nodes leave all but the last empty;
+        # the last column is the number of phase-change cells
+        cases = (
+            (big, soil_table, True, big.n_cells),
+            (small, soil_table, False, small.n_cells),
+            (painted, layered, True, int(np.count_nonzero(painted.cell_region == 1))),
+            (painted, no_phase_change, True, 0),
+        )
+        assert 0 < cases[2][3] < painted.n_cells
+        for mesh, table, all_own_rows, phase_change_cells in cases:
             rng = np.random.default_rng(8)
             field = rng.uniform(-5, 5, mesh.n_nodes)
-            serial = Assembler(mesh, soil_table).assemble(field, tau=3600.0)
+            serial_asm = Assembler(mesh, table)
+            assert serial_asm._cmean.shape[0] == phase_change_cells
+            serial = serial_asm.assemble(field, tau=3600.0)
             for nw in (2, 3, 4):
-                asm = Assembler(mesh, soil_table, workers=nw)
+                asm = Assembler(mesh, table, workers=nw)
                 assert asm.effective_workers() == nw
                 par = asm.assemble(field, tau=3600.0, reuse_buffers=True)
                 bounds = par.matrix.shares.bounds
@@ -222,14 +249,15 @@ class TestSetup:
     from one sort each and the element geometry in blocks of cells; none of
     that may move a bit of the assembled values."""
 
-    # sha256 of the assembled arrays on the 20^3 well mesh, recorded when
-    # the precomputed operators and the closed-form geometry replaced the
-    # grouped scatter plans and np.linalg.inv (numpy 2.4, bundled OpenBLAS,
-    # x86-64); K and M then moved by at most 1.3e-15 relative per entry
+    # sha256 of the assembled arrays on the 20^3 well mesh (numpy 2.4,
+    # bundled OpenBLAS, x86-64), recorded when the constant cells' share of
+    # K and M became a precomputed sum added after the phase-change cells'
+    # products: on the rows where both kinds of cell meet, A, M and the rhs
+    # moved by at most 1.2e-15 relative per entry (node volumes unchanged)
     WELL_SHA256 = {
-        "matrix": "80978b3778f0f8e55c6c3d65b861ad3c37b0c713a39943d2fb063c78fb1c332b",
-        "rhs": "bf327e13cf1e27a4b30bc32fa760c4a1ba8d321bc7edb15f13ab905c44d96f82",
-        "capacity": "b2dd4ba1e7051fb81a0499ebc652b883cff2d3fe3c190c2bbc8bb66edcaf4e15",
+        "matrix": "1bb9b2bc1827cbe36ad8e64fe14b117f2eeb97a758cdf184fe4ad016c1f8f89a",
+        "rhs": "1b52abccb46cf9d39e2af65086a56396744c8552480ce7e1ab7401d776418a68",
+        "capacity": "707b437a7bfb8a54b774c0dd0c03920dc80c8ea691b797a286fbd71c778b7d74",
         "node_volumes": "4b4546b2b08342ea667f13811651626ac152901ce148e1848180bbb7e9ca734e",
     }
 
@@ -273,6 +301,8 @@ class TestSetup:
         pairs = {
             "G_K": (whole._gk.data, blocked._gk.data),
             "G_M": (whole._gm.data, blocked._gm.data),
+            "K_const": (whole._k_const, blocked._k_const),
+            "M_const": (whole._m_const, blocked._m_const),
             "node_volumes": (whole.node_volumes, blocked.node_volumes),
         }
         for name, (a, b) in pairs.items():
@@ -297,10 +327,11 @@ class TestSetup:
             Assembler(mesh, plain_table)
 
     def test_setup_memory_per_cell_bounded(self, plain_table):
-        """Setting up the 16^3 box (24,576 cells) traces 649 B/cell of numpy
-        allocations at its peak (756 B/cell with the grouped scatter plans
-        the operators replaced, 1,930 B/cell with the two-sort builder
-        before them)."""
+        """Setting up the 16^3 box (24,576 cells) traces 585 B/cell of numpy
+        allocations at its peak (649 B/cell before the constant-cell split
+        freed the element geometry early, 756 B/cell with the grouped
+        scatter plans the operators replaced, 1,930 B/cell with the two-sort
+        builder before them)."""
         mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16)))
         tracing = tracemalloc.is_tracing()
         if not tracing:
