@@ -6,7 +6,8 @@ Subcommands:
   simulate oracle neumann ...       melting-front benchmark, CSV on stdout
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (a solve
-that did not converge, or a worker process that failed or died).
+that did not converge or met a matrix that is not SPD, or a worker process
+that failed or died).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def _cmd_run(args) -> int:
     from .config import ConfigError, parse_config
     from .fem import FemError
     from .io import SnapshotError
+    from .linalg import SpdViolationError
     from .mesh import MeshError
     from .parallel import WorkerFailure
     from .physics import PhysicsError
@@ -68,7 +70,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         records = run(config)
-    except (SolverFailure, WorkerFailure) as e:
+    except (SolverFailure, SpdViolationError, WorkerFailure) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except (FemError, MeshError, PhysicsError, SimulationError, SnapshotError, OSError) as e:

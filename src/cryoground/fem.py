@@ -24,14 +24,14 @@ K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
 bit-identical for any split of the rows.
 With workers, the fill and the CG solve of a step run in the same
-contiguous row shares (the calling process plus forked processes, writing
-disjoint row ranges of shared buffers; see cryoground.parallel and
-cryoground.linalg).
+processes (the calling process plus forked ones), each on a contiguous
+range of rows and writing disjoint row ranges of shared buffers; see
+cryoground.parallel and cryoground.linalg.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as _sp
@@ -57,10 +57,13 @@ class UnknownTagError(FemError):
 
 @dataclass
 class TemperatureField:
-    """Nodal temperatures (deg C) at one time level."""
+    """Nodal temperatures (deg C) at one time level, and optionally those
+    of the level before (``previous``), from which a time stepper takes the
+    last increment.  A field built without it starts a new history."""
 
     values: np.ndarray
     time: float = 0.0
+    previous: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -68,13 +71,23 @@ class TemperatureField:
             raise FemError(f"field values must be 1-d, got shape {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise FemError("field contains non-finite values")
+        if self.previous is not None:
+            self.previous = np.asarray(self.previous, dtype=np.float64)
+            if self.previous.shape != self.values.shape:
+                raise FemError(
+                    f"previous level has shape {self.previous.shape}, "
+                    f"field has {self.values.shape}"
+                )
+            if not np.isfinite(self.previous).all():
+                raise FemError("previous level contains non-finite values")
 
     @classmethod
     def uniform(cls, mesh: Mesh, value: float, time: float = 0.0) -> "TemperatureField":
         return cls(np.full(mesh.n_nodes, float(value)), time)
 
     def copy(self) -> "TemperatureField":
-        return TemperatureField(self.values.copy(), self.time)
+        previous = None if self.previous is None else self.previous.copy()
+        return TemperatureField(self.values.copy(), self.time, previous)
 
 
 @dataclass
@@ -222,12 +235,14 @@ class Assembler:
     so every value is bit-identical however the rows are split.
 
     With workers > 1 the step runs in row shares (see cryoground.parallel):
-    each share owns a contiguous range of matrix rows, cut at multiples of
-    linalg.DOT_CHUNK and balanced by stored entries, and fills those rows
-    of shared buffers from the span of phase-change cells the rows touch.
-    The matrix an assemble(reuse_buffers=True) call returns carries the
-    same shares, so cg_solve runs its loop in them too.  Forked worker
-    processes run all shares but the last, which the calling process runs.
+    for the fill each share owns a contiguous range of matrix rows,
+    balanced by phase-change G_K entries plus stored entries, and fills
+    those rows of shared buffers from the span of phase-change cells the
+    rows touch.  The matrix an assemble(reuse_buffers=True) call returns
+    carries CG row shares, cut at multiples of linalg.DOT_CHUNK and
+    balanced by stored entries, in which cg_solve runs its loop.  Forked
+    worker processes run all shares but the last, which the calling
+    process runs.
     """
 
     def __init__(self, mesh: Mesh, table: MaterialTable, workers: int = 1):
@@ -499,14 +514,20 @@ class Assembler:
             return
         self.close()
         n = self.mesh.n_nodes
-        # contiguous row ranges holding about nnz / nw stored entries each,
-        # cut at whole dot-product chunks; a cut never passes the last whole
-        # chunk, so a mesh too small for nw shares leaves some empty
+        # CG shares: contiguous row ranges holding about nnz / nw stored
+        # entries each, cut at whole dot-product chunks; a cut never passes
+        # the last whole chunk, so a mesh too small for nw shares leaves
+        # some empty
         cuts = np.searchsorted(self.row_offsets, self.nnz * np.arange(1, nw) / nw)
         cuts = np.round(cuts / DOT_CHUNK).astype(np.int64) * DOT_CHUNK
         cuts = np.minimum(cuts, n // DOT_CHUNK * DOT_CHUNK)
         bounds = [0, *cuts.tolist(), n]
-        self._plans = [self._plan(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+        # fill shares: any row cuts (the fill's and the CG's dispatches do
+        # not overlap), holding about equal phase-change G_K entries plus
+        # stored entries each
+        work = self._gk.indptr[self.row_offsets] + self.row_offsets
+        fill = [0, *np.searchsorted(work, work[-1] * np.arange(1, nw) / nw).tolist(), n]
+        self._plans = [self._plan(r0, r1) for r0, r1 in zip(fill, fill[1:])]
         self._pooled_cg = CgShares(
             self._pattern.with_values(ForkPool.shared_array(self.nnz)),
             bounds,

@@ -22,7 +22,8 @@ RESTART_FILE_PATTERN = "restart_%06d.bin"
 PROBES_FILE_NAME = "probes.csv"
 
 _SNAPSHOT_MAGIC = b"CRYOGRND"
-_SNAPSHOT_VERSION = 1
+# version 1 holds one level, version 2 also the previous one
+_SNAPSHOT_VERSIONS = (1, 2)
 _SNAPSHOT_HEAD_LEN = len(_SNAPSHOT_MAGIC) + struct.calcsize("<IQd")
 
 
@@ -95,10 +96,34 @@ def write_probes(records, probe_values, path) -> None:
 
 
 def snapshot_write(path, field: TemperatureField) -> None:
-    """Binary restart dump of (time, nodal values); round trips bit-exactly."""
-    values = np.ascontiguousarray(field.values, dtype=np.float64)
-    head = _SNAPSHOT_MAGIC + struct.pack("<IQd", _SNAPSHOT_VERSION, len(values), field.time)
-    Path(path).write_bytes(head + values.tobytes())
+    """Binary restart dump of (time, nodal values), followed by the values
+    of the previous level when the field carries one (version 2, else
+    version 1); round trips bit-exactly."""
+    levels = [field.values] if field.previous is None else [field.values, field.previous]
+    version = len(levels)
+    body = b"".join(np.ascontiguousarray(v, dtype="<f8").tobytes() for v in levels)
+    head = _SNAPSHOT_MAGIC + struct.pack("<IQd", version, len(field.values), field.time)
+    Path(path).write_bytes(head + body)
+
+
+def _snapshot_head(path) -> tuple[int, int, float]:
+    """(version, node count, time) of a restart dump; see snapshot_header."""
+    with open(path, "rb") as f:
+        head = f.read(_SNAPSHOT_HEAD_LEN)
+        size = os.fstat(f.fileno()).st_size
+    if len(head) < _SNAPSHOT_HEAD_LEN or head[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
+        raise SnapshotError(f"{path}: not a restart snapshot")
+    version, count, time = struct.unpack_from("<IQd", head, len(_SNAPSHOT_MAGIC))
+    if version not in _SNAPSHOT_VERSIONS:
+        raise SnapshotError(
+            f"{path}: snapshot version {version}, this build reads version 1 or 2"
+        )
+    available = (size - _SNAPSHOT_HEAD_LEN) // 8
+    if available < version * count:
+        raise SnapshotError(
+            f"{path}: truncated snapshot ({available} of {version * count} values)"
+        )
+    return version, count, time
 
 
 def snapshot_header(path) -> tuple[int, float]:
@@ -107,31 +132,21 @@ def snapshot_header(path) -> tuple[int, float]:
     Reads only the header.  Raises SnapshotError on a magic or version
     mismatch and when the file holds fewer values than it declares.
     """
-    with open(path, "rb") as f:
-        head = f.read(_SNAPSHOT_HEAD_LEN)
-        size = os.fstat(f.fileno()).st_size
-    if len(head) < _SNAPSHOT_HEAD_LEN or head[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
-        raise SnapshotError(f"{path}: not a restart snapshot")
-    version, count, time = struct.unpack_from("<IQd", head, len(_SNAPSHOT_MAGIC))
-    if version != _SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"{path}: snapshot version {version}, this build reads version {_SNAPSHOT_VERSION}"
-        )
-    available = (size - _SNAPSHOT_HEAD_LEN) // 8
-    if available < count:
-        raise SnapshotError(f"{path}: truncated snapshot ({available} of {count} values)")
-    return count, time
+    return _snapshot_head(path)[1:]
 
 
 def snapshot_read(path, expected_nodes: int | None = None) -> TemperatureField:
-    """Read a restart dump written by snapshot_write.
+    """Read a restart dump written by snapshot_write, with its previous
+    level when it holds one (version 2).
 
     Raises SnapshotError as snapshot_header does or, when expected_nodes
     is given, on a node-count mismatch with the target mesh.
     """
-    count, time = snapshot_header(path)
+    version, count, time = _snapshot_head(path)
     if expected_nodes is not None and count != expected_nodes:
         raise SnapshotError(
             f"{path}: snapshot has {count} nodes, mesh has {expected_nodes}"
         )
-    return TemperatureField(np.fromfile(path, "<f8", count=count, offset=_SNAPSHOT_HEAD_LEN), time)
+    levels = np.fromfile(path, "<f8", count=version * count, offset=_SNAPSHOT_HEAD_LEN)
+    previous = levels[count:] if version == 2 else None
+    return TemperatureField(levels[:count], time, previous)

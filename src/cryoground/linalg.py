@@ -3,7 +3,10 @@
 The matrices produced by one implicit time step are symmetric positive
 definite, so CG with diagonal preconditioning is sufficient; the time-step
 term dominates the diagonal for realistic step sizes, which keeps iteration
-counts low.
+counts low.  Successive steps solve nearby systems, so a solve may start
+from the energy-optimal step along a given direction (the last field
+increment): the one-vector case of projecting the start on earlier
+solutions (Fischer 1998, successive right-hand sides).
 
 One CG loop (CgShares.share) serves every worker count: the rows are cut into
 contiguous shares, each share runs the loop on its own rows, and the serial
@@ -225,10 +228,12 @@ class CgWork:
         self.n = n
         npad = padded_length(n)
         nchunks = npad // DOT_CHUNK
-        store = alloc(self.NVEC * npad + 8 * nchunks)
+        store = alloc(self.NVEC * npad + 8 * nchunks + 1)
         vecs = store[: self.NVEC * npad].reshape(self.NVEC, npad)
         self.b, self.x, self.r, self.z, self.p, self.q, self.inv_diag = vecs
-        self.partials = store[self.NVEC * npad :].reshape(2, 4, nchunks)
+        self.partials = store[self.NVEC * npad : -1].reshape(2, 4, nchunks)
+        # 1.0 when p holds a direction d to project the start on (see share)
+        self.projected = store[-1:]
 
 
 def csr_rows(indptr, indices, data, lo: int, hi: int, ncols: int):
@@ -324,6 +329,11 @@ class CgShares:
         Returns (iterations, residual, converged, error): error is None, or
         why the matrix cannot be SPD ("diagonal", or the message of a
         non-positive p^T A p).
+
+        When w.projected is set, w.p holds a direction d on entry and the
+        start moves to x0 + theta d, theta = d^T r0 / d^T A d (r0 = b - A x0),
+        the point along d of least A-norm error; theta = 0 when d^T A d <= 0.
+        That costs one more product and one more reduction.
         """
         w, a_rows = self.work, self.blocks[s]
         lo, hi = self.bounds[s], self.bounds[s + 1]
@@ -353,6 +363,21 @@ class CgShares:
             matvec_into(a_rows, x_all, out)
             np.subtract(b, out, out=out)
 
+        def settled():
+            # the recurrence residual passed tol: check the true residual,
+            # else resync r with it and restart the search direction
+            nonlocal residual, rz
+            residual_into(q)  # q is free until the next product
+            (qq,) = reduce((qc, qc))
+            residual = math.sqrt(qq) / denom
+            if residual <= tol:
+                return True
+            r[:] = q
+            np.multiply(inv_diag, r, out=z)
+            p[:] = z
+            (rz,) = reduce((rc, zc))  # also publishes p
+            return False
+
         np.take(self.values, self.diagonal_slots[own], out=inv_diag)
         bad = w.partials[0, 3, c0:c1]  # flags a non-positive diagonal entry
         bad[:] = 0.0
@@ -360,14 +385,28 @@ class CgShares:
             bad[0] = 1.0
         np.divide(1.0, inv_diag, out=inv_diag)
         residual_into(r)
+        projected, theta = bool(w.projected[0]), 0.0
+        if projected:
+            matvec_into(a_rows, p_all, q)
+            bb, dr, dq, nbad = reduce((bc, bc), (pc, rc), (pc, qc), flags=1)
+            if dq > 0.0 and math.isfinite(dr / dq):
+                theta = dr / dq
+                np.multiply(p, theta, out=step)
+                x += step
+                np.multiply(q, theta, out=step)
+                r -= step
         np.multiply(inv_diag, r, out=z)
         p[:] = z
-        bb, rr, rz, nbad = reduce((bc, bc), (rc, rc), (rc, zc), flags=1)  # also publishes p
+        if projected:
+            rr, rz = reduce((rc, rc), (rc, zc))  # also publishes p and x
+        else:
+            bb, rr, rz, nbad = reduce((bc, bc), (rc, rc), (rc, zc), flags=1)  # also publishes p
         if nbad:
             return 0, math.nan, False, "diagonal"
         denom = math.sqrt(bb) if bb > 0.0 else 1.0
         residual = math.sqrt(rr) / denom
-        if residual <= tol:
+        # r is the true residual unless the start moved along d
+        if residual <= tol and (theta == 0.0 or settled()):
             return 0, residual, True, None
 
         iterations = 0
@@ -385,16 +424,8 @@ class CgShares:
             iterations = k
             rr, rz_new = reduce((rc, rc), (rc, zc))  # also publishes x
             if math.sqrt(rr) / denom <= tol:
-                residual_into(q)  # the true residual; q is free until the next product
-                (qq,) = reduce((qc, qc))
-                residual = math.sqrt(qq) / denom
-                if residual <= tol:
+                if settled():
                     return iterations, residual, True, None
-                # recurrence drifted: resync and restart the search direction
-                r[:] = q
-                np.multiply(inv_diag, r, out=z)
-                p[:] = z
-                (rz,) = reduce((rc, zc))  # also publishes p
                 continue
             beta = rz_new / rz
             rz = rz_new
@@ -413,28 +444,40 @@ def cg_solve(
     x0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 5000,
+    direction: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for SPD systems.
 
-    Jacobi (diagonal) preconditioning is always applied.  Convergence is
-    declared on the true residual: when the recurrence residual passes the
-    tolerance the residual is recomputed as b - A x and must pass as well,
-    otherwise iteration continues.  The relative criterion
-    ||b - A x|| / ||b|| <= tol falls back to an absolute one for b = 0.
-    Non-convergence within max_iter is reported, not raised.  A matrix that
-    carries CgShares over its own values (the assembler's) is solved in
-    those shares; any other in one share.  ``b`` may be the shares' own
-    w.b (the assembler writes its rhs there), which is then not copied.
+    Jacobi (diagonal) preconditioning is always applied.  With a
+    ``direction`` d the iteration starts from x0 + theta d, with theta =
+    d^T (b - A x0) / d^T A d: the point of least A-norm error on that line,
+    so never worse than x0 (theta = 0, also taken when d^T A d <= 0) or
+    x0 + d.  A time stepper passes the last field increment, zero on the
+    constrained rows.  Convergence is declared on the true residual: when
+    the recurrence residual passes the tolerance the residual is recomputed
+    as b - A x and must pass as well, otherwise iteration continues.  The
+    relative criterion ||b - A x|| / ||b|| <= tol falls back to an absolute
+    one for b = 0.  Non-convergence within max_iter is reported, not
+    raised.  A matrix that carries CgShares over its own values (the
+    assembler's) is solved in those shares; any other in one share.  ``b``
+    may be the shares' own w.b (the assembler writes its rhs there), which
+    is then not copied.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (a.n,):
         raise LinalgError(f"rhs shape {b.shape} does not match matrix size {a.n}")
-    if tol <= 0:
+    if not tol > 0:
         raise LinalgError(f"tol must be > 0, got {tol}")
     x0 = np.zeros(a.n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (a.n,):
         raise LinalgError(f"x0 shape {x0.shape} does not match matrix size {a.n}")
+    if direction is not None:
+        direction = np.asarray(direction, dtype=np.float64)
+        if direction.shape != (a.n,):
+            raise LinalgError(
+                f"direction shape {direction.shape} does not match matrix size {a.n}"
+            )
 
     shares = a.shares
     if shares is None or shares.values is not a.values:
@@ -443,6 +486,9 @@ def cg_solve(
     if b.strides != (8,) or b.__array_interface__["data"][0] != w.b.ctypes.data:
         w.b[: a.n] = b
     w.x[: a.n] = x0
+    if direction is not None:
+        w.p[: a.n] = direction
+    w.projected[0] = direction is not None
     iterations, residual, converged, error = shares.solve(tol, int(max_iter))
     if error == "diagonal":
         diag = a.diagonal()

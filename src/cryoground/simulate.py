@@ -5,8 +5,12 @@ Each step performs, in order: advance the clock by tau, save the previous
 field, recompute the air temperature, decide whether the freezing columns
 are active, then assemble A = M/tau + K from the previous level, impose the
 Dirichlet constraints that are live this step (static tags always, column
-tags only while active, the ground surface when configured), solve with CG
-warm-started from the previous field, and snapshot on the output cadence.
+tags only while active, the ground surface when configured), solve with CG,
+and snapshot on the output cadence.  CG starts from the previous field
+moved along the last increment T^n - T^(n-1) by the step of least A-norm
+error (see linalg.cg_solve); the field carries T^(n-1) for this, and
+restart snapshots store it, so a resumed run repeats the unsplit one bit
+for bit.  Assigning a new TemperatureField drops the history.
 
 The loop itself is strictly sequential; parallelism lives inside a step,
 whose assembly and CG solve run in the same row shares.
@@ -112,6 +116,10 @@ class SimulationConfig:
             raise SimulationError("seasonal controller needs a probe_point")
         if int(self.workers) < 1:
             raise SimulationError(f"workers must be >= 1, got {self.workers}")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise SimulationError(f"solver tol must be finite and > 0, got {self.solver_tol}")
+        if int(self.solver_max_iter) < 1:
+            raise SimulationError(f"solver max_iter must be >= 1, got {self.solver_max_iter}")
 
 
 @dataclass
@@ -255,8 +263,11 @@ class Simulation:
         system = self.assembler.assemble(t_prev, tau, source=nodal_source, reuse_buffers=True)
         assemble_seconds = time.perf_counter() - t0
 
+        # CG starts from T^n with this step's constraints, moved along the
+        # last increment T^n - T^(n-1) (zero on the constrained nodes)
         tag_values = self._active_tag_values(t_cur, t_air, active)
         x0 = t_prev.copy()
+        direction = None if self.field.previous is None else t_prev - self.field.previous
         if tag_values:
             tags = tuple(sorted(tag_values))
             dplan, slots = self._plan_for(tags, system.matrix)
@@ -265,9 +276,16 @@ class Simulation:
                 values[pos] = tag_values[tag]
             dplan.apply(system, values)
             x0[dplan.nodes] = values
+            if direction is not None:
+                direction[dplan.nodes] = 0.0
 
         x, report = cg_solve(
-            system.matrix, system.rhs, x0, tol=cfg.solver_tol, max_iter=int(cfg.solver_max_iter)
+            system.matrix,
+            system.rhs,
+            x0,
+            tol=cfg.solver_tol,
+            max_iter=int(cfg.solver_max_iter),
+            direction=direction,
         )
 
         self.step_index += 1
@@ -290,7 +308,7 @@ class Simulation:
                 record,
             )
 
-        self.field = TemperatureField(x, t_cur)
+        self.field = TemperatureField(x, t_cur, previous=t_prev)
         self.records.append(record)
         if self.step_index % int(cfg.cadence) == 0:
             self._emit(record)

@@ -145,6 +145,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("solver failure:") and "worker 0 died" in err
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["tol = 0", "tol = -1e-8", "tol = nan", "tol = inf", "max_iter = 0", "max_iter = -5"],
+    )
+    def test_bad_solver_setting_is_config_error(self, tmp_path, capsys, setting):
+        text = TINY_RUN.format(out=tmp_path / "out").replace("tol = 1e-8", setting)
+        path = write(tmp_path, text)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and setting.split()[0] in err
+
+    def test_spd_violation_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        import cryoground.simulate as simulate
+        from cryoground.linalg import SpdViolationError
+
+        def not_spd(*args, **kwargs):
+            raise SpdViolationError("p^T A p = -1.000e+00 <= 0 at iteration 3")
+
+        monkeypatch.setattr(simulate, "cg_solve", not_spd)
+        path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and "p^T A p" in err
+
     def test_workers_override_validated(self, tmp_path, capsys):
         path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(path), "--workers", "0"]) == 2

@@ -101,6 +101,29 @@ class TestSnapshots:
         assert back.time == field.time
         assert np.array_equal(back.values, field.values)
 
+    def test_previous_level_roundtrip_bit_exact(self, tmp_path):
+        """A field with a previous level is written as version 2 and read
+        back with both levels; one without stays version 1."""
+        rng = np.random.default_rng(2)
+        values, previous = rng.standard_normal((2, 97)) * 1e3
+        path = tmp_path / "snap.bin"
+        snapshot_write(path, TemperatureField(values, 7.75e5, previous))
+        assert path.read_bytes()[8] == 2
+        assert snapshot_header(path) == (97, 7.75e5)
+        back = snapshot_read(path)
+        assert back.values.tobytes() == values.tobytes()
+        assert back.previous.tobytes() == previous.tobytes()
+        snapshot_write(path, TemperatureField(values, 7.75e5))
+        assert path.read_bytes()[8] == 1
+        assert snapshot_read(path).previous is None
+
+    def test_truncated_previous_level(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        snapshot_write(path, TemperatureField(np.arange(5.0), 7200.0, np.arange(5.0) - 1.0))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(SnapshotError, match=r"truncated snapshot \(9 of 10 values\)"):
+            snapshot_read(path)
+
     def test_header_gives_count_and_time(self, tmp_path):
         path = tmp_path / "snap.bin"
         snapshot_write(path, TemperatureField(np.arange(5.0), time=7200.0))

@@ -147,12 +147,16 @@ class TestDetDot:
             det_dot(np.ones(3), np.ones(4))
 
 
-def _threaded_cg(m, b, bounds, tol=1e-12, max_iter=500):
-    """Run the CG loop of CgShares with one thread per share."""
+def _threaded_cg(m, b, bounds, tol=1e-12, max_iter=500, direction=None):
+    """Run the CG loop of CgShares with one thread per share, from x0 = 0
+    moved along ``direction`` when one is given."""
     shares = CgShares(m, bounds)
     w = shares.work
     w.inv_diag[: m.n] = 1.0 / m.diagonal()
     w.b[: m.n] = b
+    if direction is not None:
+        w.p[: m.n] = direction
+        w.projected[0] = 1.0
     barrier = threading.Barrier(len(bounds) - 1)
     results = [None] * (len(bounds) - 1)
 
@@ -167,6 +171,19 @@ def _threaded_cg(m, b, bounds, tol=1e-12, max_iter=500):
     return w.x[: m.n].copy(), results
 
 
+def _coupled_chain(rng, n):
+    """An SPD chain Laplacian over n unknowns with some longer-range couplings."""
+    lap = sp.diags([-1.0, 2.2, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
+    for i in rng.integers(0, n - 50, 200):
+        j = i + 40
+        lap[i, j] = lap[j, i] = -0.05
+        lap[i, i] += 0.05
+        lap[j, j] += 0.05
+    lap = lap.tocsr()
+    lap.sort_indices()
+    return CsrMatrix(lap.indptr, lap.indices, lap.data)
+
+
 @pytest.mark.parametrize("cuts", [(1,), (1, 2), (1, 3, 4), (0, 2, 2, 4)])
 def test_cg_shares_bit_identical_to_one_share(cuts):
     """The CG loop run in 2-5 concurrent row shares, some of them empty,
@@ -174,15 +191,7 @@ def test_cg_shares_bit_identical_to_one_share(cuts):
     same result."""
     rng = np.random.default_rng(11)
     n = 4 * DOT_CHUNK + 100
-    lap = sp.diags([-1.0, 2.2, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
-    for i in rng.integers(0, n - 50, 200):  # some longer-range couplings
-        j = i + 40
-        lap[i, j] = lap[j, i] = -0.05
-        lap[i, i] += 0.05
-        lap[j, j] += 0.05
-    lap = lap.tocsr()
-    lap.sort_indices()
-    m = CsrMatrix(lap.indptr, lap.indices, lap.data)
+    m = _coupled_chain(rng, n)
     b = rng.standard_normal(n)
     x1, (one,) = _threaded_cg(m, b, [0, n])
     assert one[2] and one[0] > 5  # converged after real work
@@ -190,6 +199,25 @@ def test_cg_shares_bit_identical_to_one_share(cuts):
     assert xs.tobytes() == x1.tobytes()
     assert all(r == one for r in results)
     x, report = cg_solve(m, b, tol=1e-12, max_iter=500)
+    assert x.tobytes() == x1.tobytes() and report.iterations == one[0]
+
+
+@pytest.mark.parametrize("cuts", [(), (1,), (1, 2), (1, 3, 4), (0, 2, 2, 4)])
+def test_projected_cg_shares_bit_identical_to_one_share(cuts):
+    """With a direction, the start's extra product and reduction run in the
+    shares too: 1-5 shares, some of them empty, give the one-share
+    solution bit for bit, and so does cg_solve."""
+    rng = np.random.default_rng(12)
+    n = 4 * DOT_CHUNK + 100
+    m = _coupled_chain(rng, n)
+    b = rng.standard_normal(n)
+    d = rng.standard_normal(n)
+    x1, (one,) = _threaded_cg(m, b, [0, n], direction=d)
+    assert one[2] and one[0] > 5
+    xs, results = _threaded_cg(m, b, [0, *(c * DOT_CHUNK for c in cuts), n], direction=d)
+    assert xs.tobytes() == x1.tobytes()
+    assert all(r == one for r in results)
+    x, report = cg_solve(m, b, tol=1e-12, max_iter=500, direction=d)
     assert x.tobytes() == x1.tobytes() and report.iterations == one[0]
 
 
@@ -285,3 +313,57 @@ class TestCgSolve:
         b = a @ x_true
         x, report = cg_solve(m, b, x0=x_true.copy(), tol=1e-10)
         assert report.converged and report.iterations == 0
+
+
+def _spd(seed, n=30):
+    rng = np.random.default_rng(seed)
+    g = rng.random((n, n))
+    return rng, g.T @ g + n * np.eye(n)
+
+
+class TestProjectedStart:
+    def test_exact_correction_converges_in_zero_iterations(self):
+        rng, a = _spd(21)
+        m = CsrMatrix.from_dense(a)
+        x_true, x0 = rng.random(30), rng.random(30)
+        b = a @ x_true
+        x, report = cg_solve(m, b, x0=x0, tol=1e-10, direction=x_true - x0)
+        assert report.converged and report.iterations == 0
+        # a start moved along d is accepted on the true residual
+        assert report.residual == pytest.approx(
+            np.linalg.norm(b - a @ x) / np.linalg.norm(b), abs=1e-15
+        )
+        assert np.allclose(x, x_true, rtol=1e-10, atol=1e-10)
+
+    def test_zero_direction_same_bits_as_none(self):
+        rng, a = _spd(22)
+        m = CsrMatrix.from_dense(a)
+        b, x0 = rng.random(30), rng.random(30)
+        x, report = cg_solve(m, b, x0=x0, tol=1e-12)
+        xd, reportd = cg_solve(m, b, x0=x0, tol=1e-12, direction=np.zeros(30))
+        assert xd.tobytes() == x.tobytes()
+        assert (reportd.iterations, reportd.residual) == (report.iterations, report.residual)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_start_error_never_above_previous_or_extrapolation(self, seed):
+        """max_iter = 0 returns the start: its A-norm error is at most that of
+        x0 (theta = 0) and of x0 + d (theta = 1), up to rounding."""
+        rng, a = _spd(100 + seed)
+        m = CsrMatrix.from_dense(a)
+        x_true, x0 = rng.random(30), rng.random(30)
+        d = (x_true - x0) * rng.uniform(0.0, 3.0) + rng.standard_normal(30) * rng.uniform(0.0, 1.0)
+        start, report = cg_solve(m, a @ x_true, x0=x0, tol=1e-14, max_iter=0, direction=d)
+        assert report.iterations == 0
+
+        def a_norm_error(x):
+            e = x - x_true
+            return float(np.sqrt(e @ a @ e))
+
+        best = a_norm_error(start)
+        assert best <= a_norm_error(x0) * (1.0 + 1e-12)
+        assert best <= a_norm_error(x0 + d) * (1.0 + 1e-12)
+
+    def test_direction_shape_checked(self):
+        m = CsrMatrix.from_dense(np.eye(3))
+        with pytest.raises(LinalgError, match="direction shape"):
+            cg_solve(m, np.ones(3), direction=np.ones(4))

@@ -243,6 +243,35 @@ class TestRun:
             full_records[-1].t_mean, abs=1e-12
         )
 
+    def test_split_run_ends_on_same_field_bytes(self, soil_table, tmp_path):
+        """The snapshot carries T^(n-1), so the resumed run starts its solves
+        as the unsplit run does and ends on the same bytes."""
+        out = tmp_path / "out"
+        kwargs = dict(
+            tau=3600.0, initial_temperature=-0.5, dirichlet={6: 5.0}, write_vtk=False
+        )
+        first = box_config(
+            soil_table, t_max=4 * 3600.0, output_dir=out, write_restart=True, cadence=4, **kwargs
+        )
+        run(first)
+        full = Simulation(box_config(soil_table, t_max=8 * 3600.0, **kwargs))
+        resumed = Simulation(
+            box_config(
+                soil_table, t_max=8 * 3600.0, restart=out / "restart_000004.bin", **kwargs
+            )
+        )
+        try:
+            full.run()
+            resumed.run()
+        finally:
+            full.close()
+            resumed.close()
+        assert len(resumed.records) == 4
+        assert resumed.field.values.tobytes() == full.field.values.tobytes()
+        assert [r.solver.iterations for r in resumed.records] == [
+            r.solver.iterations for r in full.records[4:]
+        ]
+
     def test_restart_written_when_enabled(self, plain_table, tmp_path):
         out = tmp_path / "out"
         cfg = box_config(
@@ -369,3 +398,41 @@ class TestWarmStart:
         tail = iters[5:]
         assert all(b <= a for a, b in zip(tail, tail[1:])), f"iterations {iters}"
         assert iters[-1] == 0, "a settled problem should warm-start to zero iterations"
+
+    def test_constrained_nodes_keep_imposed_values(self, soil_table):
+        """The increment is zeroed on this step's constrained nodes, so a
+        start moved along it keeps the imposed values bit for bit, also
+        while they change every step."""
+
+        def g(points, t):
+            return points[:, 0] + t / 3600.0
+
+        sim = Simulation(
+            box_config(
+                soil_table, tau=3600.0, t_max=6 * 3600.0, initial_temperature=-0.5,
+                dirichlet={6: g},
+            )
+        )
+        top = sim._tag_nodes[6]
+        for _ in range(6):
+            sim.step()
+            assert sim.field.previous is not None
+            assert np.array_equal(sim.field.values[top], g(sim.mesh.nodes[top], sim.field.time))
+
+    def test_reassigned_field_drops_history(self, soil_table):
+        """sim.field = TemperatureField(...) starts a new history: the next
+        step is the first step of a fresh run from that field."""
+        cfg = box_config(
+            soil_table, tau=3600.0, t_max=4 * 3600.0, initial_temperature=-0.5, dirichlet={6: 5.0}
+        )
+        stepped, fresh = Simulation(cfg), Simulation(cfg)
+        for _ in range(3):
+            stepped.step()
+        assert stepped.field.previous is not None
+        start = TemperatureField(stepped.field.values.copy(), stepped.field.time)
+        stepped.field = start
+        fresh.field = start.copy()
+        assert stepped.field.previous is None
+        a, b = stepped.step(), fresh.step()
+        assert stepped.field.values.tobytes() == fresh.field.values.tobytes()
+        assert a.solver.iterations == b.solver.iterations

@@ -189,7 +189,7 @@ class TestMms:
         import cryoground.simulate as simulate
         from cryoground.linalg import SolveReport
 
-        def stall(a, b, x0, tol, max_iter):
+        def stall(a, b, x0, tol, max_iter, direction):
             return x0, SolveReport(max_iter, 1.0, False, 0.0)
 
         monkeypatch.setattr(simulate, "cg_solve", stall)
