@@ -2,16 +2,7 @@
 in heterogeneous ground, with seasonal freezing columns around warm wells.
 """
 
-from .fem import (
-    Assembler,
-    DirichletPlan,
-    LinearSystem,
-    TemperatureField,
-    cell_coefficients,
-    element_lumped_mass,
-    element_stiffness,
-    nodes_for_tags,
-)
+from .fem import Assembler, DirichletPlan, LinearSystem, TemperatureField, nodes_for_tags
 from .linalg import CsrMatrix, SolveReport, cg_solve
 from .mesh import (
     BoxMeshPlan,
@@ -31,11 +22,10 @@ from .physics import (
     PhaseModel,
     SeasonalForcing,
     air_temperature,
-    alpha_of_phi,
+    apparent_coefficients,
     columns_active,
     effective_capacity,
     frozen_thawed_coeffs,
-    lambda_of_phi,
     phi_delta,
     phi_delta_prime,
 )
@@ -71,19 +61,15 @@ __all__ = [
     "StepRecord",
     "TemperatureField",
     "air_temperature",
-    "alpha_of_phi",
+    "apparent_coefficients",
     "carve_box",
-    "cell_coefficients",
     "cg_solve",
     "columns_active",
     "effective_capacity",
-    "element_lumped_mass",
-    "element_stiffness",
     "erf",
     "frozen_thawed_coeffs",
     "generate_box",
     "initialize",
-    "lambda_of_phi",
     "neumann_lambda",
     "nodes_for_tags",
     "paint_region",

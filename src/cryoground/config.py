@@ -9,6 +9,7 @@ number of seconds or a number suffixed with s / d / y (seconds, days,
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .mesh import BoxMeshPlan, BoxMeshSpec
@@ -74,26 +75,32 @@ def _parse_sections(text: str, origin: str) -> dict[str, list[tuple[str, str, in
     return sections
 
 
+def _number(raw: str, where: str, what: str = "number") -> float:
+    """The finite float that ``raw`` spells; ``where`` names the file and
+    key, ``what`` the expected value in the error."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite {what}, got {raw!r}")
+    return value
+
+
 def _duration(value: str, where: str) -> float:
     v = value.strip()
     factor = 1.0
     if v and v[-1] in "sdy":
         factor = {"s": 1.0, "d": 86400.0, "y": 365.0 * 86400.0}[v[-1]]
         v = v[:-1]
-    try:
-        return float(v) * factor
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse duration {value!r}") from None
+    return _number(v, where, "duration") * factor
 
 
 def _floats(value: str, count: int, where: str) -> tuple[float, ...]:
     parts = value.split()
     if len(parts) != count:
         raise ConfigError(f"{where}: expected {count} numbers, got {value!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse numbers in {value!r}") from None
+    return tuple(_number(p, where) for p in parts)
 
 
 def _bool(value: str, where: str) -> bool:
@@ -150,6 +157,9 @@ class _Section:
     def get_all(self, key: str) -> list[str]:
         return [v for k, v, _ in self.items if k == key]
 
+    def number(self, key: str, default: str) -> float:
+        return _number(self.get(key, default), self.where(key))
+
 
 def _build_mesh_source(sec: _Section):
     sec.check_keys(_KNOWN_KEYS["mesh"])
@@ -190,10 +200,7 @@ def _build_material(sec: _Section) -> Material:
         raw = sec.get(key)
         if raw is None:
             raise ConfigError(f"{sec.where(key)}: required for kind = {kind}")
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{sec.where(key)}: cannot parse number {raw!r}") from None
+        return _number(raw, sec.where(key))
 
     if kind == "single_phase":
         return Material.single_phase(crho=num("crho"), lam=num("lambda"))
@@ -243,20 +250,20 @@ def parse_config(path) -> SimulationConfig:
     phase_sec = section("phase")
     phase_sec.check_keys(_KNOWN_KEYS["phase"])
     phase = PhaseModel(
-        t_star=float(phase_sec.get("t_star", "0.0")),
-        delta=float(phase_sec.get("delta", "1.0")),
-        latent_volumetric=float(phase_sec.get("latent_volumetric", "1.04e8")),
+        t_star=phase_sec.number("t_star", "0.0"),
+        delta=phase_sec.number("delta", "1.0"),
+        latent_volumetric=phase_sec.number("latent_volumetric", "1.04e8"),
     )
     table = MaterialTable(materials, phase)
 
     forcing_sec = section("forcing")
     forcing_sec.check_keys(_KNOWN_KEYS["forcing"])
     forcing = SeasonalForcing(
-        amplitude=float(forcing_sec.get("amplitude", "41.0")),
-        day_offset=float(forcing_sec.get("day_offset", "250.0")),
-        mean=float(forcing_sec.get("mean", "-10.2")),
-        seconds_per_day=float(forcing_sec.get("seconds_per_day", "86400.0")),
-        days_per_year=float(forcing_sec.get("days_per_year", "365.0")),
+        amplitude=forcing_sec.number("amplitude", "41.0"),
+        day_offset=forcing_sec.number("day_offset", "250.0"),
+        mean=forcing_sec.number("mean", "-10.2"),
+        seconds_per_day=forcing_sec.number("seconds_per_day", "86400.0"),
+        days_per_year=forcing_sec.number("days_per_year", "365.0"),
     )
 
     ctrl_sec = section("controller")
@@ -272,13 +279,9 @@ def parse_config(path) -> SimulationConfig:
     if col_temp_raw == AIR_VALUE:
         column_temperature = None
     else:
-        try:
-            column_temperature = float(col_temp_raw)
-        except ValueError:
-            raise ConfigError(
-                f"{ctrl_sec.where('column_temperature')}: expected 'air' or a number, "
-                f"got {col_temp_raw!r}"
-            ) from None
+        column_temperature = _number(
+            col_temp_raw, ctrl_sec.where("column_temperature"), "number or 'air'"
+        )
     try:
         controller = ColumnController(
             column_tags=column_tags,
@@ -296,7 +299,7 @@ def parse_config(path) -> SimulationConfig:
     time_sec.check_keys(_KNOWN_KEYS["time"])
     tau = _duration(time_sec.get("tau", "1d"), time_sec.where("tau"))
     t_max = _duration(time_sec.get("t_max", "5y"), time_sec.where("t_max"))
-    initial = float(time_sec.get("initial_temperature", "-5.0"))
+    initial = time_sec.number("initial_temperature", "-5.0")
     restart = time_sec.get("restart")
 
     dirichlet: dict[int, object] = {}
@@ -320,12 +323,9 @@ def parse_config(path) -> SimulationConfig:
             if value == AIR_VALUE:
                 dirichlet[tag] = AIR_VALUE
             else:
-                try:
-                    dirichlet[tag] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"{origin}:{lineno}: dirichlet value must be a number or 'air'"
-                    ) from None
+                dirichlet[tag] = _number(
+                    value, f"{origin}:{lineno}: [dirichlet] {key}", "number or 'air'"
+                )
 
     out_sec = section("output")
     out_sec.check_keys(_KNOWN_KEYS["output"])
@@ -356,7 +356,7 @@ def parse_config(path) -> SimulationConfig:
         output_dir=out_sec.get("directory"),
         write_vtk=_bool(out_sec.get("write_vtk", "true"), out_sec.where("write_vtk")),
         write_restart=_bool(out_sec.get("write_restart", "false"), out_sec.where("write_restart")),
-        solver_tol=float(solver_sec.get("tol", "1e-8")),
+        solver_tol=solver_sec.number("tol", "1e-8"),
         solver_max_iter=int(solver_sec.get("max_iter", "5000")),
         workers=int(solver_sec.get("workers", "1")),
     )

@@ -37,9 +37,9 @@ import numpy as np
 import scipy.sparse as _sp
 
 from .linalg import DOT_CHUNK, CgShares, CsrMatrix, csr_rows, matvec_into
-from .mesh import Mesh, _volumes, tet_volume
+from .mesh import Mesh, _volumes
 from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
-from .physics import FREEZING_POROUS, MaterialTable, frozen_thawed_coeffs
+from .physics import MaterialTable, apparent_coefficients, frozen_thawed_coeffs
 
 # cells per block of the element-geometry pass in Assembler.__init__
 _GEOMETRY_BLOCK = 4096
@@ -101,66 +101,6 @@ class LinearSystem:
 
     matrix: CsrMatrix
     rhs: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# single-cell operations
-# ---------------------------------------------------------------------------
-
-
-def _cell_gradients(mesh: Mesh, cell: int) -> tuple[np.ndarray, float]:
-    """Constant P1 basis gradients (3, 4) and the cell volume."""
-    vol = tet_volume(mesh, cell)  # raises on degenerate cells
-    p = mesh.nodes[mesh.cells[cell]]
-    e = p[1:] - p[0]  # rows: edge vectors
-    inv = np.linalg.inv(e)
-    g = np.empty((3, 4))
-    g[:, 1:] = inv
-    g[:, 0] = -inv.sum(axis=1)
-    return g, vol
-
-
-def element_stiffness(mesh: Mesh, cell: int, lam_cell: float) -> np.ndarray:
-    """4x4 stiffness block lam * V * (grad phi_i . grad phi_j).
-
-    Symmetric with zero row sums (gradients of the P1 partition of unity).
-    """
-    g, vol = _cell_gradients(mesh, cell)
-    return lam_cell * vol * (g.T @ g)
-
-
-def element_lumped_mass(mesh: Mesh, cell: int, c_cell: float) -> np.ndarray:
-    """Row-sum lumped capacity: each of the 4 nodes receives c * V / 4."""
-    vol = tet_volume(mesh, cell)
-    return np.full(4, c_cell * vol / 4.0)
-
-
-def cell_coefficients(
-    mesh: Mesh, cell: int, field_prev: TemperatureField, table: MaterialTable
-) -> tuple[float, float]:
-    """(effective capacity, conductivity) of one cell, frozen at the
-    previous time level.
-
-    The cell temperature is the arithmetic mean of the four nodal values of
-    field_prev; the region material supplies the frozen/thawed coefficients.
-    """
-    if len(field_prev.values) != mesh.n_nodes:
-        raise FemError(
-            f"field has {len(field_prev.values)} values for {mesh.n_nodes} nodes"
-        )
-    mat = table.for_region(mesh.cell_region[cell])
-    model = table.phase
-    t_cell = float(field_prev.values[mesh.cells[cell]].mean())
-    crm, crp, lamm, lamp = frozen_thawed_coeffs(mat)
-    phi = (t_cell - model.t_star + model.delta) / (2.0 * model.delta)
-    phi = min(max(phi, 0.0), 1.0)
-    lam_cell = lamm + phi * (lamp - lamm)
-    c_cell = crm + phi * (crp - crm)
-    if mat.kind == FREEZING_POROUS and (
-        model.t_star - model.delta < t_cell < model.t_star + model.delta
-    ):
-        c_cell += model.latent_volumetric / (2.0 * model.delta)
-    return c_cell, lam_cell
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +295,16 @@ class Assembler:
             shape=(mv, n),
             copy=False,
         )
-        coeffs = np.empty((5, mv))
+        coeffs = np.empty((4, mv))
         var_region = region[var]
         for tag, row in rows.items():
-            coeffs[:, var_region == tag] = row[:, None]
-        crm, crp, lamm, lamp, lat = coeffs
-        self._phase = model = table.phase
+            coeffs[:, var_region == tag] = row[:4, None]
+        crm, crp, lamm, lamp = coeffs
         self._crm, self._dcr = crm, crp - crm
         self._lamm, self._dlam = lamm, lamp - lamm
-        self._latd = lat / (2.0 * model.delta)
         # per-step buffers of the phase-change cells' values (each process
         # writes its own)
-        self._tm, self._phi, self._lam, self._c = np.empty((4, mv))
+        self._tm, self._lam, self._c = np.empty((3, mv))
         self._band = np.empty((2, mv), dtype=bool)
 
         self._whole = (
@@ -378,27 +316,6 @@ class Assembler:
         self._pool_workers = 0
 
     # -- per-step fill -----------------------------------------------------
-
-    def _coefficients(self, cells: slice):
-        """The coefficient law at the cell means self._tm[cells], written
-        into self._lam and self._c: phase fraction phi clipped to [0, 1],
-        lam and c interpolated between frozen and thawed, plus the latent
-        spike where the mean lies strictly inside the phase band."""
-        model = self._phase
-        tm, phi, lam, c = (a[cells] for a in (self._tm, self._phi, self._lam, self._c))
-        inside, below = (a[cells] for a in self._band)
-        np.subtract(tm, model.t_star, out=phi)
-        phi += model.delta
-        phi /= 2.0 * model.delta
-        np.clip(phi, 0.0, 1.0, out=phi)
-        np.multiply(phi, self._dlam[cells], out=lam)
-        lam += self._lamm[cells]
-        np.multiply(phi, self._dcr[cells], out=c)
-        c += self._crm[cells]
-        np.greater(tm, model.t_star - model.delta, out=inside)
-        np.less(tm, model.t_star + model.delta, out=below)
-        inside &= below
-        np.add(c, self._latd[cells], out=c, where=inside)
 
     def _fill(self, plan, tau: float, bufs):
         """K and M values of the plan's rows at the previous field; with
@@ -414,7 +331,14 @@ class Assembler:
         cells, slots, rows, cmean, gk, gm, diag = plan
         t_prev, k_out, m_out, rhs_out = bufs
         matvec_into(cmean, t_prev, self._tm[cells])
-        self._coefficients(cells)
+        # single-phase cells are constant, so every phase-change cell is
+        # freezing-porous and carries the phase model's latent heat
+        model = self.table.phase
+        apparent_coefficients(
+            self._tm[cells], model, self._crm[cells], self._dcr[cells], self._lamm[cells],
+            self._dlam[cells], model.latent_volumetric,
+            out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
+        )
         matvec_into(gk, self._lam, k_out[slots])
         k_out[slots] += self._k_const[slots]
         matvec_into(gm, self._c, m_out[rows])

@@ -99,46 +99,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.column_indices)
 
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "CsrMatrix":
-        """Build from triplets; duplicate (row, col) entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise LinalgError(f"triplet indices outside [0, {n})")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            key = rows * np.int64(n) + cols
-            uniq, inverse = np.unique(key, return_inverse=True)
-            merged = np.zeros(len(uniq))
-            np.add.at(merged, inverse, vals)
-            urows = (uniq // n).astype(np.int64)
-            ucols = (uniq % n).astype(np.int64)
-        else:
-            merged = vals
-            urows = rows
-            ucols = cols
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(offsets, urows + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return cls(offsets, ucols, merged)
-
-    @classmethod
-    def from_dense(cls, a) -> "CsrMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise LinalgError(f"need a square 2-d array, got shape {a.shape}")
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_offsets))
-        out[rows, self.column_indices] = self.values
-        return out
-
     def diagonal(self) -> np.ndarray:
         if self.diagonal_slots is not None:
             return self.values[self.diagonal_slots]
@@ -163,9 +123,6 @@ class CsrMatrix:
         out.values = values
         out.shares = shares
         return out
-
-    def copy(self) -> "CsrMatrix":
-        return CsrMatrix(self.row_offsets.copy(), self.column_indices.copy(), self.values.copy())
 
     def scipy_view(self):
         """scipy wrapper of this matrix that shares its values."""

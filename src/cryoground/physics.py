@@ -8,8 +8,10 @@ regularized over the band [t_star - delta, t_star + delta]: the fraction of
 thawed pore content ramps linearly from 0 to 1 across the band, and its
 derivative contributes the latent-heat spike to the effective capacity.
 
-All functions here are pure and accept either scalars or numpy arrays for
-the temperature argument; assembly workers call them concurrently.
+apparent_coefficients is the model's one coefficient law: the assembler
+evaluates it on every step at the cell-mean temperatures (each row share
+into its own buffers), and effective_capacity for one material.
+Temperatures may be scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -145,27 +147,45 @@ def frozen_thawed_coeffs(mat: Material) -> tuple[float, float, float, float]:
     return crho_minus, crho_plus, lam_minus, lam_plus
 
 
-def alpha_of_phi(phi, crho_minus: float, crho_plus: float):
-    """Volumetric capacity interpolated between frozen and thawed values."""
-    return crho_minus + np.multiply(phi, crho_plus - crho_minus)
+def apparent_coefficients(t, model: PhaseModel, crm, dcr, lamm, dlam, latent, out=None):
+    """Apparent volumetric capacity c and conductivity lam at temperatures t.
 
-
-def lambda_of_phi(phi, lam_minus: float, lam_plus: float):
-    """Conductivity interpolated between frozen and thawed values."""
-    return lam_minus + np.multiply(phi, lam_plus - lam_minus)
+    phi = (t - t_star + delta) / (2 delta) clipped to [0, 1],
+    lam = phi * dlam + lamm and c = phi * dcr + crm, plus latent / (2 delta)
+    strictly inside the band (both band ends belong to the outer branches).
+    crm, lamm are the frozen values and dcr, dlam the thawed minus the frozen
+    ones, scalars or arrays like t.  ``out`` = (c, lam, inside, below) are
+    float and bool arrays like t that receive c, lam and the band tests, so
+    that with a scalar latent nothing is allocated.  Returns (c, lam), as
+    floats for a scalar t.
+    """
+    if out is None:
+        shape = np.shape(t)
+        out = np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+    c, lam, inside, below = out
+    # c holds phi until lam is formed from it
+    np.subtract(t, model.t_star, out=c)
+    c += model.delta
+    c /= 2.0 * model.delta
+    np.clip(c, 0.0, 1.0, out=c)
+    np.multiply(c, dlam, out=lam)
+    lam += lamm
+    c *= dcr
+    c += crm
+    np.greater(t, model.t_star - model.delta, out=inside)
+    np.less(t, model.t_star + model.delta, out=below)
+    inside &= below
+    np.add(c, latent / (2.0 * model.delta), out=c, where=inside)
+    return (c, lam) if c.ndim else (float(c), float(lam))
 
 
 def effective_capacity(t, mat: Material, model: PhaseModel):
-    """Apparent volumetric heat capacity including the latent-heat spike.
-
-    alpha(phi(T)) + latent * phi'(T); the latent term is zero for
-    single-phase materials.
-    """
-    crho_minus, crho_plus, _, _ = frozen_thawed_coeffs(mat)
+    """Apparent volumetric heat capacity of a material, latent-heat spike
+    included (zero for single-phase materials): the c of
+    apparent_coefficients."""
+    crm, crp, lamm, lamp = frozen_thawed_coeffs(mat)
     latent = model.latent_volumetric if mat.kind == FREEZING_POROUS else 0.0
-    out = alpha_of_phi(phi_delta(t, model), crho_minus, crho_plus)
-    out = out + latent * np.asarray(phi_delta_prime(t, model))
-    return out if np.ndim(out) else float(out)
+    return apparent_coefficients(t, model, crm, crp - crm, lamm, lamp - lamm, latent)[0]
 
 
 @dataclass(frozen=True)

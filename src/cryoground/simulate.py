@@ -112,6 +112,8 @@ class SimulationConfig:
                     f"dirichlet value for tag {tag} must be a number, 'air' or a "
                     f"callable, got {value!r}"
                 )
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise SimulationError(f"dirichlet value for tag {tag} is not finite: {value}")
         if self.controller.mode == SEASONAL and self.controller.probe_point is None:
             raise SimulationError("seasonal controller needs a probe_point")
         if int(self.workers) < 1:

@@ -1,22 +1,25 @@
 """Cross-check the vectorized assembler against a brute-force element loop.
 
 The oracle builds the dense system cell by cell from the single-cell
-operations (element_stiffness, element_lumped_mass, cell_coefficients),
-which share no code with the grouped-scatter fast path.
+operations of fem_oracle (element_stiffness, element_lumped_mass,
+cell_coefficients), which share no code with the assembler's precomputed
+operators.
 """
 
 import numpy as np
 import pytest
 
-from cryoground.fem import (
-    Assembler,
-    TemperatureField,
-    cell_coefficients,
-    element_lumped_mass,
-    element_stiffness,
-)
+from cryoground.fem import Assembler, TemperatureField
 from cryoground.mesh import BoxMeshSpec, Mesh, carve_box, generate_box, paint_region
-from cryoground.physics import Material, MaterialTable, PhaseModel
+from cryoground.physics import (
+    Material,
+    MaterialTable,
+    PhaseModel,
+    apparent_coefficients,
+    frozen_thawed_coeffs,
+)
+
+from fem_oracle import cell_coefficients, element_lumped_mass, element_stiffness
 
 
 def dense_oracle(mesh, field, table, tau):
@@ -66,7 +69,7 @@ def test_assembler_matches_element_loop(two_material_table):
     system = Assembler(mesh, two_material_table).assemble(field, tau)
     a_exp, b_exp = dense_oracle(mesh, field, two_material_table, tau)
 
-    a_got = system.matrix.to_dense()
+    a_got = system.matrix.scipy_view().toarray()
     scale = np.abs(a_exp).max()
     assert np.abs(a_got - a_exp).max() <= 1e-12 * scale
     assert np.abs(system.rhs - b_exp).max() <= 1e-12 * np.abs(b_exp).max()
@@ -90,7 +93,8 @@ def test_assembler_matches_element_loop_with_source(two_material_table):
         vols[mesh.cells[cell]] += tet_volume(mesh, cell) / 4.0
     b_exp = b_exp + vols * source
 
-    assert np.abs(system.matrix.to_dense() - a_exp).max() <= 1e-12 * np.abs(a_exp).max()
+    a_got = system.matrix.scipy_view().toarray()
+    assert np.abs(a_got - a_exp).max() <= 1e-12 * np.abs(a_exp).max()
     assert np.abs(system.rhs - b_exp).max() <= 1e-12 * np.abs(b_exp).max()
 
 
@@ -105,3 +109,40 @@ def test_capacity_diagonal_matches_element_loop(two_material_table):
     nonzero = field.values != 0.0
     expected = np.where(nonzero, b / np.where(nonzero, field.values, 1.0), 0.0)
     assert np.abs(got[nonzero] - expected[nonzero]).max() <= 1e-9 * got.max()
+
+
+@pytest.mark.parametrize("porous", [True, False], ids=["freezing-porous", "single-phase"])
+def test_law_matches_element_oracle_bit_for_bit(reference_tet, porous):
+    """The coefficient law on per-cell arrays, called as the assembler calls
+    it, gives the oracle's c and lam bit for bit at both band ends, one step
+    inside each, at t_star and far outside: the band ends belong to the
+    outer branches, and the spike is latent / (2 delta), which differs from
+    latent * (1 / (2 delta)) in the last bit for this delta."""
+    model = PhaseModel(t_star=-0.3, delta=0.42, latent_volumetric=1.04e8)
+    if porous:
+        mat = Material.freezing_porous(0.4, 2.17e6, 2.42e6, 1.9e6, 2.43, 2.22, 2.2)
+    else:
+        mat = Material.single_phase(1.34e6, 0.47)
+    table = MaterialTable({1: mat}, model)
+    lo, hi = model.t_star - model.delta, model.t_star + model.delta
+    temps = np.array(
+        [-40.0, lo, np.nextafter(lo, hi), model.t_star, np.nextafter(hi, lo), hi, 40.0]
+    )
+    n = len(temps)
+    crm, crp, lamm, lamp = (np.full(n, v) for v in frozen_thawed_coeffs(mat))
+    out = np.empty(n), np.empty(n), np.empty(n, bool), np.empty(n, bool)
+    latent = table.latent_for(mat)
+    c, lam = apparent_coefficients(temps, model, crm, crp - crm, lamm, lamp - lamm, latent, out=out)
+
+    expected = np.array(
+        [cell_coefficients(reference_tet, 0, TemperatureField(np.full(4, t)), table) for t in temps]
+    )
+    assert c.tobytes() == expected[:, 0].tobytes()
+    assert lam.tobytes() == expected[:, 1].tobytes()
+    inside = np.array([False, False, True, True, True, False, False])
+    assert out[2].tolist() == inside.tolist()
+    if porous:
+        # the spike written as latent * (1 / (2 delta)) moves every inside value
+        base, _ = apparent_coefficients(temps, model, crm, crp - crm, lamm, lamp - lamm, 0.0)
+        other = base + latent * (1.0 / (2.0 * model.delta))
+        assert (c[inside] != other[inside]).all()

@@ -208,6 +208,41 @@ class TestRun:
         assert err.startswith("configuration error:")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("[solver]", "[forcing]\nmean = nan\n\n[solver]", "[forcing] mean"),
+            ("[solver]", "[forcing]\namplitude = inf\n\n[solver]", "[forcing] amplitude"),
+            ("latent_volumetric = 0", "latent_volumetric = 0\nt_star = nan", "[phase] t_star"),
+            ("latent_volumetric = 0", "latent_volumetric = 0\nt_star = abc", "[phase] t_star"),
+            ("latent_volumetric = 0", "latent_volumetric = nan", "[phase] latent_volumetric"),
+            ("6 = -20.0", "6 = nan", "[dirichlet] 6"),
+            (
+                "[solver]",
+                "[controller]\nmode = always_on\ncolumn_tags = 5\ncolumn_temperature = nan"
+                "\n\n[solver]",
+                "[controller] column_temperature",
+            ),
+            ("t_max = 36000", "t_max = inf", "[time] t_max"),
+            ("probes = 0 0 0", "probes = 0 nan 0", "[output] probes"),
+        ],
+        ids=[
+            "forcing-mean-nan", "forcing-amplitude-inf", "t_star-nan", "t_star-abc",
+            "latent-nan", "dirichlet-nan", "column-temperature-nan", "t_max-inf", "probe-nan",
+        ],
+    )
+    def test_nonfinite_number_is_config_error(self, tmp_path, capsys, old, new, key):
+        """A number that is not finite, or not a number, stops validate and
+        run with exit 2 and a message naming the file and the key."""
+        text = TINY_RUN.format(out=tmp_path / "out")
+        assert old in text
+        path = write(tmp_path, text.replace(old, new))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert str(path) in err and key in err
+
 
 class TestOracle:
     def test_neumann_csv(self, capsys):

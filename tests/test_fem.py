@@ -13,9 +13,6 @@ from cryoground.fem import (
     LinearSystem,
     TemperatureField,
     UnknownTagError,
-    cell_coefficients,
-    element_lumped_mass,
-    element_stiffness,
     nodes_for_tags,
 )
 from cryoground.linalg import CsrMatrix, cg_solve
@@ -32,6 +29,7 @@ from cryoground.physics import Material, MaterialTable, UnknownRegionError
 from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
 
+from fem_oracle import cell_coefficients, csr, element_lumped_mass, element_stiffness
 from test_assembly_oracle import lumpy_mesh
 
 
@@ -120,7 +118,7 @@ class TestAssemble:
         system = Assembler(reference_tet, plain_table).assemble(np.zeros(4), tau=1.0)
         k = element_stiffness(reference_tet, 0, 1.0)
         expected = k + np.eye(4) / 24.0
-        assert np.allclose(system.matrix.to_dense(), expected, atol=1e-15)
+        assert np.allclose(system.matrix.scipy_view().toarray(), expected, atol=1e-15)
         assert np.array_equal(system.rhs, np.zeros(4))
 
     def test_uniform_field_is_steady(self, unit_box, plain_table):
@@ -140,7 +138,7 @@ class TestAssemble:
         asm = Assembler(unit_box, soil_table)
         kv = asm.stiffness_values(field)
         k = CsrMatrix(asm.row_offsets, asm.column_indices, kv)
-        kd = k.to_dense()
+        kd = k.scipy_view().toarray()
         assert np.abs(kd - kd.T).max() == 0.0
         scale = np.abs(kd).max()
         assert np.abs(kd.sum(axis=1)).max() <= 1e-9 * scale
@@ -393,24 +391,22 @@ class TestCollectDirichlet:
 
 class TestApplyDirichlet:
     def test_1x1(self):
-        system = LinearSystem(CsrMatrix.from_dense([[3.0]]), np.array([7.0]))
+        system = LinearSystem(csr([[3.0]]), np.array([7.0]))
         DirichletPlan(system.matrix, np.array([0])).apply(system, np.array([5.0]))
-        assert system.matrix.to_dense().tolist() == [[1.0]]
+        assert system.matrix.scipy_view().toarray().tolist() == [[1.0]]
         assert system.rhs.tolist() == [5.0]
 
     def test_2x2_hand_elimination(self):
-        system = LinearSystem(
-            CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]), np.zeros(2)
-        )
+        system = LinearSystem(csr([[2.0, -1.0], [-1.0, 2.0]]), np.zeros(2))
         DirichletPlan(system.matrix, np.array([0])).apply(system, np.array([1.0]))
-        assert system.matrix.to_dense().tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert system.matrix.scipy_view().toarray().tolist() == [[1.0, 0.0], [0.0, 2.0]]
         assert system.rhs.tolist() == [1.0, 1.0]
 
     def test_constrain_everything(self, reference_tet, plain_table):
         system = Assembler(reference_tet, plain_table).assemble(np.zeros(4), tau=1.0)
         g = np.array([1.0, 2.0, 3.0, 4.0])
         DirichletPlan(system.matrix, np.arange(4)).apply(system, g)
-        assert np.array_equal(system.matrix.to_dense(), np.eye(4))
+        assert np.array_equal(system.matrix.scipy_view().toarray(), np.eye(4))
         assert np.array_equal(system.rhs, g)
 
     def test_preserves_symmetry_exactly(self, unit_box, soil_table):
@@ -419,7 +415,7 @@ class TestApplyDirichlet:
         system = Assembler(unit_box, soil_table).assemble(field, tau=3600.0)
         nodes = nodes_for_tags(unit_box, [5, 6])
         DirichletPlan(system.matrix, nodes).apply(system, rng.uniform(-20, 5, len(nodes)))
-        dense = system.matrix.to_dense()
+        dense = system.matrix.scipy_view().toarray()
         assert np.abs(dense - dense.T).max() == 0.0
 
     def test_matches_penalty_method(self, unit_box, plain_table):
@@ -436,7 +432,7 @@ class TestApplyDirichlet:
         assert rep.converged
 
         penalty = asm.assemble(field, tau)
-        dense = penalty.matrix.to_dense()
+        dense = penalty.matrix.scipy_view().toarray()
         b = penalty.rhs.copy()
         big = 1e12
         for node, value in zip(nodes, g):
@@ -447,7 +443,7 @@ class TestApplyDirichlet:
         assert np.abs(x_elim - x_pen).max() <= 1e-6 * denom
 
     def test_structurally_unsymmetric_rejected(self):
-        m = CsrMatrix.from_coo(2, [0, 0], [0, 1], [1.0, 2.0])  # missing (1, 0)
+        m = csr(([1.0, 2.0], ([0, 0], [0, 1])), shape=(2, 2))  # missing (1, 0)
         with pytest.raises(FemError, match="symmetric"):
             DirichletPlan(m, np.array([0]))
 

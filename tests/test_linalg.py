@@ -17,6 +17,8 @@ from cryoground.linalg import (
     padded_length,
 )
 
+from fem_oracle import csr
+
 
 def random_sparse(n, density, rng, symmetric=False):
     a = rng.random((n, n))
@@ -27,27 +29,19 @@ def random_sparse(n, density, rng, symmetric=False):
 
 
 class TestCsrMatrix:
-    def test_from_dense_roundtrip(self):
+    def test_scipy_view_roundtrip(self):
         rng = np.random.default_rng(0)
         a = random_sparse(12, 0.3, rng)
-        m = CsrMatrix.from_dense(a)
-        assert np.array_equal(m.to_dense(), a)
-
-    def test_from_coo_sums_duplicates(self):
-        m = CsrMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
-        assert m.to_dense().tolist() == [[0.0, 5.0], [4.0, 0.0]]
+        m = csr(a)
+        assert np.array_equal(m.scipy_view().toarray(), a)
 
     def test_diagonal(self):
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
-        assert CsrMatrix.from_dense(a).diagonal().tolist() == [4.0, 3.0]
+        assert csr(a).diagonal().tolist() == [4.0, 3.0]
 
     def test_invalid_offsets(self):
         with pytest.raises(LinalgError):
             CsrMatrix(np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
-
-    def test_bad_triplet_index(self):
-        with pytest.raises(LinalgError):
-            CsrMatrix.from_coo(2, [0, 5], [0, 0], [1.0, 1.0])
 
 
 class TestSpmv:
@@ -55,12 +49,12 @@ class TestSpmv:
     solver calls it on row blocks through linalg.matvec_into)."""
 
     def test_identity(self):
-        m = CsrMatrix.from_dense(np.eye(5))
+        m = csr(np.eye(5))
         x = np.arange(5.0)
         assert np.array_equal(m.scipy_view() @ x, x)
 
     def test_2x2(self):
-        m = CsrMatrix.from_dense([[4.0, 1.0], [1.0, 3.0]])
+        m = csr([[4.0, 1.0], [1.0, 3.0]])
         assert (m.scipy_view() @ np.array([1.0, 2.0])).tolist() == [6.0, 7.0]
 
     def test_zero_matrix(self):
@@ -68,7 +62,7 @@ class TestSpmv:
         assert np.array_equal(m.scipy_view() @ np.ones(5), np.zeros(5))
 
     def test_dimension_mismatch(self):
-        m = CsrMatrix.from_dense(np.eye(3))
+        m = csr(np.eye(3))
         with pytest.raises(ValueError, match="mismatch"):
             m.scipy_view() @ np.ones(4)
 
@@ -81,7 +75,7 @@ class TestSpmv:
         a = random_sparse(50, 0.1, rng)
         a[7, :] = 0.0
         a[-1, :] = 0.0
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         x = rng.random(50)
         view = m.scipy_view()
         bounds = np.linspace(0, m.n, min(blocks, m.n) + 1).astype(int)
@@ -91,7 +85,7 @@ class TestSpmv:
     def test_matches_dense(self):
         rng = np.random.default_rng(1)
         a = random_sparse(40, 0.2, rng)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         x = rng.random(40)
         assert np.allclose(m.scipy_view() @ x, a @ x, rtol=1e-13, atol=1e-13)
 
@@ -104,7 +98,7 @@ class TestSpmv:
         rng = np.random.default_rng(5)
         a = random_sparse(300, 0.05, rng)
         a[11, :] = 0.0
-        view = CsrMatrix.from_dense(a).scipy_view()
+        view = csr(a).scipy_view()
         x = rng.standard_normal(300)
         out = np.full(300, np.nan)
         matvec_into(view, x, out)
@@ -234,20 +228,20 @@ def test_cg_shares_reject_cuts_off_chunks(bounds):
 
 class TestCgSolve:
     def test_identity_one_iteration(self):
-        m = CsrMatrix.from_dense(np.eye(6))
+        m = csr(np.eye(6))
         b = np.arange(1.0, 7.0)
         x, report = cg_solve(m, b)
         assert report.converged and report.iterations <= 1
         assert np.allclose(x, b, atol=1e-12)
 
     def test_2x2_exact(self):
-        m = CsrMatrix.from_dense([[4.0, 1.0], [1.0, 3.0]])
+        m = csr([[4.0, 1.0], [1.0, 3.0]])
         x, report = cg_solve(m, np.array([1.0, 2.0]), tol=1e-12)
         assert report.converged
         assert x == pytest.approx([1.0 / 11.0, 7.0 / 11.0], abs=1e-10)
 
     def test_zero_rhs_zero_start(self):
-        m = CsrMatrix.from_dense([[4.0, 1.0], [1.0, 3.0]])
+        m = csr([[4.0, 1.0], [1.0, 3.0]])
         x, report = cg_solve(m, np.zeros(2), x0=np.zeros(2))
         assert report.converged and report.iterations == 0
         assert np.array_equal(x, np.zeros(2))
@@ -258,7 +252,7 @@ class TestCgSolve:
         n = int(rng.integers(5, 51))
         g = rng.random((n, n))
         a = g.T @ g + n * np.eye(n)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         b = rng.random(n)
         x, report = cg_solve(m, b, tol=1e-12, max_iter=2 * n)
         assert report.converged, f"n={n}: residual {report.residual}"
@@ -269,7 +263,7 @@ class TestCgSolve:
         rng = np.random.default_rng(7)
         g = rng.random((30, 30))
         a = g.T @ g + 30 * np.eye(30)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         b = rng.random(30)
         x, report = cg_solve(m, b, tol=1e-10)
         recomputed = np.linalg.norm(b - m.scipy_view() @ x) / np.linalg.norm(b)
@@ -279,7 +273,7 @@ class TestCgSolve:
         rng = np.random.default_rng(11)
         g = rng.random((25, 25))
         a = g.T @ g + 25 * np.eye(25)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         b = rng.random(25)
         x, report = cg_solve(m, b, tol=1e-9)
         assert report.converged
@@ -289,7 +283,7 @@ class TestCgSolve:
         rng = np.random.default_rng(5)
         g = rng.random((40, 40))
         a = g.T @ g + 0.01 * np.eye(40)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         x, report = cg_solve(m, rng.random(40), tol=1e-14, max_iter=2)
         assert not report.converged
         assert report.iterations == 2
@@ -297,18 +291,18 @@ class TestCgSolve:
     def test_zero_diagonal_rejected(self):
         a = np.array([[0.0, 1.0], [1.0, 3.0]])
         with pytest.raises(SpdViolationError, match="row 0"):
-            cg_solve(CsrMatrix.from_dense(a), np.ones(2))
+            cg_solve(csr(a), np.ones(2))
 
     def test_negative_diagonal_rejected(self):
         a = np.array([[2.0, 0.0], [0.0, -3.0]])
         with pytest.raises(SpdViolationError, match="row 1"):
-            cg_solve(CsrMatrix.from_dense(a), np.ones(2))
+            cg_solve(csr(a), np.ones(2))
 
     def test_warm_start_steady(self):
         rng = np.random.default_rng(9)
         g = rng.random((20, 20))
         a = g.T @ g + 20 * np.eye(20)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         x_true = rng.random(20)
         b = a @ x_true
         x, report = cg_solve(m, b, x0=x_true.copy(), tol=1e-10)
@@ -324,7 +318,7 @@ def _spd(seed, n=30):
 class TestProjectedStart:
     def test_exact_correction_converges_in_zero_iterations(self):
         rng, a = _spd(21)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         x_true, x0 = rng.random(30), rng.random(30)
         b = a @ x_true
         x, report = cg_solve(m, b, x0=x0, tol=1e-10, direction=x_true - x0)
@@ -337,7 +331,7 @@ class TestProjectedStart:
 
     def test_zero_direction_same_bits_as_none(self):
         rng, a = _spd(22)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         b, x0 = rng.random(30), rng.random(30)
         x, report = cg_solve(m, b, x0=x0, tol=1e-12)
         xd, reportd = cg_solve(m, b, x0=x0, tol=1e-12, direction=np.zeros(30))
@@ -349,7 +343,7 @@ class TestProjectedStart:
         """max_iter = 0 returns the start: its A-norm error is at most that of
         x0 (theta = 0) and of x0 + d (theta = 1), up to rounding."""
         rng, a = _spd(100 + seed)
-        m = CsrMatrix.from_dense(a)
+        m = csr(a)
         x_true, x0 = rng.random(30), rng.random(30)
         d = (x_true - x0) * rng.uniform(0.0, 3.0) + rng.standard_normal(30) * rng.uniform(0.0, 1.0)
         start, report = cg_solve(m, a @ x_true, x0=x0, tol=1e-14, max_iter=0, direction=d)
@@ -364,6 +358,6 @@ class TestProjectedStart:
         assert best <= a_norm_error(x0 + d) * (1.0 + 1e-12)
 
     def test_direction_shape_checked(self):
-        m = CsrMatrix.from_dense(np.eye(3))
+        m = csr(np.eye(3))
         with pytest.raises(LinalgError, match="direction shape"):
             cg_solve(m, np.ones(3), direction=np.ones(4))

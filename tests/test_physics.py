@@ -14,11 +14,10 @@ from cryoground.physics import (
     SeasonalForcing,
     UnknownRegionError,
     air_temperature,
-    alpha_of_phi,
+    apparent_coefficients,
     columns_active,
     effective_capacity,
     frozen_thawed_coeffs,
-    lambda_of_phi,
     phi_delta,
     phi_delta_prime,
 )
@@ -108,26 +107,41 @@ class TestMixtures:
             table.for_region(99)
 
 
+def law(t, crm, crp, lamm, lamp, latent=0.0):
+    return apparent_coefficients(t, MODEL, crm, crp - crm, lamm, lamp - lamm, latent)
+
+
 class TestInterpolants:
+    """The frozen/thawed interpolation of apparent_coefficients (band
+    [-1, 1] of MODEL, whose ends belong to the outer branches)."""
+
     def test_endpoints(self):
-        assert alpha_of_phi(0.0, 1e6, 3e6) == 1e6
-        assert alpha_of_phi(1.0, 1e6, 3e6) == 3e6
-        assert lambda_of_phi(1.0, 2.2, 0.6) == pytest.approx(0.6)
+        assert law(-1.0, 1e6, 3e6, 2.2, 0.6)[0] == 1e6
+        assert law(1.0, 1e6, 3e6, 2.2, 0.6)[0] == 3e6
+        assert law(1.0, 1e6, 3e6, 2.2, 0.6)[1] == pytest.approx(0.6)
 
     def test_interior(self):
-        assert alpha_of_phi(0.25, 1e6, 3e6) == pytest.approx(1.5e6)
+        assert law(-0.5, 1e6, 3e6, 2.2, 0.6)[0] == pytest.approx(1.5e6)
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=50)
-    def test_affine(self, p1, p2, p3):
+    def test_affine(self, t1, t2, t3):
         # three-point collinearity: second differences vanish
-        ps = sorted([p1, p2, p3])
-        ys = [alpha_of_phi(p, 1e6, 3e6) for p in ps]
-        lhs = (ys[2] - ys[0]) * 1.0
+        ts = sorted([t1, t2, t3])
+        ys = [law(t, 1e6, 3e6, 2.2, 0.6)[0] for t in ts]
         interp = ys[0] + (ys[2] - ys[0]) * (
-            0.0 if ps[2] == ps[0] else (ps[1] - ps[0]) / (ps[2] - ps[0])
+            0.0 if ts[2] == ts[0] else (ts[1] - ts[0]) / (ts[2] - ts[0])
         )
         assert ys[1] == pytest.approx(interp, abs=1e-6 * 3e6)
+
+    def test_writes_into_caller_arrays(self):
+        t = np.array([-5.0, -1.0, 0.0, 0.5, 1.0, 5.0])
+        out = np.empty(6), np.empty(6), np.empty(6, bool), np.empty(6, bool)
+        c, lam = apparent_coefficients(t, MODEL, 1e6, 2e6, 2.2, -1.6, 1.04e8, out=out)
+        assert c is out[0] and lam is out[1]
+        expected = law(t, 1e6, 3e6, 2.2, 0.6, 1.04e8)
+        assert c.tobytes() == expected[0].tobytes() and lam.tobytes() == expected[1].tobytes()
+        assert out[2].tolist() == [False, False, True, True, False, False]
 
 
 class TestEffectiveCapacity:
@@ -147,7 +161,7 @@ class TestEffectiveCapacity:
         for t in np.linspace(-3, 3, 13):
             crm, crp, _, _ = frozen_thawed_coeffs(soil)
             assert effective_capacity(t, soil, model) == pytest.approx(
-                alpha_of_phi(phi_delta(t, model), crm, crp)
+                crm + phi_delta(t, model) * (crp - crm)
             )
 
     def test_single_phase_has_no_spike(self):

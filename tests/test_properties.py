@@ -46,7 +46,7 @@ def test_dirichlet_elimination_properties(seed):
     values = rng.uniform(-30.0, 30.0, k)
     DirichletPlan(system.matrix, nodes).apply(system, values)
 
-    dense = system.matrix.to_dense()
+    dense = system.matrix.scipy_view().toarray()
     assert np.abs(dense - dense.T).max() == 0.0
     eigs = np.linalg.eigvalsh(dense)
     assert eigs.min() > 0.0

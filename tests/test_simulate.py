@@ -63,6 +63,11 @@ class TestInitialize:
         with pytest.raises(SimulationError, match="tag 6"):
             initialize(box_config(plain_table, dirichlet={6: "hot"}))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=str)
+    def test_nonfinite_dirichlet_value_rejected(self, plain_table, value):
+        with pytest.raises(SimulationError, match="tag 6 is not finite"):
+            initialize(box_config(plain_table, dirichlet={6: value}))
+
 
 class TestStep:
     def test_callable_dirichlet_evaluated_on_tag_nodes(self, plain_table):
