@@ -87,6 +87,15 @@ def _number(raw: str, where: str, what: str = "number") -> float:
     return value
 
 
+def _integer(raw: str, where: str) -> int:
+    """The int that ``raw`` spells (a fraction is an error, not truncated);
+    ``where`` names the file and key in the error."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+
+
 def _duration(value: str, where: str) -> float:
     v = value.strip()
     factor = 1.0
@@ -177,8 +186,10 @@ def _build_mesh_source(sec: _Section):
         div_raw = sec.get("divisions")
         if div_raw is None:
             raise ConfigError(f"{sec.where('divisions')}: required for type = box")
-        divisions = tuple(int(v) for v in _floats(div_raw, 3, sec.where("divisions")))
-        region = int(sec.get("region", "1"))
+        if len(div_raw.split()) != 3:
+            raise ConfigError(f"{sec.where('divisions')}: expected 3 integers, got {div_raw!r}")
+        divisions = tuple(_integer(v, sec.where("divisions")) for v in div_raw.split())
+        region = _integer(sec.get("region", "1"), sec.where("region"))
         paint = tuple(_tagged_bounds(v, sec.where("paint")) for v in sec.get_all("paint"))
         carve = tuple(_tagged_bounds(v, sec.where("carve")) for v in sec.get_all("carve"))
         spec = BoxMeshSpec(extents, divisions)
@@ -270,7 +281,7 @@ def parse_config(path) -> SimulationConfig:
     ctrl_sec.check_keys(_KNOWN_KEYS["controller"])
     mode = ctrl_sec.get("mode", "always_off")
     tags_raw = ctrl_sec.get("column_tags", "")
-    column_tags = frozenset(int(v) for v in tags_raw.split()) if tags_raw.strip() else frozenset()
+    column_tags = frozenset(_integer(v, ctrl_sec.where("column_tags")) for v in tags_raw.split())
     probe_raw = ctrl_sec.get("probe_point")
     probe_point = (
         _floats(probe_raw, 3, ctrl_sec.where("probe_point")) if probe_raw is not None else None
@@ -311,7 +322,7 @@ def parse_config(path) -> SimulationConfig:
                 raise ConfigError(f"{origin}:{lineno}: surface must be 'none' or 'air'")
             surface = value
         elif key == "surface_tag":
-            surface_tag = int(value)
+            surface_tag = _integer(value, f"{origin}:{lineno}: [dirichlet] {key}")
         else:
             try:
                 tag = int(key)
@@ -351,14 +362,14 @@ def parse_config(path) -> SimulationConfig:
         dirichlet=dirichlet,
         surface=surface,
         surface_tag=surface_tag,
-        cadence=int(out_sec.get("cadence", "1")),
+        cadence=_integer(out_sec.get("cadence", "1"), out_sec.where("cadence")),
         probe_points=probe_points,
         output_dir=out_sec.get("directory"),
         write_vtk=_bool(out_sec.get("write_vtk", "true"), out_sec.where("write_vtk")),
         write_restart=_bool(out_sec.get("write_restart", "false"), out_sec.where("write_restart")),
         solver_tol=solver_sec.number("tol", "1e-8"),
-        solver_max_iter=int(solver_sec.get("max_iter", "5000")),
-        workers=int(solver_sec.get("workers", "1")),
+        solver_max_iter=_integer(solver_sec.get("max_iter", "5000"), solver_sec.where("max_iter")),
+        workers=_integer(solver_sec.get("workers", "1"), solver_sec.where("workers")),
     )
     try:
         config.validate()

@@ -14,8 +14,9 @@ linearization and cannot produce negative lumped entries.
 
 K and M are linear in the per-cell coefficients, so the Assembler
 precomputes, per mesh, sparse operators from the element geometry: G_K
-(CSR slots x cells, its rows found by one stable sort of the entries'
-(row, col) keys), G_M (nodes x cells) and the cell-mean operator C (cells
+(CSR slots x cells, built by one stable sort of the keys of the 10
+upper-triangle entries of each element matrix and mirrored, as K is
+symmetric), G_M (nodes x cells) and the cell-mean operator C (cells
 x nodes).  Cells whose coefficients do not depend on the temperature (the
 single-phase layers) contribute a fixed share K_const and M_const, summed
 once; the operators keep only the phase-change cells.  A step is then
@@ -115,7 +116,8 @@ def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, column: n
     the operator's column column[c].  One stable sort lists each key's
     entries contiguously in entry order (so in ascending cell order); row i
     of the operator holds the entries of the i-th smallest key.  Returns
-    (operator, distinct keys ascending); the index arrays are int32.
+    (operator, distinct keys ascending); the index arrays are int32.  G_K
+    takes the 10 upper-triangle entries per cell, G_M the 4 node entries.
     """
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -132,6 +134,22 @@ def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, column: n
         (data, column[order], indptr), shape=(len(indptr) - 1, len(column)), copy=False
     )
     return op, slot_keys
+
+
+def _element_matrices(p: np.ndarray, first: int):
+    """Volumes and V * (grad_i . grad_j) (k, 4, 4) of the tets with corners p
+    (k, 4, 3), cell ``first`` first; the gradients are the adjugate (cross
+    products of the edges) over the determinant."""
+    e = p[:, 1:] - p[:, :1]
+    adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # rows e2 x e3, e3 x e1, e1 x e2
+    det = np.einsum("mk,mk->m", e[:, 0], adj[:, 0])
+    vols = _volumes(p, first=first, det=det)  # raises on degenerate cells
+    grads = np.empty((len(p), 3, 4))
+    np.divide(adj.transpose(0, 2, 1), det[:, None, None], out=grads[:, :, 1:])
+    grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
+    kmat = np.einsum("mki,mkj->mij", grads, grads)
+    kmat *= vols[:, None, None]
+    return vols, kmat
 
 
 def _leading_columns(op, ncols: int):
@@ -162,9 +180,13 @@ class Assembler:
     and thawed capacity and conductivity agree and it carries no latent
     heat (the material kind is not consulted), else a phase-change cell.
     - G_K (nnz x phase-change cells): K_vals = G_K @ lam_cell + K_const; its
-      rows are the CSR slots of the pattern, found by one stable sort of the
-      (row, col) keys of all element entries; K_const sums the constant
-      cells' entries once, in the same storage order;
+      rows are the CSR slots of the pattern.  One stable sort of the
+      (min node, max node) keys of the 10 upper-triangle entries of each
+      element matrix gives the upper operator; the pattern is its keys plus
+      the transposes of the off-diagonal ones, and slot s takes upper row
+      mirror[s] (the row a sort of all 16 entries gives, as the element
+      matrices are bitwise symmetric); K_const sums the constant cells'
+      entries once, in the same storage order;
     - G_M (nodes x phase-change cells): M = G_M @ c_cell + M_const;
     - C (phase-change cells x nodes): their mean temperatures C @ T.
     Without constant cells K_const and M_const are zero; without
@@ -221,32 +243,32 @@ class Assembler:
         # cells, each kind in cell order
         column = np.where(var, np.cumsum(var) - 1, mv + np.cumsum(~var) - 1).astype(np.int32)
 
-        # element geometry, a block of cells at a time so that the per-cell
-        # temporaries stay small; kgeom holds V * (grad . grad).  The
-        # gradients are the columns of the inverse edge matrix, the
-        # adjugate (cross products of the edges) over the determinant.
+        # element geometry in blocks of cells, so that the temporaries stay
+        # small; K is symmetric, so kgeom and keys keep the 10 upper-triangle
+        # entries (li <= lj) per cell: V * (grad . grad), min * n + max node
+        li, lj = np.triu_indices(4)
         vols = np.empty(m)
-        kgeom = np.empty((m, 16))
+        kgeom = np.empty((m, 10))
+        keys = np.empty((m, 10), dtype=np.int64)
         for c0 in range(0, m, _GEOMETRY_BLOCK):
             block = slice(c0, c0 + _GEOMETRY_BLOCK)
-            p = mesh.nodes[cells[block]]
-            e = p[:, 1:] - p[:, :1]
-            adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # rows e2 x e3, e3 x e1, e1 x e2
-            det = np.einsum("mk,mk->m", e[:, 0], adj[:, 0])
-            vols[block] = _volumes(p, first=c0, det=det)  # raises on degenerate cells
-            grads = np.empty((len(p), 3, 4))
-            np.divide(adj.transpose(0, 2, 1), det[:, None, None], out=grads[:, :, 1:])
-            grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
-            # no view of kgeom outlives the loop, so that del frees it below
-            np.einsum("mki,mkj->mij", grads, grads, out=kgeom[block].reshape(-1, 4, 4))
-            kgeom[block] *= vols[block, None]
+            vols[block], kmat = _element_matrices(mesh.nodes[cells[block]], c0)
+            kgeom[block] = kmat[:, li, lj]
+            a, b = cells[block][:, li], cells[block][:, lj]
+            keys[block] = np.minimum(a, b) * n + np.maximum(a, b)
+        del kmat, a, b
 
-        # G_K and the CSR pattern from one sort of the 16 (row, col) keys of
-        # every element block (entry 16 c + 4 i + j)
-        gk, keys = _sum_operator(
-            (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel(), kgeom.ravel(), 16, column
-        )
-        del kgeom
+        # G_K over the upper triangle (row u: the u-th smallest upper key)
+        gk, ukeys = _sum_operator(keys.ravel(), kgeom.ravel(), 10, column)
+        del kgeom, keys
+        # the full pattern: the upper keys and the transposes of the strict
+        # upper ones, from one sort; mirror[s] is the upper row of slot s
+        strict = np.flatnonzero(ukeys // n != ukeys % n)
+        keys = np.concatenate([ukeys, ukeys[strict] % n * n + ukeys[strict] // n])
+        order = np.argsort(keys)
+        keys = keys[order]
+        mirror = np.concatenate([np.arange(len(ukeys)), strict])[order]
+        del ukeys, strict, order
         self.nnz = nnz = len(keys)
         self.column_indices = keys % n
         urows = keys // n
@@ -272,9 +294,12 @@ class Assembler:
         fixed = np.zeros((2, m))
         for tag in const_tags:
             fixed[:, column[region == tag]] = rows[tag][[2, 0], None]
-        self._k_const = gk @ fixed[0]
-        self._gk = _leading_columns(gk, mv)
-        del gk
+        # K_const and G_K gather upper rows through mirror; rebinding gk frees
+        # the all-columns operator before the G_K gather
+        self._k_const = (gk @ fixed[0])[mirror]
+        gk = _leading_columns(gk, mv)
+        self._gk = gk[mirror]
+        del gk, mirror
 
         # G_M (4 entries per cell onto node rows, each V / 4) and the
         # geometric lumped volumes (for source terms)

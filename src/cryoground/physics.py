@@ -16,7 +16,8 @@ Temperatures may be scalars or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +33,14 @@ class UnknownRegionError(PhysicsError):
     """A mesh region tag with no material assigned."""
 
 
+def _check_finite(obj, *names: str):
+    """Raise PhysicsError naming the first of the fields that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise PhysicsError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhaseModel:
     """Phase-change temperature, smoothing half-width and volumetric latent heat."""
@@ -41,6 +50,7 @@ class PhaseModel:
     latent_volumetric: float = 1.04e8
 
     def __post_init__(self):
+        _check_finite(self, "t_star", "delta", "latent_volumetric")
         if not self.delta > 0:
             raise PhysicsError(f"delta must be > 0, got {self.delta}")
         if self.latent_volumetric < 0:
@@ -66,6 +76,9 @@ class Material:
     lambda_i: float = 0.0
     crho: float = 0.0
     lam: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self, *(f.name for f in fields(self) if f.name != "kind"))
 
     @classmethod
     def freezing_porous(
@@ -200,6 +213,9 @@ class SeasonalForcing:
     days_per_year: float = 365.0
 
     def __post_init__(self):
+        _check_finite(
+            self, "amplitude", "day_offset", "mean", "seconds_per_day", "days_per_year"
+        )
         if not self.seconds_per_day > 0:
             raise PhysicsError(f"seconds_per_day must be > 0, got {self.seconds_per_day}")
         if not self.days_per_year > 0:
@@ -247,6 +263,8 @@ class ColumnController:
             raise PhysicsError(f"controller mode must be one of {_MODES}, got {self.mode!r}")
         if self.mode != ALWAYS_OFF and not self.column_tags:
             raise PhysicsError(f"column_tags must be nonempty for mode {self.mode!r}")
+        if self.column_temperature is not None:
+            _check_finite(self, "column_temperature")
 
 
 def columns_active(

@@ -5,11 +5,18 @@ test_assembly_oracle and the unit tests of the element operations.
 They share no code with the assembler's precomputed operators or with
 physics.apparent_coefficients, so agreement between the two is evidence,
 not a tautology.  ``csr`` builds the package's CsrMatrix through scipy.
+
+``full_sort_setup`` is different: it is the assembler's setup as it was
+before the stiffness operator was built from the upper triangle of each
+element matrix, one stable sort of all 16 (row, col) keys per cell.  It
+shares the element geometry and the sort with the assembler, so it checks
+the mirroring and nothing else.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+import cryoground.fem as fem
 from cryoground.fem import FemError, TemperatureField
 from cryoground.linalg import CsrMatrix
 from cryoground.mesh import Mesh, tet_volume
@@ -78,3 +85,42 @@ def cell_coefficients(
     ):
         c_cell += model.latent_volumetric / (2.0 * model.delta)
     return c_cell, lam_cell
+
+
+def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
+    """The CSR pattern, diagonal slots, G_K, K_const and element matrices
+    (cells, 4, 4) of an Assembler built from one stable sort of the 16
+    (row, col) keys of every element matrix (entry 16 c + 4 i + j), with the
+    geometry in blocks of fem._GEOMETRY_BLOCK cells."""
+    m, n, cells = mesh.n_cells, mesh.n_nodes, mesh.cells
+    # a constant cell's lam: equal frozen and thawed values, no latent heat
+    lam_const = {}
+    for tag, mat in table.materials.items():
+        crm, crp, lamm, lamp = frozen_thawed_coeffs(mat)
+        if crp == crm and lamp == lamm and table.latent_for(mat) == 0.0:
+            lam_const[tag] = lamm
+    var = ~np.isin(mesh.cell_region, list(lam_const))
+    mv = int(np.count_nonzero(var))
+    column = np.where(var, np.cumsum(var) - 1, mv + np.cumsum(~var) - 1).astype(np.int32)
+    block = fem._GEOMETRY_BLOCK
+    kmat = np.concatenate([
+        fem._element_matrices(mesh.nodes[cells[c0 : c0 + block]], c0)[1]
+        for c0 in range(0, m, block)
+    ])
+    gk, keys = fem._sum_operator(
+        (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel(), kmat.ravel(), 16, column
+    )
+    rows, cols = keys // n, keys % n
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
+    fixed = np.zeros(m)
+    for tag, lam in lam_const.items():
+        fixed[column[mesh.cell_region == tag]] = lam
+    return {
+        "row_offsets": row_offsets,
+        "column_indices": cols,
+        "diag_slots": np.flatnonzero(cols == rows),
+        "gk": fem._leading_columns(gk, mv),
+        "k_const": gk @ fixed,
+        "element_matrices": kmat,
+    }

@@ -243,6 +243,36 @@ class TestRun:
             assert err.startswith("configuration error:")
             assert str(path) in err and key in err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("divisions = 3 3 3", "divisions = 3 3 3.7", "[mesh] divisions"),
+            ("divisions = 3 3 3", "divisions = 3 3 3\nregion = 1.5", "[mesh] region"),
+            ("cadence = 5", "cadence = x", "[output] cadence"),
+            ("tol = 1e-8", "tol = 1e-8\nmax_iter = 10.5", "[solver] max_iter"),
+            ("tol = 1e-8", "tol = 1e-8\nworkers = two", "[solver] workers"),
+            ("6 = -20.0", "6 = -20.0\nsurface_tag = 6.0", "[dirichlet] surface_tag"),
+            (
+                "[solver]",
+                "[controller]\nmode = always_on\ncolumn_tags = 5 x\n\n[solver]",
+                "[controller] column_tags",
+            ),
+        ],
+        ids=["divisions", "region", "cadence", "max_iter", "workers", "surface_tag", "column_tags"],
+    )
+    def test_non_integer_is_config_error(self, tmp_path, capsys, old, new, key):
+        """A key that takes an integer stops validate and run with exit 2
+        and a message naming the file and the key when its value is not one
+        (a fraction is not truncated)."""
+        text = TINY_RUN.format(out=tmp_path / "out")
+        assert old in text
+        path = write(tmp_path, text.replace(old, new))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert str(path) in err and key in err
+
 
 class TestOracle:
     def test_neumann_csv(self, capsys):

@@ -29,7 +29,13 @@ from cryoground.physics import Material, MaterialTable, UnknownRegionError
 from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
 
-from fem_oracle import cell_coefficients, csr, element_lumped_mass, element_stiffness
+from fem_oracle import (
+    cell_coefficients,
+    csr,
+    element_lumped_mass,
+    element_stiffness,
+    full_sort_setup,
+)
 from test_assembly_oracle import lumpy_mesh
 
 
@@ -309,6 +315,44 @@ class TestSetup:
         assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
         assert a.rhs.tobytes() == b.rhs.tobytes()
 
+    @pytest.mark.parametrize("block", [fem._GEOMETRY_BLOCK, 7])
+    @pytest.mark.parametrize(
+        "make, table",
+        [
+            (lumpy_mesh, default_materials),  # soil and constant sand cells
+            (lambda: generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (6, 6, 6))), default_materials),
+            (
+                lambda: generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (6, 6, 6))),
+                lambda: MaterialTable({1: Material.single_phase(crho=1.0, lam=1.0)}),
+            ),
+        ],
+        ids=["lumpy", "box6-soil", "box6-constant"],
+    )
+    def test_upper_triangle_build_matches_full_sort(self, make, table, block, monkeypatch):
+        """The pattern, G_K and K_const built from the 10 upper-triangle
+        entries per cell and mirrored equal, bit for bit, those of one sort
+        of all 16 entries per cell; the element matrices the mirror relies
+        on are bitwise symmetric."""
+        monkeypatch.setattr(fem, "_GEOMETRY_BLOCK", block)
+        mesh, table = make(), table()
+        asm = Assembler(mesh, table)
+        ref = full_sort_setup(mesh, table)
+        kmat = ref["element_matrices"]
+        assert np.array_equal(kmat, kmat.transpose(0, 2, 1))
+        pairs = {
+            "row_offsets": (asm.row_offsets, ref["row_offsets"]),
+            "column_indices": (asm.column_indices, ref["column_indices"]),
+            "diag_slots": (asm._diag_slots, ref["diag_slots"]),
+            "G_K indptr": (asm._gk.indptr, ref["gk"].indptr),
+            "G_K indices": (asm._gk.indices, ref["gk"].indices),
+            "G_K data": (asm._gk.data, ref["gk"].data),
+            "K_const": (asm._k_const, ref["k_const"]),
+        }
+        for name, (got, want) in pairs.items():
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert asm._gk.shape == ref["gk"].shape
+
     def test_degenerate_cell_in_later_block_named_globally(self, plain_table, monkeypatch):
         box = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))
         # one flattened tet on four nodes of its own, appended after the box
@@ -325,24 +369,30 @@ class TestSetup:
             Assembler(mesh, plain_table)
 
     def test_setup_memory_per_cell_bounded(self, plain_table):
-        """Setting up the 16^3 box (24,576 cells) traces 585 B/cell of numpy
-        allocations at its peak (649 B/cell before the constant-cell split
-        freed the element geometry early, 756 B/cell with the grouped
-        scatter plans the operators replaced, 1,930 B/cell with the two-sort
-        builder before them)."""
-        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16)))
+        """Setting up the 16^3 box (24,576 cells) traces 394 B/cell of numpy
+        allocations at its peak, and the 20^3 well (47,184 cells) 447 B/cell,
+        since G_K is built from the 10 upper-triangle entries per cell (585
+        and 543 B/cell from all 16; 649 B/cell on the box before the
+        constant-cell split freed the element geometry early, 756 B/cell with
+        the grouped scatter plans the operators replaced, 1,930 B/cell with
+        the two-sort builder before them)."""
+        cases = [
+            (generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16))), plain_table, 490),
+            (build_planned_box(well_mesh_plan()), default_materials(), 540),
+        ]
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            Assembler(mesh, plain_table)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            for mesh, table, bound in cases:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                Assembler(mesh, table)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak / mesh.n_cells < bound, mesh.n_cells
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak / mesh.n_cells < 1100
 
 
 def one_step_field(mesh, table, dirichlet):

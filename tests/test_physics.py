@@ -247,3 +247,43 @@ class TestPhaseModelValidation:
     def test_latent_nonnegative(self):
         with pytest.raises(PhysicsError):
             PhaseModel(0.0, 1.0, -1.0)
+
+
+class TestNonFiniteRejected:
+    """Every number of the physics dataclasses must be finite; a NaN or an
+    infinity from a Python caller is a PhysicsError naming the field."""
+
+    @pytest.mark.parametrize("name", ["t_star", "delta", "latent_volumetric"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_phase_model(self, name, value):
+        with pytest.raises(PhysicsError, match=name):
+            PhaseModel(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["amplitude", "day_offset", "mean", "seconds_per_day", "days_per_year"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_seasonal_forcing(self, name, value):
+        with pytest.raises(PhysicsError, match=name):
+            SeasonalForcing(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_column_temperature(self, value):
+        with pytest.raises(PhysicsError, match="column_temperature"):
+            ColumnController(
+                mode="always_on", column_tags=frozenset({5}), column_temperature=value
+            )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["crho_sc", "crho_w", "crho_i", "lambda_sc", "lambda_w", "lambda_i", "crho", "lam"],
+    )
+    def test_material_coefficient(self, name):
+        with pytest.raises(PhysicsError, match=name):
+            Material(kind="single-phase", **{name: math.inf})
+
+    def test_material_constructors(self):
+        with pytest.raises(PhysicsError, match="crho"):
+            Material.single_phase(crho=math.inf, lam=1.0)
+        with pytest.raises(PhysicsError, match="lambda_w"):
+            Material.freezing_porous(0.4, 2e6, 4e6, 2e6, 2.0, math.inf, 2.2)
