@@ -6,11 +6,11 @@ They share no code with the assembler's precomputed operators or with
 physics.apparent_coefficients, so agreement between the two is evidence,
 not a tautology.  ``csr`` builds the package's CsrMatrix through scipy.
 
-``full_sort_setup`` is different: it is the assembler's setup as it was
-before the stiffness operator was built from the upper triangle of each
-element matrix, one stable sort of all 16 (row, col) keys per cell.  It
-shares the element geometry and the sort with the assembler, so it checks
-the mirroring and nothing else.
+``full_sort_setup`` is different: it builds the assembler's pattern and
+G_K the direct way, from one stable sort of all 16 (row, col) keys of every
+element matrix, where the assembler sorts the upper triangle and mirrors
+it.  It shares the element geometry and the sort with the assembler, so it
+checks the mirroring and nothing else.
 """
 
 import numpy as np
