@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .mesh import BoxMeshPlan, BoxMeshSpec
+from .mesh import BoxMeshPlan, BoxMeshSpec, MeshError
 from .physics import ColumnController, Material, MaterialTable, PhaseModel, SeasonalForcing
 from .simulate import AIR_VALUE, SimulationConfig
 
@@ -192,7 +192,11 @@ def _build_mesh_source(sec: _Section):
         region = _integer(sec.get("region", "1"), sec.where("region"))
         paint = tuple(_tagged_bounds(v, sec.where("paint")) for v in sec.get_all("paint"))
         carve = tuple(_tagged_bounds(v, sec.where("carve")) for v in sec.get_all("carve"))
-        spec = BoxMeshSpec(extents, divisions)
+        try:
+            spec = BoxMeshSpec(extents, divisions)
+        except MeshError as exc:  # BoxMeshSpec checks the extents first
+            key = "extents" if min(extents) <= 0 else "divisions"
+            raise ConfigError(f"{sec.where(key)}: {exc}") from None
         if paint or carve or region != 1:
             return BoxMeshPlan(box=spec, region=region, paint=paint, carve=carve)
         return spec

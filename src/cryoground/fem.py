@@ -23,7 +23,8 @@ once; the operators keep only the phase-change cells.  A step is then
 C @ T_prev and the coefficient law on the phase-change cells,
 K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
-bit-identical for any split of the rows.
+bit-identical for any split of the rows.  A fill whose cells all kept
+their (lam, c), as outside the phase band, copies its last products.
 With workers, the fill and the CG solve of a step run in the same
 processes (the calling process plus forked ones), each on a contiguous
 range of rows and writing disjoint row ranges of shared buffers; see
@@ -171,6 +172,24 @@ def _rows_of(op, lo: int, hi: int):
     return csr_rows(op.indptr, op.indices, op.data, lo, hi, op.shape[1])
 
 
+@dataclass(eq=False)
+class _FillPlan:
+    """One fill's rows (see Assembler._fill) and the operators' rows for them,
+    with the K and M rows of its last products and the (lam, c) they came
+    from (None while there are none to reuse).  One process fills a plan."""
+
+    cells: slice
+    slots: slice
+    rows: slice
+    cmean: object
+    gk: object
+    gm: object
+    diag: np.ndarray
+    k: np.ndarray | None = None
+    m: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
+
+
 class Assembler:
     """Reusable global assembler for a fixed mesh and material table.
 
@@ -194,7 +213,8 @@ class Assembler:
     computes the cell means of the previous field, evaluates the
     coefficient law into preallocated buffers, applies the two operators and
     adds the constant shares; a CSR product sums each row in storage order,
-    so every value is bit-identical however the rows are split.
+    so every value is bit-identical however the rows are split.  A fill plan
+    (see _fill) copies its last K and M rows while its cells keep (lam, c).
 
     With workers > 1 the step runs in row shares (see cryoground.parallel):
     for the fill each share owns a contiguous range of matrix rows,
@@ -328,11 +348,12 @@ class Assembler:
         self._crm, self._dcr = crm, crp - crm
         self._lamm, self._dlam = lamm, lamp - lamm
         # per-step buffers of the phase-change cells' values (each process
-        # writes its own)
-        self._tm, self._lam, self._c = np.empty((3, mv))
+        # writes its own); _coeffs is the pair (lam, c)
+        self._tm, self._coeffs = np.empty(mv), np.empty((2, mv))
+        self._lam, self._c = self._coeffs
         self._band = np.empty((2, mv), dtype=bool)
 
-        self._whole = (
+        self._whole = _FillPlan(
             slice(0, mv), slice(0, nnz), slice(0, n),
             self._cmean, self._gk, self._gm, self._diag_slots,
         )
@@ -342,20 +363,19 @@ class Assembler:
 
     # -- per-step fill -----------------------------------------------------
 
-    def _fill(self, plan, tau: float, bufs):
+    def _fill(self, plan: _FillPlan, tau: float, bufs):
         """K and M values of the plan's rows at the previous field; with
         tau > 0 also A = K + M/tau and the rhs (M/tau) T_prev of those rows.
 
-        A plan is (cells, slots, rows, C rows, G_K rows, G_M rows, diagonal
-        slots of the rows): the span of phase-change cells its rows touch
-        and the operators' rows for it.  ``bufs`` is (T_prev, K out, M out,
-        rhs out).  The cell buffers are indexed by phase-change cell, so the
-        products read only the plan's own cells; the constant cells' share of
-        the rows is added after them.
+        ``bufs`` is (T_prev, K out, M out, rhs out).  The cell buffers are
+        indexed by phase-change cell, so the products read only the plan's
+        own cells; the constant cells' share is added after them.  The
+        products are skipped while the plan's (lam, c) equal those of its
+        last products: the same kernel on the same inputs gives the same bits.
         """
-        cells, slots, rows, cmean, gk, gm, diag = plan
+        cells, slots, rows = plan.cells, plan.slots, plan.rows
         t_prev, k_out, m_out, rhs_out = bufs
-        matvec_into(cmean, t_prev, self._tm[cells])
+        matvec_into(plan.cmean, t_prev, self._tm[cells])
         # single-phase cells are constant, so every phase-change cell is
         # freezing-porous and carries the phase model's latent heat
         model = self.table.phase
@@ -364,20 +384,29 @@ class Assembler:
             self._dlam[cells], model.latent_volumetric,
             out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
         )
-        matvec_into(gk, self._lam, k_out[slots])
-        k_out[slots] += self._k_const[slots]
-        matvec_into(gm, self._c, m_out[rows])
-        m_out[rows] += self._m_const[rows]
+        coeffs = self._coeffs[:, cells]
+        # a cell inside the band follows its temperature, so while there is
+        # one the plan keeps no rows and fills the buffers directly
+        keep = not self._band[0, cells].any()
+        if not (keep and plan.coeffs is not None and np.array_equal(coeffs, plan.coeffs)):
+            plan.coeffs = None  # rows cut short by an error must not be reused
+            if keep and plan.k is None:
+                plan.k, plan.m = np.empty_like(k_out[slots]), np.empty_like(m_out[rows])
+            k, m = (plan.k, plan.m) if keep else (k_out[slots], m_out[rows])
+            matvec_into(plan.gk, self._lam, k)
+            k += self._k_const[slots]
+            matvec_into(plan.gm, self._c, m)
+            m += self._m_const[rows]
+            plan.coeffs = coeffs.copy() if keep else None
+        if keep:  # copies: the caller may change A in place (DirichletPlan.apply)
+            k_out[slots] = plan.k
+            m_out[rows] = plan.m
         if tau > 0:
             m_over_tau = m_out[rows] / tau
-            k_out[diag] += m_over_tau
+            k_out[plan.diag] += m_over_tau
             np.multiply(m_over_tau, t_prev[rows], out=rhs_out[rows])
 
     # -- assembly ----------------------------------------------------------
-
-    def stiffness_values(self, field_prev, workers: int | None = None) -> np.ndarray:
-        """CSR value array of K alone (used by property tests)."""
-        return self._values(self._field_array(field_prev), 0.0, workers, False)[0]
 
     def capacity_diagonal(self, field_prev, workers: int | None = None) -> np.ndarray:
         """Lumped capacity diagonal M (J/K per node) at the previous level."""
@@ -499,13 +528,9 @@ class Assembler:
         touched = self._gm.indices[self._gm.indptr[r0] : self._gm.indptr[r1]]
         c0, c1 = (int(touched.min()), int(touched.max()) + 1) if len(touched) else (0, 0)
         s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
-        return (
-            slice(c0, c1),
-            slice(s0, s1),
-            slice(r0, r1),
-            _rows_of(self._cmean, c0, c1),
-            _rows_of(self._gk, s0, s1),
-            _rows_of(self._gm, r0, r1),
+        return _FillPlan(
+            slice(c0, c1), slice(s0, s1), slice(r0, r1),
+            _rows_of(self._cmean, c0, c1), _rows_of(self._gk, s0, s1), _rows_of(self._gm, r0, r1),
             self._diag_slots[r0:r1],
         )
 

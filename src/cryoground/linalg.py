@@ -149,25 +149,6 @@ def padded_length(n: int) -> int:
     return -(-int(n) // DOT_CHUNK) * DOT_CHUNK
 
 
-def det_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product as the fixed-order sum of its per-chunk partials.
-
-    The vectors are zero-padded to whole DOT_CHUNKs; each chunk's partial
-    is a dot product of its own, and the partials are summed in one fixed
-    order.  A chunk partial does not depend on which row share computes it,
-    so the value does not change with the number of shares (the CG loop
-    reduces exactly this way).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LinalgError(f"det_dot needs two equal 1-d vectors, got {a.shape} and {b.shape}")
-    npad = padded_length(len(a))
-    if npad != len(a):
-        a, b = (np.concatenate([v, np.zeros(npad - len(v))]) for v in (a, b))
-    return float(np.add.reduce(np.vecdot(a.reshape(-1, DOT_CHUNK), b.reshape(-1, DOT_CHUNK))))
-
-
 class CgWork:
     """Vectors and reduction buffers of the CG loop, padded to whole chunks.
 

@@ -156,12 +156,6 @@ def tet_volume(mesh: Mesh, cell: int) -> float:
     return float(_volumes(mesh.nodes[mesh.cells[cell : cell + 1]], first=cell)[0])
 
 
-def cell_volumes(mesh: Mesh) -> np.ndarray:
-    """Positive volumes of all cells; raises on any degenerate cell, with
-    the threshold of tet_volume."""
-    return _volumes(mesh.nodes[mesh.cells])
-
-
 def generate_box(spec: BoxMeshSpec, region: int = 1) -> Mesh:
     """Structured tet mesh of a box via Kuhn subdivision (6 tets per hex).
 
@@ -241,13 +235,6 @@ def _find(table: np.ndarray, query: np.ndarray) -> np.ndarray:
     out = np.empty(len(query), dtype=np.int64)
     out[order[is_query] - len(table)] = np.where(first < len(table), first, -1)[is_query]
     return out
-
-
-def boundary_face_counts(mesh: Mesh) -> np.ndarray:
-    """For each boundary facet, the number of cells it is a face of."""
-    unique, _, _, counts = _faces(mesh.cells)
-    run = _find(unique, np.sort(mesh.boundary_facets, axis=1))
-    return np.append(counts, 0)[run]  # run -1 picks the appended 0
 
 
 # ---------------------------------------------------------------------------

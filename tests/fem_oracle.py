@@ -11,6 +11,10 @@ G_K the direct way, from one stable sort of all 16 (row, col) keys of every
 element matrix, where the assembler sorts the upper triangle and mirrors
 it.  It shares the element geometry and the sort with the assembler, so it
 checks the mirroring and nothing else.
+
+``stiffness_values``, ``cell_volumes`` and ``boundary_face_counts`` are
+checks of the assembled K and of mesh geometry and topology that the
+package itself never needs.
 """
 
 import numpy as np
@@ -124,3 +128,30 @@ def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
         "k_const": gk @ fixed,
         "element_matrices": kmat,
     }
+
+
+def stiffness_values(asm: fem.Assembler, field) -> np.ndarray:
+    """CSR value array of K alone at the previous ``field``: the
+    assembler's fill with tau = 0, which adds no M/tau."""
+    return asm._values(asm._field_array(field), 0.0, None, False)[0]
+
+
+def cell_volumes(mesh: Mesh) -> np.ndarray:
+    """Volume of every cell, |det(edge matrix)| / 6."""
+    p = mesh.nodes[mesh.cells]
+    return np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) / 6.0
+
+
+def boundary_face_counts(mesh: Mesh) -> np.ndarray:
+    """For each boundary facet, the number of cells it is a face of."""
+    n = np.int64(mesh.n_nodes)
+
+    def key(triples):
+        t = np.sort(triples, axis=1).astype(np.int64)
+        return (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
+
+    faces = mesh.cells[:, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]].reshape(-1, 3)
+    unique, counts = np.unique(key(faces), return_counts=True)
+    want = key(mesh.boundary_facets)
+    pos = np.minimum(np.searchsorted(unique, want), len(unique) - 1)
+    return np.where(unique[pos] == want, counts[pos], 0)

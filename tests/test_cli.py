@@ -273,6 +273,29 @@ class TestRun:
             assert err.startswith("configuration error:")
             assert str(path) in err and key in err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("divisions = 3 3 3", "divisions = 0 3 3", "[mesh] divisions"),
+            ("divisions = 3 3 3", "divisions = 3 -2 3", "[mesh] divisions"),
+            ("extents = 1 1 1", "extents = 1 -1 1", "[mesh] extents"),
+            ("extents = 1 1 1", "extents = 0 1 1", "[mesh] extents"),
+        ],
+        ids=["divisions-zero", "divisions-negative", "extents-negative", "extents-zero"],
+    )
+    def test_bad_box_is_config_error(self, tmp_path, capsys, old, new, key):
+        """Box extents that are not positive, or divisions below 1, stop
+        validate and run with exit 2 and a message naming the file and the
+        key."""
+        text = TINY_RUN.format(out=tmp_path / "out")
+        assert old in text
+        path = write(tmp_path, text.replace(old, new))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert str(path) in err and key in err
+
 
 class TestOracle:
     def test_neumann_csv(self, capsys):

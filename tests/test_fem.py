@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import tracemalloc
@@ -15,7 +16,7 @@ from cryoground.fem import (
     UnknownTagError,
     nodes_for_tags,
 )
-from cryoground.linalg import CsrMatrix, cg_solve
+from cryoground.linalg import CsrMatrix, cg_solve, matvec_into
 from cryoground.mesh import (
     BoxMeshSpec,
     DegenerateCellError,
@@ -35,6 +36,7 @@ from fem_oracle import (
     element_lumped_mass,
     element_stiffness,
     full_sort_setup,
+    stiffness_values,
 )
 from test_assembly_oracle import lumpy_mesh
 
@@ -142,7 +144,7 @@ class TestAssemble:
         rng = np.random.default_rng(5)
         field = rng.uniform(-10, 10, unit_box.n_nodes)
         asm = Assembler(unit_box, soil_table)
-        kv = asm.stiffness_values(field)
+        kv = stiffness_values(asm, field)
         k = CsrMatrix(asm.row_offsets, asm.column_indices, kv)
         kd = k.scipy_view().toarray()
         assert np.abs(kd - kd.T).max() == 0.0
@@ -246,6 +248,129 @@ class TestAssemble:
         serial = Assembler(mesh, soil_table).assemble(field, tau=3600.0)
         assert np.array_equal(got.matrix.values, serial.matrix.values)
         assert np.array_equal(got.rhs, serial.rhs)
+
+
+class TestFillReuse:
+    """A fill copies out the K and M rows of its plan's last products when
+    the (lam, c) of the plan's cells did not change; every value must still
+    be the bits a fresh assembler gives, and the rhs is formed anew."""
+
+    WORKERS = [
+        1,
+        pytest.param(
+            2, marks=pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
+        ),
+    ]
+    TAU = 3600.0
+
+    @pytest.fixture(params=[("crho_i", "crho_w"), ("lambda_i", "lambda_w")], ids=["c", "lam"])
+    def layered(self, request, soil_table, monkeypatch):
+        """A soil whose c (or lam) does not move inside the band, so that a
+        record of only the other coefficient would miss a change, under a
+        constant layer (region 2), so that rows also take the constant
+        cells' share."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+        soil = soil_table.materials[1]
+        frozen, thawed = request.param
+        soil = dataclasses.replace(soil, **{frozen: getattr(soil, thawed)})
+        sand = Material.single_phase(crho=1.34e6, lam=0.47)
+        table = MaterialTable({1: soil, 2: sand}, soil_table.phase)
+        box = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (12, 6, 4)))
+        return paint_region(box, (0.0, 2.0, 0.0, 1.0, 0.25, 0.5), 2), table
+
+    @staticmethod
+    def fields(mesh):
+        """Frozen, into the phase band [-1, 1], across it, out of it and back,
+        each level twice; one level lifts only the upper nodes (the last
+        rows) into the band."""
+        noise = np.random.default_rng(41).uniform(-0.15, 0.15, mesh.n_nodes)
+        upper = np.where(mesh.nodes[:, 2] > 0.5, 2.5, 0.0)
+        levels = [-3.0 + noise, -3.0 + noise + upper, -0.8 + noise, 0.6 + noise, 3.0 + noise]
+        levels += [-3.0 + noise]
+        return [f for f in levels for _ in range(2)]
+
+    def fresh(self, mesh, table, field):
+        asm = Assembler(mesh, table)
+        system = asm.assemble(field, self.TAU)
+        return system.matrix.values, system.rhs, asm.capacity_diagonal(field)
+
+    def assert_fresh(self, mesh, table, field, values, rhs, capacity=None):
+        want = self.fresh(mesh, table, field)
+        assert values.tobytes() == want[0].tobytes()
+        assert rhs.tobytes() == want[1].tobytes()
+        if capacity is not None:
+            assert capacity.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_matches_fresh_assembler_through_the_band(self, layered, workers):
+        mesh, table = layered
+        asm = Assembler(mesh, table, workers=workers)
+        try:
+            assert asm.effective_workers() == workers
+            for field in self.fields(mesh):
+                system = asm.assemble(field, self.TAU)
+                capacity = asm.capacity_diagonal(field)
+                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs, capacity)
+        finally:
+            asm.close()
+
+    @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
+    def test_serial_and_pooled_calls_interleaved(self, layered):
+        """Serial and pooled fills keep separate records, so neither reads
+        the rows the other produced for another field."""
+        mesh, table = layered
+        fields = self.fields(mesh)
+        asm = Assembler(mesh, table, workers=2)
+        try:
+            for serial_field, pooled_field in zip(fields, fields[::-1]):
+                for workers, field in ((1, serial_field), (None, pooled_field)):
+                    system = asm.assemble(field, self.TAU, workers=workers, reuse_buffers=True)
+                    self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
+        finally:
+            asm.close()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_unchanged_coefficients_run_no_product(self, layered, workers, monkeypatch):
+        """Counts the G_K and G_M products of the calling process's plan, so
+        that the reuse cannot silently stop."""
+        mesh, table = layered
+        products = []
+
+        def counting(op, x, out):
+            products.append(op)
+            matvec_into(op, x, out)
+
+        monkeypatch.setattr(fem, "matvec_into", counting)
+        asm = Assembler(mesh, table, workers=workers)
+        frozen = self.fields(mesh)[0]
+        assert (frozen + 0.5).max() < -1.0
+        try:
+            for field, expected in ((frozen, 2), (frozen + 0.5, 0), (frozen, 0), (-frozen, 2)):
+                system = asm.assemble(field, self.TAU, reuse_buffers=True)
+                plan = asm._whole if workers == 1 else asm._plans[-1]
+                ran = sum(op is plan.gk or op is plan.gm for op in products)
+                assert ran == expected
+                products.clear()
+                # the rhs follows the field even where the matrix is reused
+                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
+        finally:
+            asm.close()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_dirichlet_elimination_does_not_leak(self, layered, workers):
+        """DirichletPlan.apply zeroes rows of the returned A in place; the
+        next fill at the same coefficients must not see them."""
+        mesh, table = layered
+        field = self.fields(mesh)[0]
+        top = nodes_for_tags(mesh, [6])
+        asm = Assembler(mesh, table, workers=workers)
+        try:
+            for _ in range(3):
+                system = asm.assemble(field, self.TAU, reuse_buffers=True)
+                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
+                DirichletPlan(system.matrix, top).apply(system, np.full(len(top), 5.0))
+        finally:
+            asm.close()
 
 
 class TestSetup:

@@ -12,12 +12,25 @@ from cryoground.linalg import (
     LinalgError,
     SpdViolationError,
     cg_solve,
-    det_dot,
     matvec_into,
     padded_length,
 )
 
 from fem_oracle import csr
+
+
+def det_dot(a, b):
+    """Dot product as the fixed-order sum of its per-chunk partials, the
+    way the CG loop reduces: the vectors are zero-padded to whole
+    DOT_CHUNKs, each chunk's partial is a dot product of its own, and the
+    partials are summed in chunk order."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise LinalgError(f"det_dot needs two equal 1-d vectors, got {a.shape} and {b.shape}")
+    npad = padded_length(len(a))
+    a, b = (np.concatenate([v, np.zeros(npad - len(v))]) for v in (a, b))
+    return float(np.add.reduce(np.vecdot(a.reshape(-1, DOT_CHUNK), b.reshape(-1, DOT_CHUNK))))
 
 
 def random_sparse(n, density, rng, symmetric=False):

@@ -13,10 +13,8 @@ from cryoground.mesh import (
     Mesh,
     MeshError,
     MshFormatError,
-    boundary_face_counts,
     build_planned_box,
     carve_box,
-    cell_volumes,
     generate_box,
     paint_region,
     read_msh,
@@ -24,6 +22,8 @@ from cryoground.mesh import (
     write_msh,
 )
 from cryoground.scenario import well_mesh_plan
+
+from fem_oracle import boundary_face_counts, cell_volumes
 
 SINGLE_TET_MSH = """$MeshFormat
 2.2 0 8
