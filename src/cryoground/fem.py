@@ -385,22 +385,18 @@ class Assembler:
             out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
         )
         coeffs = self._coeffs[:, cells]
-        # a cell inside the band follows its temperature, so while there is
-        # one the plan keeps no rows and fills the buffers directly
-        keep = not self._band[0, cells].any()
-        if not (keep and plan.coeffs is not None and np.array_equal(coeffs, plan.coeffs)):
+        if plan.coeffs is None or not np.array_equal(coeffs, plan.coeffs):
             plan.coeffs = None  # rows cut short by an error must not be reused
-            if keep and plan.k is None:
+            if plan.k is None:
                 plan.k, plan.m = np.empty_like(k_out[slots]), np.empty_like(m_out[rows])
-            k, m = (plan.k, plan.m) if keep else (k_out[slots], m_out[rows])
-            matvec_into(plan.gk, self._lam, k)
-            k += self._k_const[slots]
-            matvec_into(plan.gm, self._c, m)
-            m += self._m_const[rows]
-            plan.coeffs = coeffs.copy() if keep else None
-        if keep:  # copies: the caller may change A in place (DirichletPlan.apply)
-            k_out[slots] = plan.k
-            m_out[rows] = plan.m
+            matvec_into(plan.gk, self._lam, plan.k)
+            plan.k += self._k_const[slots]
+            matvec_into(plan.gm, self._c, plan.m)
+            plan.m += self._m_const[rows]
+            plan.coeffs = coeffs.copy()
+        # copies: the caller may change A in place (DirichletPlan.apply)
+        k_out[slots] = plan.k
+        m_out[rows] = plan.m
         if tau > 0:
             m_over_tau = m_out[rows] / tau
             k_out[plan.diag] += m_over_tau

@@ -281,12 +281,13 @@ class TestFillReuse:
     @staticmethod
     def fields(mesh):
         """Frozen, into the phase band [-1, 1], across it, out of it and back,
-        each level twice; one level lifts only the upper nodes (the last
-        rows) into the band."""
+        each level twice; two levels lift only the upper nodes (the last
+        rows) or only the lower ones into the band."""
         noise = np.random.default_rng(41).uniform(-0.15, 0.15, mesh.n_nodes)
         upper = np.where(mesh.nodes[:, 2] > 0.5, 2.5, 0.0)
+        lower = np.where(mesh.nodes[:, 2] < 0.5, 2.5, 0.0)
         levels = [-3.0 + noise, -3.0 + noise + upper, -0.8 + noise, 0.6 + noise, 3.0 + noise]
-        levels += [-3.0 + noise]
+        levels += [-3.0 + noise, -3.0 + noise + lower, -3.0 + noise]
         return [f for f in levels for _ in range(2)]
 
     def fresh(self, mesh, table, field):
@@ -332,7 +333,8 @@ class TestFillReuse:
     @pytest.mark.parametrize("workers", WORKERS)
     def test_unchanged_coefficients_run_no_product(self, layered, workers, monkeypatch):
         """Counts the G_K and G_M products of the calling process's plan, so
-        that the reuse cannot silently stop."""
+        that the reuse cannot silently stop, also with every cell inside the
+        phase band."""
         mesh, table = layered
         products = []
 
@@ -342,10 +344,12 @@ class TestFillReuse:
 
         monkeypatch.setattr(fem, "matvec_into", counting)
         asm = Assembler(mesh, table, workers=workers)
-        frozen = self.fields(mesh)[0]
+        frozen, band = self.fields(mesh)[0], self.fields(mesh)[4]
         assert (frozen + 0.5).max() < -1.0
+        assert np.abs(band).max() < 1.0
+        steps = [(frozen, 2), (frozen + 0.5, 0), (frozen, 0), (-frozen, 2), (band, 2), (band, 0)]
         try:
-            for field, expected in ((frozen, 2), (frozen + 0.5, 0), (frozen, 0), (-frozen, 2)):
+            for field, expected in steps:
                 system = asm.assemble(field, self.TAU, reuse_buffers=True)
                 plan = asm._whole if workers == 1 else asm._plans[-1]
                 ran = sum(op is plan.gk or op is plan.gm for op in products)
