@@ -291,21 +291,12 @@ class Assembler:
         del ukeys, strict, order
         self.nnz = nnz = len(keys)
         self.column_indices = keys % n
-        urows = keys // n
-        del keys
         self.row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(urows, minlength=n), out=self.row_offsets[1:])
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.row_offsets[1:])
+        del keys
         for arr in (self.row_offsets, self.column_indices):
             arr.flags.writeable = False
-
-        # diagonal slot of every row (always present for FEM patterns)
-        self._diag_slots = np.flatnonzero(self.column_indices == urows)
-        del urows
-        if len(self._diag_slots) != n:
-            raise FemError("internal error: missing diagonal slot in pattern")
-        self._pattern = CsrMatrix(
-            self.row_offsets, self.column_indices, np.zeros(nnz), diagonal_slots=self._diag_slots
-        )
+        self._pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
 
         # the constant cells' share of K and M is fixed: lam and c of the
         # constant cells by column, zero for the phase-change cells (whose
@@ -355,9 +346,9 @@ class Assembler:
 
         self._whole = _FillPlan(
             slice(0, mv), slice(0, nnz), slice(0, n),
-            self._cmean, self._gk, self._gm, self._diag_slots,
+            self._cmean, self._gk, self._gm, self._pattern.diagonal_slots,
         )
-        self._own = None  # (A, M, rhs, CgShares) of serial reuse_buffers calls
+        self._own = None  # (A, M, rhs, CgShares) that a serial fill writes
         self._pool: ForkPool | None = None
         self._pool_workers = 0
 
@@ -429,29 +420,26 @@ class Assembler:
 
     def _values(self, t_prev: np.ndarray, tau: float, workers: int | None, reuse_buffers: bool):
         """(K or A values, M diagonal, rhs, CgShares or None) at the
-        previous field; see _fill for tau.  With ``reuse_buffers`` the
-        arrays are the assembler's own (the rhs is the CG work vector b of
-        the shares), else fresh."""
+        previous field; see _fill for tau.  The fill writes the assembler's
+        own arrays (the rhs is the CG work vector b of the shares), which
+        are returned with ``reuse_buffers``, else copied."""
         nw = self.effective_workers(workers)
-        n = self.mesh.n_nodes
         if nw > 1:
             self._ensure_pool(nw)
             self._shared[0][:] = t_prev
             self._cmd[:2] = (_FILL, tau)
             self._pool.dispatch()
-            if reuse_buffers:
-                return (*self._shared[1:], self._pooled_cg)
-            return (*(a.copy() for a in self._shared[1:]), None)
-        if reuse_buffers:
+            bufs, shares = self._shared[1:], self._pooled_cg
+        else:
             if self._own is None:
-                k_vals = np.empty(self.nnz)
+                n, k_vals = self.mesh.n_nodes, np.empty(self.nnz)
                 shares = CgShares(self._pattern.with_values(k_vals))
                 self._own = (k_vals, np.empty(n), shares.work.b[:n], shares)
-            k_vals, m_vals, rhs, shares = self._own
-        else:
-            k_vals, m_vals, rhs, shares = np.empty(self.nnz), np.empty(n), np.empty(n), None
-        self._fill(self._whole, tau, (t_prev, k_vals, m_vals, rhs))
-        return k_vals, m_vals, rhs, shares
+            *bufs, shares = self._own
+            self._fill(self._whole, tau, (t_prev, *bufs))
+        if reuse_buffers:
+            return (*bufs, shares)
+        return (*(a.copy() for a in bufs), None)
 
     def assemble(
         self,
@@ -527,7 +515,7 @@ class Assembler:
         return _FillPlan(
             slice(c0, c1), slice(s0, s1), slice(r0, r1),
             _rows_of(self._cmean, c0, c1), _rows_of(self._gk, s0, s1), _rows_of(self._gm, r0, r1),
-            self._diag_slots[r0:r1],
+            self._pattern.diagonal_slots[r0:r1],
         )
 
     def _share_task(self, w: int):
@@ -579,7 +567,8 @@ class DirichletPlan:
     pattern and constrained node set (values may change per step).
 
     ``nodes`` must be strictly increasing (as nodes_for_tags returns them):
-    the plan locates a node's value by binary search in this list.
+    the plan locates a node's value by binary search in this list, and
+    their diagonal entries through matrix.diagonal_slots.
     """
 
     def __init__(self, matrix: CsrMatrix, nodes: np.ndarray):
@@ -612,12 +601,7 @@ class DirichletPlan:
             raise FemError("matrix sparsity is not structurally symmetric")
         self._sym_positions = pos
 
-        # diagonal slots of the constrained rows
-        dpos = np.searchsorted(key, nodes * np.int64(n) + nodes)
-        ok = (dpos < len(key)) & (key[np.minimum(dpos, len(key) - 1)] == nodes * np.int64(n) + nodes)
-        if not ok.all():
-            raise FemError("constrained row lacks a stored diagonal entry")
-        self._diag_positions = dpos
+        self._diag_positions = matrix.diagonal_slots[nodes]
 
         # map constrained node id -> index into self.nodes
         self._owner_slot = np.searchsorted(nodes, self._cross_owner)

@@ -53,20 +53,19 @@ DOT_CHUNK = 512
 class CsrMatrix:
     """Square sparse matrix in compressed-sparse-row form.
 
-    Column indices are sorted and unique within each row.  A builder that
-    knows where the diagonal entries are stored (every row must have one)
-    may pass their positions as ``diagonal_slots``; diagonal() then gathers
-    them instead of searching every row.  ``shares``, when set, are the row
-    shares cg_solve runs in (see CgShares).
+    Column indices are sorted and unique within each row, and every row
+    stores its diagonal entry: construction locates them once, as
+    ``diagonal_slots`` (the storage position of entry (i, i) of row i), and
+    raises SpdViolationError for a row that stores none, as such a matrix
+    cannot be SPD.  ``shares``, when set, are the row shares cg_solve runs
+    in (see CgShares).
     """
 
     row_offsets: np.ndarray
     column_indices: np.ndarray
     values: np.ndarray
-    diagonal_slots: np.ndarray | None = field(
-        default=None, kw_only=True, repr=False, compare=False
-    )
     shares: "CgShares | None" = field(default=None, kw_only=True, repr=False, compare=False)
+    diagonal_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
@@ -80,16 +79,14 @@ class CsrMatrix:
             raise LinalgError("row_offsets[-1] must equal nnz")
         if len(self.values) != len(self.column_indices):
             raise LinalgError("values and column_indices must have equal length")
-        if self.diagonal_slots is not None:
-            slots = self.diagonal_slots = np.asarray(self.diagonal_slots, dtype=np.int64)
-            offs = self.row_offsets
-            if (
-                slots.shape != (self.n,)
-                or (slots < offs[:-1]).any()
-                or (slots >= offs[1:]).any()
-                or (self.column_indices[slots] != np.arange(self.n)).any()
-            ):
-                raise LinalgError("diagonal_slots do not locate the diagonal of every row")
+        rows = np.repeat(np.arange(self.n), np.diff(self.row_offsets))
+        self.diagonal_slots = np.flatnonzero(self.column_indices == rows)
+        count = np.bincount(rows[self.diagonal_slots], minlength=self.n)
+        if (count == 0).any():
+            i = int(np.argmin(count))
+            raise SpdViolationError(f"non-positive diagonal entry {0.0:.3e} at row {i}")
+        if len(self.diagonal_slots) != self.n:
+            raise LinalgError(f"row {int(np.argmax(count))} stores its diagonal entry twice")
 
     @property
     def n(self) -> int:
@@ -100,13 +97,7 @@ class CsrMatrix:
         return len(self.column_indices)
 
     def diagonal(self) -> np.ndarray:
-        if self.diagonal_slots is not None:
-            return self.values[self.diagonal_slots]
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
-        hit = self.column_indices == rows
-        d = np.zeros(self.n)
-        d[rows[hit]] = self.values[hit]
-        return d
+        return self.values[self.diagonal_slots]
 
     def with_values(self, values: np.ndarray, shares: "CgShares | None" = None) -> "CsrMatrix":
         """Matrix with this one's (already checked) sparsity pattern and
@@ -123,15 +114,6 @@ class CsrMatrix:
         out.values = values
         out.shares = shares
         return out
-
-    def scipy_view(self):
-        """scipy wrapper of this matrix that shares its values."""
-        a = _sp.csr_matrix(
-            (self.values, self.column_indices, self.row_offsets), shape=(self.n, self.n), copy=False
-        )
-        a.has_sorted_indices = True
-        a.has_canonical_format = True
-        return a
 
 
 @dataclass
@@ -213,8 +195,8 @@ class CgShares:
     max_iter)``, which an owner of worker processes (fem.Assembler) passes
     to run the shares concurrently and return the result of one of them.
     The row blocks view matrix.values, so later in-place changes of the
-    values (Dirichlet elimination) are what the solve sees.  A row without
-    a stored diagonal entry raises SpdViolationError here.
+    values (Dirichlet elimination) are what the solve sees, and so are the
+    diagonal entries the loop gathers through matrix.diagonal_slots.
     """
 
     def __init__(self, matrix: CsrMatrix, bounds=None, alloc=np.zeros, run=None):
@@ -237,14 +219,7 @@ class CgShares:
             csr_rows(matrix.row_offsets, matrix.column_indices, matrix.values, lo, hi, n)
             for lo, hi in zip(self.bounds, self.bounds[1:])
         ]
-        slots = matrix.diagonal_slots
-        if slots is None:
-            rows = np.repeat(np.arange(n), np.diff(matrix.row_offsets))
-            slots = np.flatnonzero(matrix.column_indices == rows)
-            if len(slots) != n:
-                i = int(np.flatnonzero(np.bincount(rows[slots], minlength=n) == 0)[0])
-                raise SpdViolationError(f"non-positive diagonal entry {0.0:.3e} at row {i}")
-        self.diagonal_slots = slots
+        self.diagonal_slots = matrix.diagonal_slots
         self._run = run
 
     def solve(self, tol: float, max_iter: int):
@@ -396,10 +371,12 @@ def cg_solve(
     as b - A x and must pass as well, otherwise iteration continues.  The
     relative criterion ||b - A x|| / ||b|| <= tol falls back to an absolute
     one for b = 0.  Non-convergence within max_iter is reported, not
-    raised.  A matrix that carries CgShares over its own values (the
-    assembler's) is solved in those shares; any other in one share.  ``b``
-    may be the shares' own w.b (the assembler writes its rhs there), which
-    is then not copied.
+    raised; a non-positive diagonal entry ("non-positive diagonal entry
+    ... at row i", CsrMatrix's error for a row that stores none) or
+    p^T A p raises SpdViolationError.  A matrix that carries CgShares over
+    its own values (the assembler's) is solved in those shares; any other
+    in one share.  ``b`` may be the shares' own w.b (the assembler writes
+    its rhs there), which is then not copied.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)

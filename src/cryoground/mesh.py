@@ -50,9 +50,9 @@ class Mesh:
     """Tetrahedral mesh: node coordinates, tet4 cells with region tags and
     boundary triangles with boundary tags.
 
-    Construction re-orients any cell with negative signed volume (two node
-    swap) so that assembly can assume positive Jacobians.  Arrays are made
-    read-only afterwards.
+    Construction rejects a non-finite node coordinate and re-orients any
+    cell with negative signed volume (two node swap) so that assembly can
+    assume positive Jacobians.  Arrays are made read-only afterwards.
     """
 
     nodes: np.ndarray
@@ -72,6 +72,9 @@ class Mesh:
 
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise MeshError(f"nodes must be (n, 3), got {self.nodes.shape}")
+        if not np.isfinite(self.nodes).all():
+            i = int(np.argmin(np.isfinite(self.nodes).all(axis=1)))
+            raise MeshError(f"node {i} has a non-finite coordinate {self.nodes[i].tolist()}")
         self.cells = self.cells.reshape(-1, 4)
         n = len(self.nodes)
         if len(self.cell_region) != len(self.cells):
@@ -253,7 +256,8 @@ def read_msh(path) -> Mesh:
     4 (4-node tetrahedron, kept as cell) are accepted; anything else is
     rejected naming the offending type id.  The first physical tag of each
     element becomes the region / facet tag.  Node ids are remapped to
-    0-based contiguous indices in file order.
+    0-based contiguous indices in file order.  A malformed file raises
+    MshFormatError naming the file (and the line of a malformed number).
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -268,12 +272,11 @@ def read_msh(path) -> Mesh:
                 return s
         return None
 
-    def read_count(section):
-        count_line = next_line()
+    def number(kind, text, what="number"):  # text is None past the end of the file
         try:
-            return int(count_line)
+            return kind(text)
         except (TypeError, ValueError):
-            raise MshFormatError(f"{path}: malformed ${section} count {count_line!r}") from None
+            raise MshFormatError(f"{path}: line {pos}: malformed {what} {text!r}") from None
 
     s = next_line()
     if s != "$MeshFormat":
@@ -299,30 +302,30 @@ def read_msh(path) -> Mesh:
         if s is None:
             break
         if s == "$Nodes":
-            for _ in range(read_count("Nodes")):
+            for _ in range(number(int, next_line(), "$Nodes count")):
                 row = (next_line() or "").split()
                 if len(row) != 4:
                     raise MshFormatError(f"{path}: malformed node line {row}")
-                node_ids.append(int(row[0]))
-                coords.append((float(row[1]), float(row[2]), float(row[3])))
+                node_ids.append(number(int, row[0]))
+                coords.append(tuple(number(float, v) for v in row[1:]))
             if next_line() != "$EndNodes":
                 raise MshFormatError(f"{path}: missing $EndNodes")
         elif s == "$Elements":
-            for _ in range(read_count("Elements")):
+            for _ in range(number(int, next_line(), "$Elements count")):
                 row = (next_line() or "").split()
                 if len(row) < 3:
                     raise MshFormatError(f"{path}: malformed element line {row}")
-                etype = int(row[1])
+                etype = number(int, row[1])
                 if etype not in _MSH_NODES_PER_TYPE:
                     raise MshFormatError(
                         f"{path}: unsupported element type {etype} (only 2 and 4 accepted)"
                     )
-                ntags = int(row[2])
+                ntags = number(int, row[2])
                 nn = _MSH_NODES_PER_TYPE[etype]
                 if len(row) != 3 + ntags + nn:
                     raise MshFormatError(f"{path}: element line has wrong field count: {row}")
-                tag = int(row[3]) if ntags >= 1 else 0
-                elements.append((etype, tag, [int(v) for v in row[3 + ntags :]]))
+                tag = number(int, row[3]) if ntags >= 1 else 0
+                elements.append((etype, tag, [number(int, v) for v in row[3 + ntags :]]))
             if next_line() != "$EndElements":
                 raise MshFormatError(f"{path}: missing $EndElements")
         elif s.startswith("$End"):

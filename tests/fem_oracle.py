@@ -4,7 +4,9 @@ test_assembly_oracle and the unit tests of the element operations.
 
 They share no code with the assembler's precomputed operators or with
 physics.apparent_coefficients, so agreement between the two is evidence,
-not a tautology.  ``csr`` builds the package's CsrMatrix through scipy.
+not a tautology.  ``csr`` builds the package's CsrMatrix through scipy,
+and ``scipy_view`` wraps one back into scipy for products and dense
+copies.
 
 ``full_sort_setup`` is different: it builds the assembler's pattern and
 G_K the direct way, from one stable sort of all 16 (row, col) keys of every
@@ -34,6 +36,14 @@ def csr(*args, **kwargs) -> CsrMatrix:
     a = sp.csr_matrix(*args, **kwargs, dtype=np.float64)
     a.sum_duplicates()
     return CsrMatrix(a.indptr, a.indices, a.data)
+
+
+def scipy_view(m: CsrMatrix):
+    """scipy CSR wrapper of the CsrMatrix ``m`` that shares its values."""
+    a = sp.csr_matrix((m.values, m.column_indices, m.row_offsets), shape=(m.n, m.n), copy=False)
+    a.has_sorted_indices = True
+    a.has_canonical_format = True
+    return a
 
 
 def _cell_gradients(mesh: Mesh, cell: int) -> tuple[np.ndarray, float]:

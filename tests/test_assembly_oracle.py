@@ -19,7 +19,7 @@ from cryoground.physics import (
     frozen_thawed_coeffs,
 )
 
-from fem_oracle import cell_coefficients, element_lumped_mass, element_stiffness
+from fem_oracle import cell_coefficients, element_lumped_mass, element_stiffness, scipy_view
 
 
 def dense_oracle(mesh, field, table, tau):
@@ -69,7 +69,7 @@ def test_assembler_matches_element_loop(two_material_table):
     system = Assembler(mesh, two_material_table).assemble(field, tau)
     a_exp, b_exp = dense_oracle(mesh, field, two_material_table, tau)
 
-    a_got = system.matrix.scipy_view().toarray()
+    a_got = scipy_view(system.matrix).toarray()
     scale = np.abs(a_exp).max()
     assert np.abs(a_got - a_exp).max() <= 1e-12 * scale
     assert np.abs(system.rhs - b_exp).max() <= 1e-12 * np.abs(b_exp).max()
@@ -93,7 +93,7 @@ def test_assembler_matches_element_loop_with_source(two_material_table):
         vols[mesh.cells[cell]] += tet_volume(mesh, cell) / 4.0
     b_exp = b_exp + vols * source
 
-    a_got = system.matrix.scipy_view().toarray()
+    a_got = scipy_view(system.matrix).toarray()
     assert np.abs(a_got - a_exp).max() <= 1e-12 * np.abs(a_exp).max()
     assert np.abs(system.rhs - b_exp).max() <= 1e-12 * np.abs(b_exp).max()
 

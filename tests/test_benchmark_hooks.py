@@ -3,10 +3,14 @@ name (benchmarks/spans.py).  Installing its full set here makes a change
 that removes or renames one of those names fail the test suite, not only a
 later benchmark run.  Only reads benchmarks/."""
 
+import math
 import sys
 from pathlib import Path
 
 import pytest
+
+from cryoground.mesh import BoxMeshSpec
+from cryoground.simulate import Simulation, SimulationConfig
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -20,6 +24,14 @@ def spans(monkeypatch):
     return spans
 
 
+@pytest.fixture
+def workloads(spans, monkeypatch):
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    return workloads
+
+
 def test_full_span_set_installs_and_uninstalls(spans):
     rec = spans.Recorder()
     originals = [owner.__dict__[attr] for owner, attr, _name, _info in spans.FULL]
@@ -31,3 +43,20 @@ def test_full_span_set_installs_and_uninstalls(spans):
         rec.uninstall()
     restored = [owner.__dict__[attr] for owner, attr, _name, _info in spans.FULL]
     assert all(r is o for r, o in zip(restored, originals))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_assemble_speedup_side_measurement(workloads, soil_table, workers):
+    """The traced well runs time assemble() with workers=1, which returns
+    copies, against the run's own reuse_buffers call; no other benchmark
+    path runs the former."""
+    config = SimulationConfig(
+        mesh=BoxMeshSpec((1.0, 1.0, 1.0), (4, 4, 4)), table=soil_table, tau=100.0,
+        t_max=1000.0, initial_temperature=-0.5, workers=workers,
+    )
+    sim = Simulation(config)
+    try:
+        ratio = workloads._assemble_speedup(sim, calls=2)
+    finally:
+        sim.close()
+    assert math.isfinite(ratio) and ratio > 0.0

@@ -6,6 +6,7 @@ import cryoground.verify as verify
 from cryoground.cli import main
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
+from cryoground.mesh import BoxMeshSpec, generate_box, write_msh
 from cryoground.parallel import ForkPool, WorkerFailure, pool_available
 from cryoground.simulate import SolverFailure
 
@@ -272,6 +273,36 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("configuration error:")
             assert str(path) in err and key in err
+
+    @pytest.mark.parametrize(
+        "section, column, value, message",
+        [
+            ("$Nodes", 2, "x", "{msh}: line {line}: malformed number 'x'"),
+            ("$Elements", -1, "q", "{msh}: line {line}: malformed number 'q'"),
+            ("$Nodes", 2, "nan", "node 0 has a non-finite coordinate"),
+        ],
+        ids=["coordinate", "node-reference", "nan-coordinate"],
+    )
+    def test_bad_msh_is_config_error(self, tmp_path, capsys, section, column, value, message):
+        """A mesh file with a number that does not parse, or with a node
+        coordinate that is not finite, stops run with exit 2, not with a
+        traceback or a solve that cannot converge."""
+        msh = tmp_path / "box.msh"
+        write_msh(generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (3, 3, 3))), msh)
+        lines = msh.read_text().splitlines()
+        row = lines.index(section) + 2  # the first node or element line
+        fields = lines[row].split()
+        fields[column] = value
+        lines[row] = " ".join(fields)
+        msh.write_text("\n".join(lines) + "\n")
+        box = "type = box\nextents = 1 1 1\ndivisions = 3 3 3"
+        text = TINY_RUN.format(out=tmp_path / "out")
+        assert box in text
+        path = write(tmp_path, text.replace(box, f"type = msh\npath = {msh}"))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert message.format(msh=msh, line=row + 1) in err
 
     @pytest.mark.parametrize(
         "old, new, key",

@@ -16,7 +16,7 @@ from cryoground.linalg import (
     padded_length,
 )
 
-from fem_oracle import csr
+from fem_oracle import csr, scipy_view
 
 
 def det_dot(a, b):
@@ -44,9 +44,9 @@ def random_sparse(n, density, rng, symmetric=False):
 class TestCsrMatrix:
     def test_scipy_view_roundtrip(self):
         rng = np.random.default_rng(0)
-        a = random_sparse(12, 0.3, rng)
+        a = random_sparse(12, 0.3, rng) + np.eye(12)  # every row stores its diagonal
         m = csr(a)
-        assert np.array_equal(m.scipy_view().toarray(), a)
+        assert np.array_equal(scipy_view(m).toarray(), a)
 
     def test_diagonal(self):
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
@@ -56,28 +56,49 @@ class TestCsrMatrix:
         with pytest.raises(LinalgError):
             CsrMatrix(np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
 
+    def test_row_without_diagonal_rejected(self):
+        """A row that stores no diagonal entry cannot be SPD: construction
+        fails with the message cg_solve gives for a zero diagonal entry."""
+        a = [[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]
+        with pytest.raises(SpdViolationError, match=r"entry 0\.000e\+00 at row 1$"):
+            csr(a)
+
+    @pytest.mark.parametrize(
+        "columns, error, message",
+        [
+            ([0, 0, 0], SpdViolationError, "at row 1"),  # (0, 0) twice, no (1, 1)
+            ([0, 0, 1], LinalgError, "row 0 stores its diagonal entry twice"),
+        ],
+        ids=["twice-and-none", "twice"],
+    )
+    def test_diagonal_stored_once_in_every_row(self, columns, error, message):
+        """Built directly (csr() would sum the duplicates): row 0 stores
+        (0, 0) twice, so counting diagonal entries is not enough."""
+        with pytest.raises(error, match=message):
+            CsrMatrix(np.array([0, 2, 3]), np.array(columns), np.ones(3))
+
 
 class TestSpmv:
     """The matrix-vector product the solver uses: scipy's CSR kernel (the
     solver calls it on row blocks through linalg.matvec_into)."""
 
     def test_identity(self):
-        m = csr(np.eye(5))
+        m = sp.csr_matrix(np.eye(5))
         x = np.arange(5.0)
-        assert np.array_equal(m.scipy_view() @ x, x)
+        assert np.array_equal(m @ x, x)
 
     def test_2x2(self):
-        m = csr([[4.0, 1.0], [1.0, 3.0]])
-        assert (m.scipy_view() @ np.array([1.0, 2.0])).tolist() == [6.0, 7.0]
+        m = sp.csr_matrix([[4.0, 1.0], [1.0, 3.0]])
+        assert (m @ np.array([1.0, 2.0])).tolist() == [6.0, 7.0]
 
     def test_zero_matrix(self):
-        m = CsrMatrix(np.zeros(6, dtype=np.int64), np.array([], dtype=np.int64), np.array([]))
-        assert np.array_equal(m.scipy_view() @ np.ones(5), np.zeros(5))
+        m = sp.csr_matrix((5, 5))
+        assert np.array_equal(m @ np.ones(5), np.zeros(5))
 
     def test_dimension_mismatch(self):
-        m = csr(np.eye(3))
+        m = sp.csr_matrix(np.eye(3))
         with pytest.raises(ValueError, match="mismatch"):
-            m.scipy_view() @ np.ones(4)
+            m @ np.ones(4)
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 7, 64])
     def test_row_blocks_bit_identical(self, blocks):
@@ -88,19 +109,17 @@ class TestSpmv:
         a = random_sparse(50, 0.1, rng)
         a[7, :] = 0.0
         a[-1, :] = 0.0
-        m = csr(a)
+        view = sp.csr_matrix(a)
         x = rng.random(50)
-        view = m.scipy_view()
-        bounds = np.linspace(0, m.n, min(blocks, m.n) + 1).astype(int)
+        bounds = np.linspace(0, 50, min(blocks, 50) + 1).astype(int)
         parts = [view[lo:hi] @ x for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(view @ x, np.concatenate(parts))
 
     def test_matches_dense(self):
         rng = np.random.default_rng(1)
         a = random_sparse(40, 0.2, rng)
-        m = csr(a)
         x = rng.random(40)
-        assert np.allclose(m.scipy_view() @ x, a @ x, rtol=1e-13, atol=1e-13)
+        assert np.allclose(sp.csr_matrix(a) @ x, a @ x, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", ["scipy_kernel", "fallback"])
     def test_matvec_into_equals_product(self, kernel, monkeypatch):
@@ -111,7 +130,7 @@ class TestSpmv:
         rng = np.random.default_rng(5)
         a = random_sparse(300, 0.05, rng)
         a[11, :] = 0.0
-        view = csr(a).scipy_view()
+        view = sp.csr_matrix(a)
         x = rng.standard_normal(300)
         out = np.full(300, np.nan)
         matvec_into(view, x, out)
@@ -279,7 +298,7 @@ class TestCgSolve:
         m = csr(a)
         b = rng.random(30)
         x, report = cg_solve(m, b, tol=1e-10)
-        recomputed = np.linalg.norm(b - m.scipy_view() @ x) / np.linalg.norm(b)
+        recomputed = np.linalg.norm(b - scipy_view(m) @ x) / np.linalg.norm(b)
         assert report.residual == pytest.approx(recomputed, abs=1e-13)
 
     def test_converged_implies_tolerance(self):

@@ -101,6 +101,26 @@ class TestReadMsh:
         path.write_text(text)
         assert read_msh(path).n_cells == 1
 
+    @pytest.mark.parametrize(
+        "old, new, line, bad",
+        [
+            ("3 0 1 0", "3 0 x 0", 8, "x"),
+            ("2 1 0 0", "2.5 1 0 0", 7, "2.5"),
+            ("1 4 2 7 7 1 2 3 4", "1 tet 2 7 7 1 2 3 4", 13, "tet"),
+            ("1 4 2 7 7 1 2 3 4", "1 4 two 7 7 1 2 3 4", 13, "two"),
+            ("1 4 2 7 7 1 2 3 4", "1 4 2 seven 7 1 2 3 4", 13, "seven"),
+            ("1 4 2 7 7 1 2 3 4", "1 4 2 7 7 1 2 3 q", 13, "q"),
+        ],
+        ids=["coordinate", "node-id", "element-type", "tag-count", "tag", "node-reference"],
+    )
+    def test_malformed_number_names_file_and_line(self, tmp_path, old, new, line, bad):
+        path = tmp_path / "bad.msh"
+        assert old in SINGLE_TET_MSH
+        path.write_text(SINGLE_TET_MSH.replace(old, new))
+        with pytest.raises(MshFormatError) as info:
+            read_msh(path)
+        assert str(info.value) == f"{path}: line {line}: malformed number {bad!r}"
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         mesh = generate_box(BoxMeshSpec((1.7, 0.3, 2.9), (3, 2, 2)))
@@ -212,6 +232,13 @@ class TestMeshValidation:
                 reference_tet.boundary_facets,
                 reference_tet.facet_tag,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_rejected(self, reference_tet, bad):
+        nodes = reference_tet.nodes.copy()
+        nodes[2, 1] = bad
+        with pytest.raises(MeshError, match="node 2 has a non-finite coordinate"):
+            Mesh(nodes, reference_tet.cells, [1], reference_tet.boundary_facets, [1, 2, 3, 4])
 
     def test_mesh_arrays_read_only(self, unit_box):
         with pytest.raises(ValueError):
