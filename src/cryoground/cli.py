@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate run --config FILE        run a configured simulation
-  simulate validate --config FILE   parse and check a config, run nothing
+  simulate validate --config FILE   check a config, its mesh and restart; run nothing
   simulate oracle neumann ...       melting-front benchmark, CSV on stdout
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (a solve
@@ -87,18 +87,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     from .config import ConfigError, parse_config
-    from .io import snapshot_header
-    from .mesh import MeshError
-    from .simulate import step_count
+    from .simulate import SimulationError, initialize, step_count
 
     try:
         config = parse_config(args.config)
-        # a restart resumes at its snapshot's time, as run does
-        t_start = snapshot_header(config.restart)[1] if config.restart is not None else 0.0
-    except (ConfigError, MeshError, OSError, ValueError) as e:
+        # the mesh and the restart field of run, which resumes at its time
+        _, field = initialize(config)
+    except (ConfigError, SimulationError, OSError, ValueError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    n_steps = step_count(config.t_max, config.tau, t_start)
+    n_steps = step_count(config.t_max, config.tau, field.time)
     print(f"config OK: {n_steps} steps of {config.tau:.6g} s, workers={config.workers}")
     return EXIT_OK
 

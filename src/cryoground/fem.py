@@ -25,10 +25,11 @@ K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
 bit-identical for any split of the rows.  A fill whose cells all kept
 their (lam, c), as outside the phase band, copies its last products.
-With workers, the fill and the CG solve of a step run in the same
-processes (the calling process plus forked ones), each on a contiguous
-range of rows and writing disjoint row ranges of shared buffers; see
-cryoground.parallel and cryoground.linalg.
+A step's rows are cut once, into the CG's shares (linalg.share_bounds):
+each share fills its rows of A and b and runs the CG loop on them, and the
+serial step is the one-share case.  With workers the shares run in the
+calling process plus forked ones, writing disjoint row ranges of shared
+buffers; see cryoground.parallel and cryoground.linalg.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as _sp
 
-from .linalg import DOT_CHUNK, CgShares, CsrMatrix, csr_rows, matvec_into
+from .linalg import CgShares, CsrMatrix, csr_rows, matvec_into, share_bounds
 from .mesh import Mesh, _volumes
 from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
 from .physics import MaterialTable, apparent_coefficients, frozen_thawed_coeffs
@@ -169,6 +170,8 @@ def _leading_columns(op, ncols: int):
 
 
 def _rows_of(op, lo: int, hi: int):
+    if (lo, hi) == (0, op.shape[0]):
+        return op  # all rows: the operator itself
     return csr_rows(op.indptr, op.indices, op.data, lo, hi, op.shape[1])
 
 
@@ -216,15 +219,14 @@ class Assembler:
     so every value is bit-identical however the rows are split.  A fill plan
     (see _fill) copies its last K and M rows while its cells keep (lam, c).
 
-    With workers > 1 the step runs in row shares (see cryoground.parallel):
-    for the fill each share owns a contiguous range of matrix rows,
-    balanced by phase-change G_K entries plus stored entries, and fills
-    those rows of shared buffers from the span of phase-change cells the
-    rows touch.  The matrix an assemble(reuse_buffers=True) call returns
-    carries CG row shares, cut at multiples of linalg.DOT_CHUNK and
-    balanced by stored entries, in which cg_solve runs its loop.  Forked
-    worker processes run all shares but the last, which the calling
-    process runs.
+    A step runs in the contiguous row shares of linalg.share_bounds (whole
+    dot-product chunks, balanced by stored entries): share w fills its rows
+    of A and the rhs from the span of phase-change cells they touch, and
+    the matrix an assemble(reuse_buffers=True) call returns carries the
+    same shares, in which cg_solve runs its loop.  The serial step is one
+    share, which fills from the operators themselves; with workers > 1 the
+    buffers are shared memory and forked worker processes run all shares
+    but the last, which the calling process runs (see cryoground.parallel).
     """
 
     def __init__(self, mesh: Mesh, table: MaterialTable, workers: int = 1):
@@ -344,28 +346,23 @@ class Assembler:
         self._lam, self._c = self._coeffs
         self._band = np.empty((2, mv), dtype=bool)
 
-        self._whole = _FillPlan(
-            slice(0, mv), slice(0, nnz), slice(0, n),
-            self._cmean, self._gk, self._gm, self._pattern.diagonal_slots,
-        )
-        self._own = None  # (A, M, rhs, CgShares) that a serial fill writes
+        self._serial = self._pooled = None  # the steps' layouts (see _layout)
         self._pool: ForkPool | None = None
-        self._pool_workers = 0
 
     # -- per-step fill -----------------------------------------------------
 
     def _fill(self, plan: _FillPlan, tau: float, bufs):
-        """K and M values of the plan's rows at the previous field; with
-        tau > 0 also A = K + M/tau and the rhs (M/tau) T_prev of those rows.
+        """A = K + M/tau and the rhs (M/tau) T_prev of the plan's rows at the
+        previous field.
 
-        ``bufs`` is (T_prev, K out, M out, rhs out).  The cell buffers are
+        ``bufs`` is (T_prev, A out, rhs out).  The cell buffers are
         indexed by phase-change cell, so the products read only the plan's
         own cells; the constant cells' share is added after them.  The
         products are skipped while the plan's (lam, c) equal those of its
         last products: the same kernel on the same inputs gives the same bits.
         """
         cells, slots, rows = plan.cells, plan.slots, plan.rows
-        t_prev, k_out, m_out, rhs_out = bufs
+        t_prev, a_out, rhs_out = bufs
         matvec_into(plan.cmean, t_prev, self._tm[cells])
         # single-phase cells are constant, so every phase-change cell is
         # freezing-porous and carries the phase model's latent heat
@@ -379,25 +376,29 @@ class Assembler:
         if plan.coeffs is None or not np.array_equal(coeffs, plan.coeffs):
             plan.coeffs = None  # rows cut short by an error must not be reused
             if plan.k is None:
-                plan.k, plan.m = np.empty_like(k_out[slots]), np.empty_like(m_out[rows])
+                plan.k, plan.m = np.empty_like(a_out[slots]), np.empty_like(rhs_out[rows])
             matvec_into(plan.gk, self._lam, plan.k)
             plan.k += self._k_const[slots]
             matvec_into(plan.gm, self._c, plan.m)
             plan.m += self._m_const[rows]
             plan.coeffs = coeffs.copy()
-        # copies: the caller may change A in place (DirichletPlan.apply)
-        k_out[slots] = plan.k
-        m_out[rows] = plan.m
-        if tau > 0:
-            m_over_tau = m_out[rows] / tau
-            k_out[plan.diag] += m_over_tau
-            np.multiply(m_over_tau, t_prev[rows], out=rhs_out[rows])
+        # a copy: the caller may change A in place (DirichletPlan.apply)
+        a_out[slots] = plan.k
+        m_over_tau = plan.m / tau
+        a_out[plan.diag] += m_over_tau
+        np.multiply(m_over_tau, t_prev[rows], out=rhs_out[rows])
 
     # -- assembly ----------------------------------------------------------
 
-    def capacity_diagonal(self, field_prev, workers: int | None = None) -> np.ndarray:
-        """Lumped capacity diagonal M (J/K per node) at the previous level."""
-        return self._values(self._field_array(field_prev), 0.0, workers, False)[1]
+    def capacity_diagonal(self, field_prev) -> np.ndarray:
+        """Lumped capacity diagonal M = G_M @ c + M_const (J/K per node) at
+        the previous level, from the operators: the bits of a fill, run none."""
+        model = self.table.phase
+        c, _ = apparent_coefficients(
+            self._cmean @ self._field_array(field_prev), model, self._crm, self._dcr,
+            self._lamm, self._dlam, model.latent_volumetric,
+        )
+        return self._gm @ c + self._m_const
 
     def _field_array(self, field_prev) -> np.ndarray:
         vals = field_prev.values if isinstance(field_prev, TemperatureField) else field_prev
@@ -418,28 +419,37 @@ class Assembler:
         nw = min(nw, usable_cpus())
         return nw if pool_available() else 1
 
+    def _layout(self, nw: int):
+        """(fill plans, CgShares, (T_prev, A, rhs)) of the step in nw row
+        shares, cut by linalg.share_bounds: plan w fills the rows of CG share
+        w.  One share fills from the operators themselves into np.zeros
+        buffers, more from their rows into shared memory forked shares see."""
+        alloc, run = (np.zeros, None) if nw == 1 else (ForkPool.shared_array, self._run_cg)
+        bounds = share_bounds(self.row_offsets, nw)
+        shares = CgShares(self._pattern.with_values(alloc(self.nnz)), bounds, alloc, run)
+        plans = [self._plan(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+        n = self.mesh.n_nodes
+        return plans, shares, (alloc(n), shares.values, shares.work.b[:n])
+
     def _values(self, t_prev: np.ndarray, tau: float, workers: int | None, reuse_buffers: bool):
-        """(K or A values, M diagonal, rhs, CgShares or None) at the
-        previous field; see _fill for tau.  The fill writes the assembler's
-        own arrays (the rhs is the CG work vector b of the shares), which
-        are returned with ``reuse_buffers``, else copied."""
+        """(A values, rhs, CgShares or None) at the previous field.  The
+        fill writes the layout's arrays (the rhs is the CG work vector b of
+        the shares), which are returned with ``reuse_buffers``, else copied."""
         nw = self.effective_workers(workers)
         if nw > 1:
             self._ensure_pool(nw)
-            self._shared[0][:] = t_prev
+        elif self._serial is None:
+            self._serial = self._layout(1)
+        plans, shares, bufs = self._pooled if nw > 1 else self._serial
+        bufs[0][:] = t_prev
+        if nw > 1:
             self._cmd[:2] = (_FILL, tau)
             self._pool.dispatch()
-            bufs, shares = self._shared[1:], self._pooled_cg
         else:
-            if self._own is None:
-                n, k_vals = self.mesh.n_nodes, np.empty(self.nnz)
-                shares = CgShares(self._pattern.with_values(k_vals))
-                self._own = (k_vals, np.empty(n), shares.work.b[:n], shares)
-            *bufs, shares = self._own
-            self._fill(self._whole, tau, (t_prev, *bufs))
+            self._fill(plans[0], tau, bufs)
         if reuse_buffers:
-            return (*bufs, shares)
-        return (*(a.copy() for a in bufs), None)
+            return (*bufs[1:], shares)
+        return (*(a.copy() for a in bufs[1:]), None)
 
     def assemble(
         self,
@@ -461,51 +471,24 @@ class Assembler:
         if not tau > 0:
             raise FemError(f"tau must be > 0, got {tau}")
         t_prev = self._field_array(field_prev)
-        k_vals, _, rhs, shares = self._values(t_prev, float(tau), workers, reuse_buffers)
+        a_vals, rhs, shares = self._values(t_prev, float(tau), workers, reuse_buffers)
         if source is not None:
             source = np.asarray(source, dtype=np.float64)
             if source.shape != rhs.shape:
                 raise FemError(f"source shape {source.shape} does not match node count")
             rhs += self.node_volumes * source
-        return LinearSystem(self._pattern.with_values(k_vals, shares), rhs)
+        return LinearSystem(self._pattern.with_values(a_vals, shares), rhs)
 
     # -- worker pool -------------------------------------------------------
 
     def _ensure_pool(self, nw: int):
-        if self._pool is not None and self._pool_workers == nw and self._pool.alive():
+        if self._pool is not None and len(self._pooled[0]) == nw and self._pool.alive():
             return
         self.close()
-        n = self.mesh.n_nodes
-        # CG shares: contiguous row ranges holding about nnz / nw stored
-        # entries each, cut at whole dot-product chunks; a cut never passes
-        # the last whole chunk, so a mesh too small for nw shares leaves
-        # some empty
-        cuts = np.searchsorted(self.row_offsets, self.nnz * np.arange(1, nw) / nw)
-        cuts = np.round(cuts / DOT_CHUNK).astype(np.int64) * DOT_CHUNK
-        cuts = np.minimum(cuts, n // DOT_CHUNK * DOT_CHUNK)
-        bounds = [0, *cuts.tolist(), n]
-        # fill shares: any row cuts (the fill's and the CG's dispatches do
-        # not overlap), holding about equal phase-change G_K entries plus
-        # stored entries each
-        work = self._gk.indptr[self.row_offsets] + self.row_offsets
-        fill = [0, *np.searchsorted(work, work[-1] * np.arange(1, nw) / nw).tolist(), n]
-        self._plans = [self._plan(r0, r1) for r0, r1 in zip(fill, fill[1:])]
-        self._pooled_cg = CgShares(
-            self._pattern.with_values(ForkPool.shared_array(self.nnz)),
-            bounds,
-            ForkPool.shared_array,
-            self._run_cg,
-        )
-        self._shared = (
-            ForkPool.shared_array(n),  # T_prev
-            self._pooled_cg.values,  # K, then A
-            ForkPool.shared_array(n),  # M
-            self._pooled_cg.work.b[:n],  # rhs
-        )
+        self._pooled = self._layout(nw)
         self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, max_iter)
         self._sync = ShareSync(nw)
         self._pool = ForkPool(nw, self._share_task, self._sync)
-        self._pool_workers = nw
 
     def _plan(self, r0: int, r1: int):
         """The fill plan of matrix rows [r0, r1) (see _fill)."""
@@ -520,11 +503,12 @@ class Assembler:
 
     def _share_task(self, w: int):
         command, arg, max_iter = self._cmd
+        plans, shares, bufs = self._pooled
         if command == _FILL:
-            self._fill(self._plans[w], arg, self._shared)
+            self._fill(plans[w], arg, bufs)
         else:
             barrier = self._sync.barrier
-            self._cg_result = self._pooled_cg.share(w, arg, int(max_iter), lambda: barrier(w))
+            self._cg_result = shares.share(w, arg, int(max_iter), lambda: barrier(w))
 
     def _run_cg(self, tol: float, max_iter: int):
         if self._pool is None:
@@ -537,7 +521,6 @@ class Assembler:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._pool_workers = 0
 
     def __del__(self):
         try:

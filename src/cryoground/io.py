@@ -106,8 +106,13 @@ def snapshot_write(path, field: TemperatureField) -> None:
     Path(path).write_bytes(head + body)
 
 
-def _snapshot_head(path) -> tuple[int, int, float]:
-    """(version, node count, time) of a restart dump; see snapshot_header."""
+def snapshot_header(path) -> tuple[int, int, float]:
+    """(version, node count, time) of a restart dump written by
+    snapshot_write.
+
+    Reads only the header.  Raises SnapshotError on a magic or version
+    mismatch and when the file holds fewer values than it declares.
+    """
     with open(path, "rb") as f:
         head = f.read(_SNAPSHOT_HEAD_LEN)
         size = os.fstat(f.fileno()).st_size
@@ -126,15 +131,6 @@ def _snapshot_head(path) -> tuple[int, int, float]:
     return version, count, time
 
 
-def snapshot_header(path) -> tuple[int, float]:
-    """(node count, time) of a restart dump written by snapshot_write.
-
-    Reads only the header.  Raises SnapshotError on a magic or version
-    mismatch and when the file holds fewer values than it declares.
-    """
-    return _snapshot_head(path)[1:]
-
-
 def snapshot_read(path, expected_nodes: int | None = None) -> TemperatureField:
     """Read a restart dump written by snapshot_write, with its previous
     level when it holds one (version 2).
@@ -142,7 +138,7 @@ def snapshot_read(path, expected_nodes: int | None = None) -> TemperatureField:
     Raises SnapshotError as snapshot_header does or, when expected_nodes
     is given, on a node-count mismatch with the target mesh.
     """
-    version, count, time = _snapshot_head(path)
+    version, count, time = snapshot_header(path)
     if expected_nodes is not None and count != expected_nodes:
         raise SnapshotError(
             f"{path}: snapshot has {count} nodes, mesh has {expected_nodes}"

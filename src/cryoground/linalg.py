@@ -131,6 +131,16 @@ def padded_length(n: int) -> int:
     return -(-int(n) // DOT_CHUNK) * DOT_CHUNK
 
 
+def share_bounds(row_offsets: np.ndarray, nshares: int) -> list[int]:
+    """Cuts (0, ..., n) of nshares contiguous row shares of a CSR pattern,
+    about nnz / nshares stored entries each, at whole DOT_CHUNKs; no cut passes
+    the last whole chunk, so a matrix too small for nshares leaves some empty."""
+    n = len(row_offsets) - 1
+    cuts = np.searchsorted(row_offsets, row_offsets[-1] * np.arange(1, nshares) / nshares)
+    cuts = np.round(cuts / DOT_CHUNK).astype(np.int64) * DOT_CHUNK
+    return [0, *np.minimum(cuts, n // DOT_CHUNK * DOT_CHUNK).tolist(), n]
+
+
 class CgWork:
     """Vectors and reduction buffers of the CG loop, padded to whole chunks.
 
@@ -189,8 +199,8 @@ class CgShares:
     work vectors the CG loop of those shares runs in.
 
     ``bounds`` are the share cuts (0, ..., n), nondecreasing multiples of
-    DOT_CHUNK between the ends (a share may be empty); the default is one
-    share.  solve() runs share() for
+    DOT_CHUNK between the ends (a share may be empty), as share_bounds
+    gives them; the default is one share.  solve() runs share() for
     every share: in the calling process by default, or through ``run(tol,
     max_iter)``, which an owner of worker processes (fem.Assembler) passes
     to run the shares concurrently and return the result of one of them.

@@ -349,7 +349,7 @@ class Simulation:
         if self._out_dir is not None:
             cgio.write_probes(
                 self._csv_records,
-                np.array(self._csv_probes).reshape(len(self._csv_probes), -1),
+                np.array(self._csv_probes).reshape(len(self._csv_probes), len(self.probe_nodes)),
                 self._out_dir / cgio.PROBES_FILE_NAME,
             )
 

@@ -26,7 +26,12 @@ import cryoground.fem as fem
 from cryoground.fem import FemError, TemperatureField
 from cryoground.linalg import CsrMatrix
 from cryoground.mesh import Mesh, tet_volume
-from cryoground.physics import FREEZING_POROUS, MaterialTable, frozen_thawed_coeffs
+from cryoground.physics import (
+    FREEZING_POROUS,
+    MaterialTable,
+    apparent_coefficients,
+    frozen_thawed_coeffs,
+)
 
 
 def csr(*args, **kwargs) -> CsrMatrix:
@@ -141,9 +146,14 @@ def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
 
 
 def stiffness_values(asm: fem.Assembler, field) -> np.ndarray:
-    """CSR value array of K alone at the previous ``field``: the
-    assembler's fill with tau = 0, which adds no M/tau."""
-    return asm._values(asm._field_array(field), 0.0, None, False)[0]
+    """CSR value array of K alone at the previous ``field``: G_K @ lam +
+    K_const from the assembler's operators, as capacity_diagonal forms M."""
+    model = asm.table.phase
+    _, lam = apparent_coefficients(
+        asm._cmean @ asm._field_array(field), model, asm._crm, asm._dcr, asm._lamm,
+        asm._dlam, model.latent_volumetric,
+    )
+    return asm._gk @ lam + asm._k_const
 
 
 def cell_volumes(mesh: Mesh) -> np.ndarray:

@@ -184,12 +184,15 @@ class TestRun:
             assert err.startswith("configuration error:") and "snap.bin" in err
 
     def test_snapshot_of_another_mesh_is_config_error(self, tmp_path, capsys):
-        """The 3x3x3 box has 64 nodes; a 10-value snapshot cannot seed it."""
+        """The 3x3x3 box has 64 nodes; a 10-value snapshot cannot seed it,
+        which validate finds too, as it builds the mesh and reads the
+        snapshot."""
         path, _ = write_restart(tmp_path, np.zeros(10), 0.0)
-        assert main(["run", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert "snapshot has 10 nodes, mesh has 64" in err
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert "snapshot has 10 nodes, mesh has 64" in err
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -285,8 +288,8 @@ class TestRun:
     )
     def test_bad_msh_is_config_error(self, tmp_path, capsys, section, column, value, message):
         """A mesh file with a number that does not parse, or with a node
-        coordinate that is not finite, stops run with exit 2, not with a
-        traceback or a solve that cannot converge."""
+        coordinate that is not finite, stops validate and run with exit 2,
+        not with a traceback or a solve that cannot converge."""
         msh = tmp_path / "box.msh"
         write_msh(generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (3, 3, 3))), msh)
         lines = msh.read_text().splitlines()
@@ -299,10 +302,11 @@ class TestRun:
         text = TINY_RUN.format(out=tmp_path / "out")
         assert box in text
         path = write(tmp_path, text.replace(box, f"type = msh\npath = {msh}"))
-        assert main(["run", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert message.format(msh=msh, line=row + 1) in err
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert message.format(msh=msh, line=row + 1) in err
 
     @pytest.mark.parametrize(
         "old, new, key",

@@ -16,7 +16,7 @@ from cryoground.fem import (
     UnknownTagError,
     nodes_for_tags,
 )
-from cryoground.linalg import CsrMatrix, cg_solve, matvec_into
+from cryoground.linalg import CsrMatrix, cg_solve, matvec_into, share_bounds
 from cryoground.mesh import (
     BoxMeshSpec,
     DegenerateCellError,
@@ -233,6 +233,32 @@ class TestAssemble:
                 assert np.array_equal(serial.rhs, par.rhs)
                 asm.close()
 
+    @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
+    def test_fill_plans_are_the_cg_shares(self, soil_table, monkeypatch):
+        """A step's rows are cut once: fill plan w owns exactly the rows (and
+        their stored entries) of CG share w, and the one-share plan holds the
+        operators themselves."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
+        mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (24, 12, 8)))
+        assert mesh.n_nodes == 2925
+        field = np.random.default_rng(10).uniform(-5, 5, mesh.n_nodes)
+        for nw in (1, 2, 3, 4):
+            asm = Assembler(mesh, soil_table, workers=nw)
+            try:
+                bounds = asm.assemble(field, 3600.0, reuse_buffers=True).matrix.shares.bounds
+                plans, shares, _ = asm._serial if nw == 1 else asm._pooled
+                assert bounds == shares.bounds == share_bounds(asm.row_offsets, nw)
+                assert len(bounds) == nw + 1 and np.all(np.diff(bounds) > 0)
+                offsets = asm.row_offsets
+                for plan, lo, hi in zip(plans, bounds[:-1], bounds[1:], strict=True):
+                    assert plan.rows == slice(lo, hi)
+                    assert plan.slots == slice(int(offsets[lo]), int(offsets[hi]))
+                    assert np.array_equal(plan.diag, asm._pattern.diagonal_slots[lo:hi])
+                if nw == 1:
+                    assert plan.cmean is asm._cmean and plan.gk is asm._gk and plan.gm is asm._gm
+            finally:
+                asm.close()
+
     def test_workers_capped_at_cpu_affinity(self, soil_table, monkeypatch):
         """A process allowed on one CPU assembles serially, whatever it asks."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -276,7 +302,8 @@ class TestFillReuse:
         soil = dataclasses.replace(soil, **{frozen: getattr(soil, thawed)})
         sand = Material.single_phase(crho=1.34e6, lam=0.47)
         table = MaterialTable({1: soil, 2: sand}, soil_table.phase)
-        box = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (12, 6, 4)))
+        # 1,377 nodes: each of two shares owns rows (cut at 512-row chunks)
+        box = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (16, 8, 8)))
         return paint_region(box, (0.0, 2.0, 0.0, 1.0, 0.25, 0.5), 2), table
 
     @staticmethod
@@ -335,7 +362,8 @@ class TestFillReuse:
     def test_unchanged_coefficients_run_no_product(self, layered, workers, monkeypatch):
         """Counts the G_K and G_M products of the calling process's plan, so
         that the reuse cannot silently stop, also with every cell inside the
-        phase band."""
+        phase band.  capacity_diagonal between two fills forms M from the
+        operators: it runs no fill and leaves the record as it was."""
         mesh, table = layered
         products = []
 
@@ -352,12 +380,17 @@ class TestFillReuse:
         try:
             for field, expected in steps:
                 system = asm.assemble(field, self.TAU, reuse_buffers=True)
-                plan = asm._whole if workers == 1 else asm._plans[-1]
+                plans = (asm._serial if workers == 1 else asm._pooled)[0]
+                assert len(plans) == workers and all(p.rows.stop > p.rows.start for p in plans)
+                plan = plans[-1]
                 ran = sum(op is plan.gk or op is plan.gm for op in products)
                 assert ran == expected
                 products.clear()
+                capacity = asm.capacity_diagonal(-field)
+                assert products == []
                 # the rhs follows the field even where the matrix is reused
                 self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
+                assert capacity.tobytes() == self.fresh(mesh, table, -field)[2].tobytes()
         finally:
             asm.close()
 

@@ -109,7 +109,7 @@ class TestSnapshots:
         path = tmp_path / "snap.bin"
         snapshot_write(path, TemperatureField(values, 7.75e5, previous))
         assert path.read_bytes()[8] == 2
-        assert snapshot_header(path) == (97, 7.75e5)
+        assert snapshot_header(path) == (2, 97, 7.75e5)
         back = snapshot_read(path)
         assert back.values.tobytes() == values.tobytes()
         assert back.previous.tobytes() == previous.tobytes()
@@ -127,7 +127,7 @@ class TestSnapshots:
     def test_header_gives_count_and_time(self, tmp_path):
         path = tmp_path / "snap.bin"
         snapshot_write(path, TemperatureField(np.arange(5.0), time=7200.0))
-        assert snapshot_header(path) == (5, 7200.0)
+        assert snapshot_header(path) == (1, 5, 7200.0)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SnapshotError, match=r"truncated snapshot \(4 of 5 values\)"):
             snapshot_header(path)

@@ -210,6 +210,19 @@ class TestRun:
         lines = (out / "probes.csv").read_text().splitlines()
         assert len(lines) == 1 + math.floor(10 / 2) + 1
 
+    def test_flush_before_the_first_row(self, plain_table, tmp_path):
+        """Probes flushed before any row was emitted (as after a solver
+        failure ahead of the first cadence step) give the header alone."""
+        out = tmp_path / "out"
+        cfg = box_config(
+            plain_table, cadence=10, output_dir=out, probe_points=((0.0, 0.0, 0.0),) * 2
+        )
+        sim = Simulation(cfg)
+        sim.step()
+        sim.flush_probes()
+        lines = (out / "probes.csv").read_text().splitlines()
+        assert lines == ["step,t_seconds,T_air,columns_active,probe_0,probe_1,min,max,mean"]
+
     def test_probe_at_dirichlet_node_is_constant(self, plain_table, tmp_path):
         out = tmp_path / "out"
         cfg = box_config(
@@ -333,7 +346,7 @@ class TestDeterminism:
                 assert sim.assembler.effective_workers() == workers
                 iterations = [sim.step().solver.iterations for _ in range(5)]
                 if workers > 1:  # every share owns rows
-                    bounds = sim.assembler._pooled_cg.bounds
+                    bounds = sim.assembler._pooled[1].bounds
                     assert len(bounds) == workers + 1 and np.all(np.diff(bounds) > 0)
             finally:
                 sim.close()
@@ -367,7 +380,7 @@ class TestDeterminism:
                 assert sim.assembler.effective_workers() == workers
                 iterations = [sim.step().solver.iterations for _ in range(3)]
                 if workers > 1:
-                    bounds = sim.assembler._pooled_cg.bounds
+                    bounds = sim.assembler._pooled[1].bounds
                     assert len(bounds) == workers + 1 and 0 in np.diff(bounds)
                     assert all(c % DOT_CHUNK == 0 for c in bounds[:-1])
             finally:
