@@ -5,15 +5,25 @@ Subcommands:
   simulate validate --config FILE   check a config, its mesh and restart; run nothing
   simulate oracle neumann ...       melting-front benchmark, CSV on stdout
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (a solve
-that did not converge or met a matrix that is not SPD, or a worker process
-that failed or died).
+Exit codes (mapped in main): 0 success, 2 bad input (config, mesh, restart
+or oracle parameter), 3 solver failure (a solve that did not converge or
+met a matrix that is not SPD, or a worker process that failed or died).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from . import verify
+from .config import ConfigError, parse_config
+from .fem import FemError
+from .io import SnapshotError
+from .linalg import SpdViolationError
+from .mesh import MeshError
+from .parallel import WorkerFailure
+from .physics import PhysicsError
+from .simulate import SimulationError, SolverFailure, initialize, run, step_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,33 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from .config import ConfigError, parse_config
-    from .fem import FemError
-    from .io import SnapshotError
-    from .linalg import SpdViolationError
-    from .mesh import MeshError
-    from .parallel import WorkerFailure
-    from .physics import PhysicsError
-    from .simulate import SimulationError, SolverFailure, run
-
-    try:
-        config = parse_config(args.config)
-        if args.workers is not None:
-            config.workers = int(args.workers)
-            config.validate()
-    except (ConfigError, MeshError, SimulationError, OSError, ValueError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        records = run(config)
-    except (SolverFailure, SpdViolationError, WorkerFailure) as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (FemError, MeshError, PhysicsError, SimulationError, SnapshotError, OSError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    last = records[-1] if records else None
-    if last is not None:
+    config = parse_config(args.config)
+    if args.workers is not None:
+        config.workers = args.workers
+        config.validate()
+    records = run(config)
+    if records:
+        last = records[-1]
         print(
             f"completed {last.step} steps to t = {last.t_cur:.6g} s; "
             f"field range [{last.t_min:.4g}, {last.t_max:.4g}] deg C"
@@ -86,40 +76,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .config import ConfigError, parse_config
-    from .simulate import SimulationError, initialize, step_count
-
-    try:
-        config = parse_config(args.config)
-        # the mesh and the restart field of run, which resumes at its time
-        _, field = initialize(config)
-    except (ConfigError, SimulationError, OSError, ValueError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = parse_config(args.config)
+    # the mesh and the restart field of run, which resumes at its time
+    _, field = initialize(config)
     n_steps = step_count(config.t_max, config.tau, field.time)
     print(f"config OK: {n_steps} steps of {config.tau:.6g} s, workers={config.workers}")
     return EXIT_OK
 
 
 def _cmd_oracle_neumann(args) -> int:
-    from .parallel import WorkerFailure
-    from .simulate import SolverFailure
-    from .verify import VerifyError, run_neumann_benchmark
-
-    try:
-        report = run_neumann_benchmark(
-            cells=args.cells,
-            tau=args.tau,
-            delta=args.delta,
-            beta=args.beta,
-            samples=args.samples,
-        )
-    except VerifyError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverFailure, WorkerFailure) as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+    report = verify.run_neumann_benchmark(
+        cells=args.cells, tau=args.tau, delta=args.delta, beta=args.beta, samples=args.samples
+    )
     sys.stdout.write(report.as_csv())
     print(
         f"# lambda_s = {report.case.lambda_s:.12g}, "
@@ -129,13 +97,23 @@ def _cmd_oracle_neumann(args) -> int:
     return EXIT_OK
 
 
+# SolverFailure is a SimulationError, so the solver failures are matched first
+SOLVER_FAILURES = (SolverFailure, SpdViolationError, WorkerFailure)
+INPUT_ERRORS = (ConfigError, FemError, MeshError, PhysicsError, SimulationError, SnapshotError,
+                verify.VerifyError, OSError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_oracle_neumann(args)
+    command = {"run": _cmd_run, "validate": _cmd_validate, "oracle": _cmd_oracle_neumann}
+    try:
+        return command[args.command](args)
+    except SOLVER_FAILURES as e:
+        print(f"solver failure: {e}", file=sys.stderr)
+        return EXIT_SOLVER
+    except INPUT_ERRORS as e:
+        print(f"configuration error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,7 +13,15 @@ import math
 from pathlib import Path
 
 from .mesh import BoxMeshPlan, BoxMeshSpec, MeshError
-from .physics import ColumnController, Material, MaterialTable, PhaseModel, SeasonalForcing
+from .physics import (
+    DAYS_PER_YEAR,
+    SECONDS_PER_DAY,
+    ColumnController,
+    Material,
+    MaterialTable,
+    PhaseModel,
+    SeasonalForcing,
+)
 from .simulate import AIR_VALUE, SimulationConfig
 
 
@@ -24,7 +32,7 @@ class ConfigError(ValueError):
 _KNOWN_KEYS = {
     "mesh": {"type", "path", "extents", "divisions", "region", "paint", "carve"},
     "phase": {"t_star", "delta", "latent_volumetric"},
-    "forcing": {"amplitude", "day_offset", "mean", "seconds_per_day", "days_per_year"},
+    "forcing": {"amplitude", "day_offset", "mean"},
     "controller": {
         "mode",
         "column_tags",
@@ -100,7 +108,7 @@ def _duration(value: str, where: str) -> float:
     v = value.strip()
     factor = 1.0
     if v and v[-1] in "sdy":
-        factor = {"s": 1.0, "d": 86400.0, "y": 365.0 * 86400.0}[v[-1]]
+        factor = {"s": 1.0, "d": SECONDS_PER_DAY, "y": DAYS_PER_YEAR * SECONDS_PER_DAY}[v[-1]]
         v = v[:-1]
     return _number(v, where, "duration") * factor
 
@@ -236,7 +244,11 @@ def parse_config(path) -> SimulationConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     origin = str(path)
-    raw_sections = _parse_sections(path.read_text(), origin)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{origin}: not a text file ({e.reason} at byte {e.start})") from None
+    raw_sections = _parse_sections(text, origin)
 
     materials: dict[int, Material] = {}
     for name, items in raw_sections.items():
@@ -277,8 +289,6 @@ def parse_config(path) -> SimulationConfig:
         amplitude=forcing_sec.number("amplitude", "41.0"),
         day_offset=forcing_sec.number("day_offset", "250.0"),
         mean=forcing_sec.number("mean", "-10.2"),
-        seconds_per_day=forcing_sec.number("seconds_per_day", "86400.0"),
-        days_per_year=forcing_sec.number("days_per_year", "365.0"),
     )
 
     ctrl_sec = section("controller")
@@ -318,29 +328,21 @@ def parse_config(path) -> SimulationConfig:
     restart = time_sec.get("restart")
 
     dirichlet: dict[int, object] = {}
-    surface = "none"
-    surface_tag = 6
     for key, value, lineno in raw_sections.get("dirichlet", []):
-        if key == "surface":
-            if value not in ("none", AIR_VALUE):
-                raise ConfigError(f"{origin}:{lineno}: surface must be 'none' or 'air'")
-            surface = value
-        elif key == "surface_tag":
-            surface_tag = _integer(value, f"{origin}:{lineno}: [dirichlet] {key}")
+        try:
+            tag = int(key)
+        except ValueError:
+            raise ConfigError(
+                f"{origin}:{lineno}: [dirichlet] keys are boundary tags; got {key!r}"
+            ) from None
+        if tag in dirichlet:  # 05 and 5 are the same tag
+            raise ConfigError(f"{origin}:{lineno}: duplicate tag {tag} in [dirichlet]")
+        if value == AIR_VALUE:
+            dirichlet[tag] = AIR_VALUE
         else:
-            try:
-                tag = int(key)
-            except ValueError:
-                raise ConfigError(
-                    f"{origin}:{lineno}: [dirichlet] keys are boundary tags, "
-                    f"'surface' or 'surface_tag'; got {key!r}"
-                ) from None
-            if value == AIR_VALUE:
-                dirichlet[tag] = AIR_VALUE
-            else:
-                dirichlet[tag] = _number(
-                    value, f"{origin}:{lineno}: [dirichlet] {key}", "number or 'air'"
-                )
+            dirichlet[tag] = _number(
+                value, f"{origin}:{lineno}: [dirichlet] {key}", "number or 'air'"
+            )
 
     out_sec = section("output")
     out_sec.check_keys(_KNOWN_KEYS["output"])
@@ -364,8 +366,6 @@ def parse_config(path) -> SimulationConfig:
         initial_temperature=initial,
         restart=restart,
         dirichlet=dirichlet,
-        surface=surface,
-        surface_tag=surface_tag,
         cadence=_integer(out_sec.get("cadence", "1"), out_sec.where("cadence")),
         probe_points=probe_points,
         output_dir=out_sec.get("directory"),

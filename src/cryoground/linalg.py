@@ -305,8 +305,9 @@ class CgShares:
         bad = w.partials[0, 3, c0:c1]  # flags a non-positive diagonal entry
         bad[:] = 0.0
         if hi > lo and (inv_diag <= 0.0).any():
-            bad[0] = 1.0
-        np.divide(1.0, inv_diag, out=inv_diag)
+            bad[0] = 1.0  # the solve stops at the first reduction: no 1/0 warning
+        else:
+            np.divide(1.0, inv_diag, out=inv_diag)
         residual_into(r)
         projected, theta = bool(w.projected[0]), 0.0
         if projected:

@@ -260,7 +260,10 @@ def read_msh(path) -> Mesh:
     MshFormatError naming the file (and the line of a malformed number).
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise MshFormatError(f"{path}: not a text file ({e.reason} at byte {e.start})") from None
     pos = 0
 
     def next_line():

@@ -23,6 +23,9 @@ import numpy as np
 
 FREEZING_POROUS = "freezing-porous"
 SINGLE_PHASE = "single-phase"
+# the model's one calendar: the forcing's period and the config's d / y suffixes
+SECONDS_PER_DAY = 86400.0
+DAYS_PER_YEAR = 365.0
 
 
 class PhysicsError(ValueError):
@@ -209,24 +212,16 @@ class SeasonalForcing:
     amplitude: float = 41.0
     day_offset: float = 250.0
     mean: float = -10.2
-    seconds_per_day: float = 86400.0
-    days_per_year: float = 365.0
 
     def __post_init__(self):
-        _check_finite(
-            self, "amplitude", "day_offset", "mean", "seconds_per_day", "days_per_year"
-        )
-        if not self.seconds_per_day > 0:
-            raise PhysicsError(f"seconds_per_day must be > 0, got {self.seconds_per_day}")
-        if not self.days_per_year > 0:
-            raise PhysicsError(f"days_per_year must be > 0, got {self.days_per_year}")
+        _check_finite(self, "amplitude", "day_offset", "mean")
 
 
 def air_temperature(t, forcing: SeasonalForcing = SeasonalForcing()):
     """Ambient air temperature (deg C) at time t (seconds)."""
-    days = np.asarray(t, dtype=np.float64) / forcing.seconds_per_day
+    days = np.asarray(t, dtype=np.float64) / SECONDS_PER_DAY
     out = (
-        forcing.amplitude * np.sin(2.0 * np.pi * (days + forcing.day_offset) / forcing.days_per_year)
+        forcing.amplitude * np.sin(2.0 * np.pi * (days + forcing.day_offset) / DAYS_PER_YEAR)
         + forcing.mean
     )
     return out if out.ndim else float(out)

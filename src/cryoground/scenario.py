@@ -16,7 +16,15 @@ parameter set; the values here are conventional for wet frozen ground.
 from __future__ import annotations
 
 from .mesh import BoxMeshPlan, BoxMeshSpec
-from .physics import ColumnController, Material, MaterialTable, PhaseModel, SeasonalForcing
+from .physics import (
+    DAYS_PER_YEAR,
+    SECONDS_PER_DAY,
+    ColumnController,
+    Material,
+    MaterialTable,
+    PhaseModel,
+    SeasonalForcing,
+)
 from .simulate import SimulationConfig
 
 WELL_TAG = 101
@@ -89,7 +97,7 @@ def well_mesh_plan(divisions: tuple[int, int, int] = (20, 20, 20)) -> BoxMeshPla
 def build_well_scenario(
     divisions: tuple[int, int, int] = (20, 20, 20),
     years: float = 5.0,
-    tau: float = 86400.0,
+    tau: float = SECONDS_PER_DAY,
     controller_mode: str = "seasonal",
     delta: float = 1.0,
     workers: int = 1,
@@ -113,10 +121,9 @@ def build_well_scenario(
         forcing=SeasonalForcing(),
         controller=controller,
         tau=tau,
-        t_max=years * 365.0 * 86400.0,
+        t_max=years * DAYS_PER_YEAR * SECONDS_PER_DAY,
         initial_temperature=INITIAL_TEMPERATURE,
         dirichlet={WELL_TAG: OIL_TEMPERATURE},
-        surface="none",
         cadence=cadence,
         probe_points=((24.0, 20.0, 20.0), (26.0, 20.0, 38.0), (10.0, 20.0, 30.0)),
         output_dir=output_dir,

@@ -5,7 +5,7 @@ Each step performs, in order: advance the clock by tau, save the previous
 field, recompute the air temperature, decide whether the freezing columns
 are active, then assemble A = M/tau + K from the previous level, impose the
 Dirichlet constraints that are live this step (static tags always, column
-tags only while active, the ground surface when configured), solve with CG,
+tags only while active), solve with CG,
 and snapshot on the output cadence.  CG starts from the previous field
 moved along the last increment T^n - T^(n-1) by the step of least A-norm
 error (see linalg.cg_solve); the field carries T^(n-1) for this, and
@@ -33,7 +33,10 @@ from .fem import Assembler, DirichletPlan, TemperatureField, nodes_for_tags
 from .linalg import SolveReport, cg_solve
 from .mesh import BoxMeshPlan, BoxMeshSpec, Mesh, build_planned_box, generate_box, read_msh
 from .physics import (
+    ALWAYS_OFF,
+    DAYS_PER_YEAR,
     SEASONAL,
+    SECONDS_PER_DAY,
     ColumnController,
     MaterialTable,
     SeasonalForcing,
@@ -54,8 +57,6 @@ class SolverFailure(SimulationError):
         self.record = record
 
 
-SURFACE_NONE = "none"
-SURFACE_AIR = "air"
 AIR_VALUE = "air"
 
 
@@ -76,15 +77,13 @@ class SimulationConfig:
     table: MaterialTable
     forcing: SeasonalForcing = dc_field(default_factory=SeasonalForcing)
     controller: ColumnController = dc_field(
-        default_factory=lambda: ColumnController(mode="always_off")
+        default_factory=lambda: ColumnController(mode=ALWAYS_OFF)
     )
-    tau: float = 86400.0
-    t_max: float = 5 * 365 * 86400.0
+    tau: float = SECONDS_PER_DAY
+    t_max: float = 5 * DAYS_PER_YEAR * SECONDS_PER_DAY
     initial_temperature: float = -5.0
     restart: str | Path | None = None
     dirichlet: Mapping[int, object] = dc_field(default_factory=dict)
-    surface: str = SURFACE_NONE
-    surface_tag: int = 6
     cadence: int = 1
     probe_points: Sequence[tuple[float, float, float]] = ()
     output_dir: str | Path | None = None
@@ -104,8 +103,6 @@ class SimulationConfig:
             raise SimulationError(f"output cadence must be >= 1, got {self.cadence}")
         if not math.isfinite(self.initial_temperature):
             raise SimulationError(f"initial temperature {self.initial_temperature} is not finite")
-        if self.surface not in (SURFACE_NONE, SURFACE_AIR):
-            raise SimulationError(f"surface must be 'none' or 'air', got {self.surface!r}")
         for tag, value in self.dirichlet.items():
             if value != AIR_VALUE and not isinstance(value, (int, float)) and not callable(value):
                 raise SimulationError(
@@ -156,10 +153,23 @@ def _build_mesh(source) -> Mesh:
     return read_msh(source)
 
 
+def _constrained_tags(config: SimulationConfig) -> list[int]:
+    """The boundary tags a run may constrain, ascending: static, and column unless always off."""
+    tags = {int(t) for t in config.dirichlet}
+    if config.controller.mode != ALWAYS_OFF:
+        tags.update(int(t) for t in config.controller.column_tags)
+    return sorted(tags)
+
+
 def initialize(config: SimulationConfig) -> tuple[Mesh, TemperatureField]:
-    """Build the mesh and the initial field (uniform or from a restart)."""
+    """Build the mesh and the initial field (uniform or from a restart), and
+    check that every constrained tag and every region resolves, as a run
+    would at setup."""
     config.validate()
     mesh = _build_mesh(config.mesh)
+    nodes_for_tags(mesh, _constrained_tags(config))
+    for region in np.unique(mesh.cell_region):
+        config.table.for_region(region)
     if config.restart is not None:
         field = cgio.snapshot_read(config.restart, expected_nodes=mesh.n_nodes)
     else:
@@ -192,12 +202,7 @@ class Simulation:
 
         # resolve every boundary tag we may constrain, once
         self._static_tags = {int(t): v for t, v in config.dirichlet.items()}
-        tags = set(self._static_tags)
-        if config.surface == SURFACE_AIR:
-            tags.add(int(config.surface_tag))
-        if ctrl.mode != "always_off":
-            tags.update(int(t) for t in ctrl.column_tags)
-        self._tag_nodes = {t: nodes_for_tags(self.mesh, [t]) for t in sorted(tags)}
+        self._tag_nodes = {t: nodes_for_tags(self.mesh, [t]) for t in _constrained_tags(config)}
         self._plans: dict[tuple[int, ...], tuple[DirichletPlan, list]] = {}
 
         # rows for the probe CSV (initial state + every cadence-th step)
@@ -220,8 +225,6 @@ class Simulation:
                 out[tag] = value(self.mesh.nodes[self._tag_nodes[tag]], t_cur)
             else:
                 out[tag] = t_air if value == AIR_VALUE else float(value)
-        if self.config.surface == SURFACE_AIR:
-            out[int(self.config.surface_tag)] = t_air
         if active:
             col_value = t_air if ctrl.column_temperature is None else float(ctrl.column_temperature)
             for tag in ctrl.column_tags:

@@ -157,6 +157,10 @@ def run_neumann_benchmark(
     the requested Stefan number.  The initial temperature is t_star - delta,
     the frozen edge of the smoothing band.
     """
+    if cells < 1:
+        raise VerifyError(f"cells must be >= 1, got {cells}")
+    if samples < 1:
+        raise VerifyError(f"samples must be >= 1, got {samples}")
     t_star, t_w = 0.0, 1.0
     a = lam / crho
     case = NeumannCase.create(a, t_w, t_star, beta)

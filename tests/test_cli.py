@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from cryoground.io import snapshot_write
 from cryoground.mesh import BoxMeshSpec, generate_box, write_msh
 from cryoground.parallel import ForkPool, WorkerFailure, pool_available
 from cryoground.simulate import SolverFailure
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 TINY_RUN = """
 [mesh]
@@ -200,17 +205,77 @@ class TestRun:
             ("6 = -20.0", "77 = air", "boundary tag 77"),
             ("divisions = 3 3 3", "divisions = 3 3 3\nregion = 5", "region tag 5"),
             ("divisions = 3 3 3", "divisions = 3 3 3\ncarve = 9 : 0 1 0 1 0 1", "every remaining cell"),
+            ("[materials.1]", "[materials.2]", "no material assigned to region tag 1"),
+            (
+                "[solver]",
+                "[controller]\nmode = always_on\ncolumn_tags = 77\n\n[solver]",
+                "boundary tag 77",
+            ),
         ],
-        ids=["unknown-dirichlet-tag", "unknown-region", "carve-everything"],
+        ids=[
+            "unknown-dirichlet-tag", "unknown-region", "carve-everything", "no-material",
+            "unknown-column-tag",
+        ],
     )
     def test_bad_input_found_during_run_is_config_error(self, tmp_path, capsys, old, new, message):
+        """What run finds while it sets up, validate finds too."""
         text = TINY_RUN.format(out=tmp_path / "out")
         assert old in text
         path = write(tmp_path, text.replace(old, new))
-        assert main(["run", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert message in err
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert message in err
+
+    def test_column_tags_unchecked_while_always_off(self, tmp_path, capsys):
+        """Columns that never switch on constrain nothing, so their tags
+        need not occur in the mesh: validate and run both accept them."""
+        ctrl = "[controller]\nmode = always_off\ncolumn_tags = 77\n\n[solver]"
+        path = write(tmp_path, TINY_RUN.format(out=tmp_path / "out").replace("[solver]", ctrl))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("6 = -20.0", "6 = -20.0\nsurface = air", "'surface'"),
+            ("6 = -20.0", "6 = -20.0\nsurface_tag = 6", "'surface_tag'"),
+            ("[solver]", "[forcing]\nseconds_per_day = 86400\n\n[solver]", "'seconds_per_day'"),
+            ("[solver]", "[forcing]\ndays_per_year = 360\n\n[solver]", "'days_per_year'"),
+        ],
+        ids=["surface", "surface_tag", "seconds_per_day", "days_per_year"],
+    )
+    def test_removed_key_is_config_error(self, tmp_path, capsys, old, new, key):
+        """The top face follows the air as ``6 = air``, and the calendar is
+        fixed; a leftover key of the old spellings stops validate and run
+        with exit 2 and a message naming it."""
+        text = TINY_RUN.format(out=tmp_path / "out")
+        assert old in text
+        path = write(tmp_path, text.replace(old, new))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and key in err
+
+    def test_quick_box_top_face_air_pinned(self, tmp_path, capsys):
+        """demos/configs/quick_box.cfg couples the top face to the air with
+        ``6 = air``; its probes.csv and VTK files hash to the digest
+        recorded from the same run spelled ``surface = air`` (numpy 2.4,
+        x86-64), the spelling this tag entry replaced."""
+        out = tmp_path / "out"
+        text = (DEMO_CONFIGS / "quick_box.cfg").read_text()
+        assert "6 = air" in text
+        path = write(tmp_path, text.replace("directory = out_quick", f"directory = {out}"))
+        assert main(["run", "--config", str(path)]) == 0
+        digest = hashlib.sha256()
+        files = sorted(out.iterdir())
+        assert [f.name for f in files] == ["probes.csv"] + [f"step_{k:06d}.vtk" for k in range(11)]
+        for f in files:
+            digest.update(f.read_bytes())
+        assert digest.hexdigest() == (
+            "4cdf7467bc61017a884b69e8e1708a9066117cf3560b1715c7b29164c22185f8"
+        )
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -255,14 +320,13 @@ class TestRun:
             ("cadence = 5", "cadence = x", "[output] cadence"),
             ("tol = 1e-8", "tol = 1e-8\nmax_iter = 10.5", "[solver] max_iter"),
             ("tol = 1e-8", "tol = 1e-8\nworkers = two", "[solver] workers"),
-            ("6 = -20.0", "6 = -20.0\nsurface_tag = 6.0", "[dirichlet] surface_tag"),
             (
                 "[solver]",
                 "[controller]\nmode = always_on\ncolumn_tags = 5 x\n\n[solver]",
                 "[controller] column_tags",
             ),
         ],
-        ids=["divisions", "region", "cadence", "max_iter", "workers", "surface_tag", "column_tags"],
+        ids=["divisions", "region", "cadence", "max_iter", "workers", "column_tags"],
     )
     def test_non_integer_is_config_error(self, tmp_path, capsys, old, new, key):
         """A key that takes an integer stops validate and run with exit 2
@@ -307,6 +371,20 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("configuration error:")
             assert message.format(msh=msh, line=row + 1) in err
+
+    def test_msh_not_utf8_is_config_error(self, tmp_path, capsys):
+        """A mesh file that is not UTF-8 text stops validate and run alike
+        with exit 2 and a message naming the file."""
+        msh = tmp_path / "box.msh"
+        write_msh(generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (3, 3, 3))), msh)
+        msh.write_bytes(msh.read_bytes().replace(b"$Nodes", b"$N\xffodes", 1))
+        box = "type = box\nextents = 1 1 1\ndivisions = 3 3 3"
+        text = TINY_RUN.format(out=tmp_path / "out").replace(box, f"type = msh\npath = {msh}")
+        path = write(tmp_path, text)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {msh}: not a text file")
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -354,6 +432,21 @@ class TestOracle:
 
     def test_bad_beta(self, capsys):
         assert main(["oracle", "neumann", "--beta", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--cells", "0", "cells must be >= 1"),
+            ("--samples", "0", "samples must be >= 1"),
+            ("--tau", "-1", "tau must be > 0"),
+            ("--delta", "0", "delta must be > 0"),
+        ],
+        ids=["cells", "samples", "tau", "delta"],
+    )
+    def test_bad_parameter_is_config_error(self, capsys, flag, value, message):
+        assert main(["oracle", "neumann", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
 
     @pytest.mark.parametrize(
         "failure",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,6 @@ initial_temperature = -5.0
 
 [dirichlet]
 101 = 20.0
-surface = none
 
 [output]
 cadence = 5
@@ -178,9 +179,20 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="number or 'air'"):
             parse_config(write(tmp_path, GOOD.replace("101 = 20.0", "101 = hot")))
 
-    def test_bad_surface(self, tmp_path):
-        with pytest.raises(ConfigError, match="surface"):
-            parse_config(write(tmp_path, GOOD.replace("surface = none", "surface = maybe")))
+    @pytest.mark.parametrize("second", ["101 = 7.0", "0101 = air"], ids=["same", "leading-zero"])
+    def test_duplicate_dirichlet_tag(self, tmp_path, second):
+        """A tag given twice is an error naming the file, the line and the
+        tag, as a repeated key is in every other section; 0101 is tag 101."""
+        path = write(tmp_path, GOOD.replace("101 = 20.0", f"101 = 20.0\n{second}"))
+        line = GOOD.splitlines().index("101 = 20.0") + 2
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: duplicate tag 101 in [")):
+            parse_config(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(GOOD.encode() + b"# \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not a text file")):
+            parse_config(path)
 
     def test_seasonal_requires_probe(self, tmp_path):
         with pytest.raises(ConfigError, match="probe_point"):

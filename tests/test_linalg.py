@@ -325,6 +325,15 @@ class TestCgSolve:
         with pytest.raises(SpdViolationError, match="row 0"):
             cg_solve(csr(a), np.ones(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("direction", [None, np.ones(2)], ids=["plain", "projected"])
+    def test_stored_zero_diagonal_rejected_without_warning(self, direction):
+        """A zero stored on the diagonal is an SpdViolationError, with no
+        divide-by-zero warning from the preconditioner first."""
+        m = CsrMatrix(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 0.0]))
+        with pytest.raises(SpdViolationError, match="entry 0.000e[+]00 at row 1"):
+            cg_solve(m, np.ones(2), direction=direction)
+
     def test_negative_diagonal_rejected(self):
         a = np.array([[2.0, 0.0], [0.0, -3.0]])
         with pytest.raises(SpdViolationError, match="row 1"):

@@ -198,10 +198,6 @@ class TestAirTemperature:
             expected = 41.0 * math.sin(2.0 * math.pi * (day + 250.0) / 365.0) - 10.2
             assert air_temperature(t, f) == pytest.approx(expected, abs=1e-12)
 
-    def test_validation(self):
-        with pytest.raises(PhysicsError):
-            SeasonalForcing(seconds_per_day=0.0)
-
 
 class TestColumnController:
     FORCING = SeasonalForcing()
@@ -259,9 +255,7 @@ class TestNonFiniteRejected:
         with pytest.raises(PhysicsError, match=name):
             PhaseModel(**{name: value})
 
-    @pytest.mark.parametrize(
-        "name", ["amplitude", "day_offset", "mean", "seconds_per_day", "days_per_year"]
-    )
+    @pytest.mark.parametrize("name", ["amplitude", "day_offset", "mean"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_seasonal_forcing(self, name, value):
         with pytest.raises(PhysicsError, match=name):
