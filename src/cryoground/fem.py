@@ -23,8 +23,9 @@ once; the operators keep only the phase-change cells.  A step is then
 C @ T_prev and the coefficient law on the phase-change cells,
 K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
-bit-identical for any split of the rows.  A fill whose cells all kept
-their (lam, c), as outside the phase band, copies its last products.
+bit-identical for any split of the rows.  While a fill's cell means clipped
+to physics.band_limits (its key) and tau stay, it copies its kept A rows
+(M/tau on the diagonal) and runs neither the coefficient law nor products.
 A step's rows are cut once, into the CG's shares (linalg.share_bounds):
 each share fills its rows of A and b and runs the CG loop on them, and the
 serial step is the one-share case.  With workers the shares run in the
@@ -42,7 +43,7 @@ import scipy.sparse as _sp
 from .linalg import CgShares, CsrMatrix, csr_rows, matvec_into, share_bounds
 from .mesh import Mesh, _volumes
 from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
-from .physics import MaterialTable, apparent_coefficients, frozen_thawed_coeffs
+from .physics import MaterialTable, apparent_coefficients, band_limits, frozen_thawed_coeffs
 
 # cells per block of the element-geometry pass in Assembler.__init__
 _GEOMETRY_BLOCK = 4096
@@ -111,6 +112,15 @@ class LinearSystem:
 # ---------------------------------------------------------------------------
 
 
+def check_assemblable(mesh: Mesh):
+    """Raise FemError unless the mesh has a cell and every node belongs to one."""
+    if mesh.n_cells == 0:
+        raise FemError("cannot assemble on a mesh with no cells")
+    uses = np.bincount(mesh.cells.ravel(), minlength=mesh.n_nodes)
+    if not uses.all():  # name the first node no cell uses
+        raise FemError(f"node {np.argmin(uses)} belongs to no cell; compact the mesh first")
+
+
 def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, column: np.ndarray):
     """CSR operator that sums weighted cell values onto the distinct keys.
 
@@ -177,9 +187,9 @@ def _rows_of(op, lo: int, hi: int):
 
 @dataclass(eq=False)
 class _FillPlan:
-    """One fill's rows (see Assembler._fill) and the operators' rows for them,
-    with the K and M rows of its last products and the (lam, c) they came
-    from (None while there are none to reuse).  One process fills a plan."""
+    """One fill's rows (see Assembler._fill), the operators' rows and the
+    diagonal positions in its slots, with the A rows and M/tau of its last
+    products and the key and tau they came from (key None: none to reuse)."""
 
     cells: slice
     slots: slice
@@ -188,9 +198,10 @@ class _FillPlan:
     gk: object
     gm: object
     diag: np.ndarray
-    k: np.ndarray | None = None
-    m: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
+    a: np.ndarray
+    m_tau: np.ndarray
+    key: np.ndarray | None = None
+    tau: float = 0.0
 
 
 class Assembler:
@@ -217,7 +228,7 @@ class Assembler:
     coefficient law into preallocated buffers, applies the two operators and
     adds the constant shares; a CSR product sums each row in storage order,
     so every value is bit-identical however the rows are split.  A fill plan
-    (see _fill) copies its last K and M rows while its cells keep (lam, c).
+    (see _fill) copies its kept A rows while its key and tau stay the same.
 
     A step runs in the contiguous row shares of linalg.share_bounds (whole
     dot-product chunks, balanced by stored entries): share w fills its rows
@@ -234,15 +245,10 @@ class Assembler:
         self.table = table
         self.workers = max(1, int(workers))
 
+        check_assemblable(mesh)
         m = mesh.n_cells
         n = mesh.n_nodes
-        if m == 0:
-            raise FemError("cannot assemble on a mesh with no cells")
         cells = mesh.cells
-        uses = np.bincount(cells.ravel(), minlength=n)
-        if not uses.all():
-            orphan = int(np.argmin(uses))  # the first node no cell uses
-            raise FemError(f"node {orphan} belongs to no cell; compact the mesh before assembly")
 
         # material coefficients (crho-, crho+, lambda-, lambda+, latent) per
         # region; a cell is constant when its frozen and thawed values agree
@@ -333,18 +339,16 @@ class Assembler:
             shape=(mv, n),
             copy=False,
         )
-        coeffs = np.empty((4, mv))
+        self._law = np.empty((4, mv))
         var_region = region[var]
         for tag, row in rows.items():
-            coeffs[:, var_region == tag] = row[:4, None]
-        crm, crp, lamm, lamp = coeffs
-        self._crm, self._dcr = crm, crp - crm
-        self._lamm, self._dlam = lamm, lamp - lamm
+            self._law[:, var_region == tag] = row[:4, None]
+        self._law[1::2] -= self._law[::2]  # the law's (crm, dcr, lamm, dlam)
         # per-step buffers of the phase-change cells' values (each process
-        # writes its own); _coeffs is the pair (lam, c)
-        self._tm, self._coeffs = np.empty(mv), np.empty((2, mv))
-        self._lam, self._c = self._coeffs
+        # writes its own): the clipped cell means, c and lam, the band tests
+        self._key, self._c, self._lam = np.empty(mv), np.empty(mv), np.empty(mv)
         self._band = np.empty((2, mv), dtype=bool)
+        self._limits = band_limits(table.phase)
 
         self._serial = self._pooled = None  # the steps' layouts (see _layout)
         self._pool: ForkPool | None = None
@@ -357,36 +361,35 @@ class Assembler:
 
         ``bufs`` is (T_prev, A out, rhs out).  The cell buffers are
         indexed by phase-change cell, so the products read only the plan's
-        own cells; the constant cells' share is added after them.  The
-        products are skipped while the plan's (lam, c) equal those of its
-        last products: the same kernel on the same inputs gives the same bits.
+        own cells; the constant cells' share is added after them.  The law
+        is constant beyond physics.band_limits, so it runs on the cell means
+        clipped to them (the key), and neither it nor the products run while
+        the key and tau equal the plan's record.
         """
         cells, slots, rows = plan.cells, plan.slots, plan.rows
         t_prev, a_out, rhs_out = bufs
-        matvec_into(plan.cmean, t_prev, self._tm[cells])
-        # single-phase cells are constant, so every phase-change cell is
-        # freezing-porous and carries the phase model's latent heat
-        model = self.table.phase
-        apparent_coefficients(
-            self._tm[cells], model, self._crm[cells], self._dcr[cells], self._lamm[cells],
-            self._dlam[cells], model.latent_volumetric,
-            out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
-        )
-        coeffs = self._coeffs[:, cells]
-        if plan.coeffs is None or not np.array_equal(coeffs, plan.coeffs):
-            plan.coeffs = None  # rows cut short by an error must not be reused
-            if plan.k is None:
-                plan.k, plan.m = np.empty_like(a_out[slots]), np.empty_like(rhs_out[rows])
-            matvec_into(plan.gk, self._lam, plan.k)
-            plan.k += self._k_const[slots]
-            matvec_into(plan.gm, self._c, plan.m)
-            plan.m += self._m_const[rows]
-            plan.coeffs = coeffs.copy()
+        key = self._key[cells]
+        matvec_into(plan.cmean, t_prev, key)
+        np.clip(key, *self._limits, out=key)
+        if plan.key is None or tau != plan.tau or not np.array_equal(key, plan.key):
+            plan.key = None  # rows cut short by an error must not be reused
+            # single-phase cells are constant, so every phase-change cell is
+            # freezing-porous and carries the phase model's latent heat
+            model = self.table.phase
+            apparent_coefficients(
+                key, model, *self._law[:, cells], model.latent_volumetric,
+                out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
+            )
+            matvec_into(plan.gk, self._lam, plan.a)
+            plan.a += self._k_const[slots]
+            matvec_into(plan.gm, self._c, plan.m_tau)
+            plan.m_tau += self._m_const[rows]
+            plan.m_tau /= tau
+            plan.a[plan.diag] += plan.m_tau
+            plan.key, plan.tau = key.copy(), tau
         # a copy: the caller may change A in place (DirichletPlan.apply)
-        a_out[slots] = plan.k
-        m_over_tau = plan.m / tau
-        a_out[plan.diag] += m_over_tau
-        np.multiply(m_over_tau, t_prev[rows], out=rhs_out[rows])
+        a_out[slots] = plan.a
+        np.multiply(plan.m_tau, t_prev[rows], out=rhs_out[rows])
 
     # -- assembly ----------------------------------------------------------
 
@@ -395,8 +398,7 @@ class Assembler:
         the previous level, from the operators: the bits of a fill, run none."""
         model = self.table.phase
         c, _ = apparent_coefficients(
-            self._cmean @ self._field_array(field_prev), model, self._crm, self._dcr,
-            self._lamm, self._dlam, model.latent_volumetric,
+            self._cmean @ self._field_array(field_prev), model, *self._law, model.latent_volumetric
         )
         return self._gm @ c + self._m_const
 
@@ -498,7 +500,7 @@ class Assembler:
         return _FillPlan(
             slice(c0, c1), slice(s0, s1), slice(r0, r1),
             _rows_of(self._cmean, c0, c1), _rows_of(self._gk, s0, s1), _rows_of(self._gm, r0, r1),
-            self._pattern.diagonal_slots[r0:r1],
+            self._pattern.diagonal_slots[r0:r1] - s0, np.empty(s1 - s0), np.empty(r1 - r0),
         )
 
     def _share_task(self, w: int):

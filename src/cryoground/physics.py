@@ -9,8 +9,8 @@ thawed pore content ramps linearly from 0 to 1 across the band, and its
 derivative contributes the latent-heat spike to the effective capacity.
 
 apparent_coefficients is the model's one coefficient law: the assembler
-evaluates it on every step at the cell-mean temperatures (each row share
-into its own buffers), and effective_capacity for one material.
+evaluates it at cell means clipped to band_limits, when those changed (each
+row share into its own buffers), and effective_capacity for one material.
 Temperatures may be scalars or numpy arrays.
 """
 
@@ -193,6 +193,18 @@ def apparent_coefficients(t, model: PhaseModel, crm, dcr, lamm, dlam, latent, ou
     inside &= below
     np.add(c, latent / (2.0 * model.delta), out=c, where=inside)
     return (c, lam) if c.ndim else (float(c), float(lam))
+
+
+def band_limits(model: PhaseModel) -> tuple[float, float]:
+    """(lo, hi): apparent_coefficients gives the frozen (lam, c) bits at all t <= lo
+    and the thawed ones at all t >= hi.  From the band ends, which its inside test
+    excludes, step outwards until phi (c below) is exactly 0 and 1; the law is monotone."""
+    lo, hi = model.t_star - model.delta, model.t_star + model.delta
+    while apparent_coefficients(lo, model, 0.0, 1.0, 0.0, 0.0, 0.0)[0] != 0.0:
+        lo = np.nextafter(lo, -np.inf)
+    while apparent_coefficients(hi, model, 0.0, 1.0, 0.0, 0.0, 0.0)[0] != 1.0:
+        hi = np.nextafter(hi, np.inf)
+    return float(lo), float(hi)
 
 
 def effective_capacity(t, mat: Material, model: PhaseModel):

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import io as cgio
-from .fem import Assembler, DirichletPlan, TemperatureField, nodes_for_tags
+from .fem import Assembler, DirichletPlan, TemperatureField, check_assemblable, nodes_for_tags
 from .linalg import SolveReport, cg_solve
 from .mesh import BoxMeshPlan, BoxMeshSpec, Mesh, build_planned_box, generate_box, read_msh
 from .physics import (
@@ -163,10 +163,11 @@ def _constrained_tags(config: SimulationConfig) -> list[int]:
 
 def initialize(config: SimulationConfig) -> tuple[Mesh, TemperatureField]:
     """Build the mesh and the initial field (uniform or from a restart), and
-    check that every constrained tag and every region resolves, as a run
-    would at setup."""
+    check that the mesh assembles and every constrained tag and region
+    resolves, as a run would at setup."""
     config.validate()
     mesh = _build_mesh(config.mesh)
+    check_assemblable(mesh)
     nodes_for_tags(mesh, _constrained_tags(config))
     for region in np.unique(mesh.cell_region):
         config.table.for_region(region)

@@ -150,8 +150,7 @@ def stiffness_values(asm: fem.Assembler, field) -> np.ndarray:
     K_const from the assembler's operators, as capacity_diagonal forms M."""
     model = asm.table.phase
     _, lam = apparent_coefficients(
-        asm._cmean @ asm._field_array(field), model, asm._crm, asm._dcr, asm._lamm,
-        asm._dlam, model.latent_volumetric,
+        asm._cmean @ asm._field_array(field), model, *asm._law, model.latent_volumetric
     )
     return asm._gk @ lam + asm._k_const
 

@@ -9,7 +9,7 @@ import cryoground.verify as verify
 from cryoground.cli import main
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
-from cryoground.mesh import BoxMeshSpec, generate_box, write_msh
+from cryoground.mesh import BoxMeshSpec, Mesh, generate_box, write_msh
 from cryoground.parallel import ForkPool, WorkerFailure, pool_available
 from cryoground.simulate import SolverFailure
 
@@ -385,6 +385,23 @@ class TestRun:
             assert main([command, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"configuration error: {msh}: not a text file")
+
+    def test_msh_with_unused_node_is_config_error(self, tmp_path, capsys):
+        """A mesh file with a node that no cell uses stops validate as it
+        stops run (which cannot assemble it): exit 2 and one message."""
+        box = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (3, 3, 3)))
+        nodes = np.vstack([box.nodes, [[0.5, 0.5, 2.0]]])
+        msh = tmp_path / "box.msh"
+        write_msh(Mesh(nodes, box.cells, box.cell_region, box.boundary_facets, box.facet_tag), msh)
+        cube = "type = box\nextents = 1 1 1\ndivisions = 3 3 3"
+        text = TINY_RUN.format(out=tmp_path / "out").replace(cube, f"type = msh\npath = {msh}")
+        path = write(tmp_path, text)
+        errors = []
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"configuration error: node {box.n_nodes} belongs to no cell")
 
     @pytest.mark.parametrize(
         "old, new, key",

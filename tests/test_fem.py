@@ -26,7 +26,7 @@ from cryoground.mesh import (
     paint_region,
 )
 from cryoground.parallel import pool_available
-from cryoground.physics import Material, MaterialTable, UnknownRegionError
+from cryoground.physics import Material, MaterialTable, UnknownRegionError, apparent_coefficients
 from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
 
@@ -253,7 +253,8 @@ class TestAssemble:
                 for plan, lo, hi in zip(plans, bounds[:-1], bounds[1:], strict=True):
                     assert plan.rows == slice(lo, hi)
                     assert plan.slots == slice(int(offsets[lo]), int(offsets[hi]))
-                    assert np.array_equal(plan.diag, asm._pattern.diagonal_slots[lo:hi])
+                    diag = plan.slots.start + plan.diag
+                    assert np.array_equal(diag, asm._pattern.diagonal_slots[lo:hi])
                 if nw == 1:
                     assert plan.cmean is asm._cmean and plan.gk is asm._gk and plan.gm is asm._gm
             finally:
@@ -278,9 +279,10 @@ class TestAssemble:
 
 
 class TestFillReuse:
-    """A fill copies out the K and M rows of its plan's last products when
-    the (lam, c) of the plan's cells did not change; every value must still
-    be the bits a fresh assembler gives, and the rhs is formed anew."""
+    """A fill copies out the A rows of its plan's last products when its key
+    (the cell means clipped to physics.band_limits) and tau did not change;
+    every value must still be the bits a fresh assembler gives, and the rhs
+    is formed anew."""
 
     WORKERS = [
         1,
@@ -318,13 +320,13 @@ class TestFillReuse:
         levels += [-3.0 + noise, -3.0 + noise + lower, -3.0 + noise]
         return [f for f in levels for _ in range(2)]
 
-    def fresh(self, mesh, table, field):
+    def fresh(self, mesh, table, field, tau=TAU):
         asm = Assembler(mesh, table)
-        system = asm.assemble(field, self.TAU)
+        system = asm.assemble(field, tau)
         return system.matrix.values, system.rhs, asm.capacity_diagonal(field)
 
-    def assert_fresh(self, mesh, table, field, values, rhs, capacity=None):
-        want = self.fresh(mesh, table, field)
+    def assert_fresh(self, mesh, table, field, values, rhs, capacity=None, tau=TAU):
+        want = self.fresh(mesh, table, field, tau)
         assert values.tobytes() == want[0].tobytes()
         assert rhs.tobytes() == want[1].tobytes()
         if capacity is not None:
@@ -360,36 +362,57 @@ class TestFillReuse:
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_unchanged_coefficients_run_no_product(self, layered, workers, monkeypatch):
-        """Counts the G_K and G_M products of the calling process's plan, so
-        that the reuse cannot silently stop, also with every cell inside the
-        phase band.  capacity_diagonal between two fills forms M from the
-        operators: it runs no fill and leaves the record as it was."""
+        """Counts the coefficient-law calls and the G_K and G_M products of
+        the calling process's plan, so that the reuse can neither silently
+        stop nor reach too far: a field that moves within the frozen or the
+        thawed side runs neither, one that crosses a band edge or moves in
+        the band runs both, and so does a new tau at the same key.
+        capacity_diagonal between two fills forms M from the operators: it
+        runs no fill and leaves the record as it was."""
         mesh, table = layered
-        products = []
+        products, laws = [], []
 
         def counting(op, x, out):
             products.append(op)
             matvec_into(op, x, out)
 
+        def counting_law(t, *args, **kwargs):
+            laws.append(t)
+            return apparent_coefficients(t, *args, **kwargs)
+
         monkeypatch.setattr(fem, "matvec_into", counting)
+        monkeypatch.setattr(fem, "apparent_coefficients", counting_law)
         asm = Assembler(mesh, table, workers=workers)
         frozen, band = self.fields(mesh)[0], self.fields(mesh)[4]
-        assert (frozen + 0.5).max() < -1.0
+        assert (frozen + 0.5).max() < -1.0 and (-frozen - 0.5).min() > 1.0
         assert np.abs(band).max() < 1.0
-        steps = [(frozen, 2), (frozen + 0.5, 0), (frozen, 0), (-frozen, 2), (band, 2), (band, 0)]
+        edge = frozen + 2.0  # cell means on both sides of the lower band edge
+        tau2 = 2.5 * self.TAU
+        # (field, tau, fills that run the law and the products)
+        steps = [(frozen, self.TAU, 1), (frozen + 0.5, self.TAU, 0), (frozen, self.TAU, 0),
+                 (frozen, tau2, 1), (frozen + 0.5, tau2, 0), (edge, tau2, 1), (edge, tau2, 0),
+                 (-frozen, tau2, 1), (-frozen - 0.5, tau2, 0), (band, tau2, 1), (band, tau2, 0),
+                 (band, self.TAU, 1), (band, self.TAU, 0)]
         try:
-            for field, expected in steps:
-                system = asm.assemble(field, self.TAU, reuse_buffers=True)
+            for field, tau, expected in steps:
+                del products[:], laws[:]  # also those of the fresh assemblers below
+                system = asm.assemble(field, tau, reuse_buffers=True)
                 plans = (asm._serial if workers == 1 else asm._pooled)[0]
                 assert len(plans) == workers and all(p.rows.stop > p.rows.start for p in plans)
                 plan = plans[-1]
+                key = asm._key[plan.cells]
+                if field is edge:
+                    lo, hi = asm._limits
+                    assert (key == lo).any() and ((key > lo) & (key < hi)).any()
                 ran = sum(op is plan.gk or op is plan.gm for op in products)
-                assert ran == expected
-                products.clear()
+                assert ran == 2 * expected
+                assert len(laws) == expected
+                assert all(np.shares_memory(t, asm._key) for t in laws)
+                del products[:], laws[:]
                 capacity = asm.capacity_diagonal(-field)
-                assert products == []
+                assert products == [] and len(laws) == 1
                 # the rhs follows the field even where the matrix is reused
-                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
+                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs, tau=tau)
                 assert capacity.tobytes() == self.fresh(mesh, table, -field)[2].tobytes()
         finally:
             asm.close()

@@ -15,6 +15,7 @@ from cryoground.physics import (
     UnknownRegionError,
     air_temperature,
     apparent_coefficients,
+    band_limits,
     columns_active,
     effective_capacity,
     frozen_thawed_coeffs,
@@ -142,6 +143,54 @@ class TestInterpolants:
         expected = law(t, 1e6, 3e6, 2.2, 0.6, 1.04e8)
         assert c.tobytes() == expected[0].tobytes() and lam.tobytes() == expected[1].tobytes()
         assert out[2].tolist() == [False, False, True, True, False, False]
+
+
+class TestBandLimits:
+    """band_limits(model) = (lo, hi): the law gives the frozen (lam, c) bits
+    at lo and at every t below it, and the thawed ones at hi and above.  The
+    assembler's fill reuse compares cell means clipped to (lo, hi), so a
+    limit inside the band would reuse coefficients that changed."""
+
+    # the last two are cases where a band end t_star -/+ delta, rounded,
+    # still gives a phi strictly between 0 and 1 (see the test below)
+    CASES = [(0.0, 1.0), (0.1, 0.3), (-0.7, 0.05), (3.3, 1e-9), (0.0, 7.5), (1.88, 0.267),
+             (2.61, 1.253)]
+
+    @pytest.mark.parametrize("t_star, delta", CASES)
+    @pytest.mark.parametrize("dcr, dlam", [(1e6, -1.6), (-3e5, 0.35)])
+    def test_law_constant_beyond_limits(self, t_star, delta, dcr, dlam):
+        model = PhaseModel(t_star=t_star, delta=delta, latent_volumetric=1.04e8)
+        lo, hi = band_limits(model)
+        # the limits sit on the band ends or a few ulps outside them
+        low, high = t_star - delta, t_star + delta
+        assert low - 4 * np.spacing(abs(low)) <= lo <= low
+        assert high <= hi <= high + 4 * np.spacing(abs(high))
+        ulps = np.arange(4000)
+        below = np.concatenate([
+            lo - ulps * np.spacing(abs(lo)),  # the limit and its neighbours
+            lo - np.geomspace(1e-12, 1e3, 4000) * delta,
+            [-1e30, np.nextafter(lo, -np.inf)],
+        ])
+        above = np.concatenate([
+            hi + ulps * np.spacing(abs(hi)),
+            hi + np.geomspace(1e-12, 1e3, 4000) * delta,
+            [1e30, np.nextafter(hi, np.inf)],
+        ])
+        crm, lamm = 1.9e6, 1.2
+        for t, (c_want, lam_want) in ((below, (crm, lamm)), (above, (crm + dcr, lamm + dlam))):
+            assert (t <= lo).all() if t is below else (t >= hi).all()
+            c, lam = apparent_coefficients(t, model, crm, dcr, lamm, dlam, model.latent_volumetric)
+            assert c.tobytes() == np.full(len(t), c_want).tobytes()
+            assert lam.tobytes() == np.full(len(t), lam_want).tobytes()
+
+    def test_rounded_band_end_can_lie_inside(self):
+        """The limits step past a rounded band end that the law still puts
+        inside the ramp, so they cannot be the band ends themselves."""
+        for (t_star, delta), end, side in (((1.88, 0.267), 0, 0.0), ((2.61, 1.253), 1, 1.0)):
+            model = PhaseModel(t_star=t_star, delta=delta)
+            t = (t_star - delta, t_star + delta)[end]
+            assert apparent_coefficients(t, model, 0.0, 1.0, 0.0, 0.0, 0.0)[0] != side
+            assert band_limits(model)[end] == np.nextafter(t, (-np.inf, np.inf)[end])
 
 
 class TestEffectiveCapacity:
