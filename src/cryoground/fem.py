@@ -23,14 +23,23 @@ once; the operators keep only the phase-change cells.  A step is then
 C @ T_prev and the coefficient law on the phase-change cells,
 K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
-bit-identical for any split of the rows.  While a fill's cell means clipped
-to physics.band_limits (its key) and tau stay, it copies its kept A rows
-(M/tau on the diagonal) and runs neither the coefficient law nor products.
-A step's rows are cut once, into the CG's shares (linalg.share_bounds):
-each share fills its rows of A and b and runs the CG loop on them, and the
-serial step is the one-share case.  With workers the shares run in the
-calling process plus forked ones, writing disjoint row ranges of shared
-buffers; see cryoground.parallel and cryoground.linalg.
+bit-identical for any split of the rows.  A step's rows are cut once, into
+the CG's shares (linalg.share_bounds): each share fills its rows of A and b
+and runs the CG loop on them, and the serial step is the one-share case.
+With workers the shares run in the calling process plus forked ones,
+writing disjoint row ranges of shared buffers; see cryoground.parallel and
+cryoground.linalg.
+
+What a step keeps, per share, and what drops it:
+- its A rows (M/tau on the diagonal), while its cell means clipped to
+  physics.band_limits (the key) and tau stay: no law, no products.  Nodes
+  beyond physics.node_limits tell most keys without the means, and a step
+  whose keys they tell unchanged runs no fill at all;
+- those rows eliminated, while the step's DirichletPlan is the one the last
+  full elimination used; only the rhs is corrected, from the coupling
+  values kept then.  assemble() without that plan drops them;
+- the CG's inverse diagonal and A x of the last solution, while its rows
+  stay and x0 equals that solution off the constrained rows.
 """
 
 from __future__ import annotations
@@ -40,10 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as _sp
 
-from .linalg import CgShares, CsrMatrix, csr_rows, matvec_into, share_bounds
+from .linalg import CgShares, CsrMatrix, csr_rows, matvec_add_into, matvec_into, share_bounds
 from .mesh import Mesh, _volumes
 from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
-from .physics import MaterialTable, apparent_coefficients, band_limits, frozen_thawed_coeffs
+from .physics import (
+    MaterialTable, apparent_coefficients, band_limits, frozen_thawed_coeffs, node_limits
+)
 
 # cells per block of the element-geometry pass in Assembler.__init__
 _GEOMETRY_BLOCK = 4096
@@ -187,10 +198,12 @@ def _rows_of(op, lo: int, hi: int):
 
 @dataclass(eq=False)
 class _FillPlan:
-    """One fill's rows (see Assembler._fill), the operators' rows and the
-    diagonal positions in its slots, with the A rows and M/tau of its last
-    products and the key and tau they came from (key None: none to reuse)."""
+    """One fill's rows (see Assembler._fill): its CG share, the operators'
+    rows and the diagonal positions in its slots, with the A rows and M/tau
+    of its last products and the key and tau they came from (key None: none
+    to reuse)."""
 
+    share: int
     cells: slice
     slots: slice
     rows: slice
@@ -202,6 +215,17 @@ class _FillPlan:
     m_tau: np.ndarray
     key: np.ndarray | None = None
     tau: float = 0.0
+
+
+@dataclass(eq=False)
+class _Kept:
+    """What a layout keeps across steps: the DirichletPlan its A buffer holds
+    eliminated and the coupling values that elimination read, and the
+    prefilter of its plans' keys (see Assembler._prefiltered)."""
+
+    plan: object = None
+    coupling: np.ndarray | None = None
+    prefilter: tuple | None = None
 
 
 class Assembler:
@@ -228,7 +252,7 @@ class Assembler:
     coefficient law into preallocated buffers, applies the two operators and
     adds the constant shares; a CSR product sums each row in storage order,
     so every value is bit-identical however the rows are split.  A fill plan
-    (see _fill) copies its kept A rows while its key and tau stay the same.
+    (see _fill) keeps its A rows while its key and tau stay the same.
 
     A step runs in the contiguous row shares of linalg.share_bounds (whole
     dot-product chunks, balanced by stored entries): share w fills its rows
@@ -244,6 +268,7 @@ class Assembler:
         self.mesh = mesh
         self.table = table
         self.workers = max(1, int(workers))
+        self._cpus = usable_cpus()  # a system call: counted once, not per step
 
         check_assemblable(mesh)
         m = mesh.n_cells
@@ -304,7 +329,8 @@ class Assembler:
         del keys
         for arr in (self.row_offsets, self.column_indices):
             arr.flags.writeable = False
-        self._pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
+        # every assembled matrix has this pattern (DirichletPlans are built on it)
+        self.pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
 
         # the constant cells' share of K and M is fixed: lam and c of the
         # constant cells by column, zero for the phase-change cells (whose
@@ -349,29 +375,35 @@ class Assembler:
         self._key, self._c, self._lam = np.empty(mv), np.empty(mv), np.empty(mv)
         self._band = np.empty((2, mv), dtype=bool)
         self._limits = band_limits(table.phase)
+        self._node_limits = node_limits(table.phase)
 
         self._serial = self._pooled = None  # the steps' layouts (see _layout)
         self._pool: ForkPool | None = None
 
     # -- per-step fill -----------------------------------------------------
 
-    def _fill(self, plan: _FillPlan, tau: float, bufs):
+    def _fill(self, plan: _FillPlan, tau: float, bufs, keep_rows: bool):
         """A = K + M/tau and the rhs (M/tau) T_prev of the plan's rows at the
         previous field.
 
-        ``bufs`` is (T_prev, A out, rhs out).  The cell buffers are
-        indexed by phase-change cell, so the products read only the plan's
-        own cells; the constant cells' share is added after them.  The law
-        is constant beyond physics.band_limits, so it runs on the cell means
-        clipped to them (the key), and neither it nor the products run while
-        the key and tau equal the plan's record.
+        ``bufs`` is (T_prev, A out, rhs out, CG work, M/tau of all rows,
+        keys kept per share).  The cell buffers are indexed by phase-change
+        cell, so the products read only the plan's own cells; the constant
+        cells' share is added after them.  The law is constant beyond
+        physics.band_limits, so it runs on the cell means clipped to them
+        (the key), and neither it nor the products run while the key and tau
+        equal the plan's record.  With ``keep_rows`` (A out holds the rows of
+        that record, eliminated as this step eliminates them) such a fill
+        copies no rows either, and tells the CG share so.
         """
         cells, slots, rows = plan.cells, plan.slots, plan.rows
-        t_prev, a_out, rhs_out = bufs
+        t_prev, a_out, rhs_out, work, _, same_keys = bufs
         key = self._key[cells]
         matvec_into(plan.cmean, t_prev, key)
         np.clip(key, *self._limits, out=key)
-        if plan.key is None or tau != plan.tau or not np.array_equal(key, plan.key):
+        same = plan.key is not None and tau == plan.tau and np.array_equal(key, plan.key)
+        same_keys[plan.share] = same
+        if not same:
             plan.key = None  # rows cut short by an error must not be reused
             # single-phase cells are constant, so every phase-change cell is
             # freezing-porous and carries the phase model's latent heat
@@ -387,9 +419,46 @@ class Assembler:
             plan.m_tau /= tau
             plan.a[plan.diag] += plan.m_tau
             plan.key, plan.tau = key.copy(), tau
-        # a copy: the caller may change A in place (DirichletPlan.apply)
-        a_out[slots] = plan.a
+        if not (same and keep_rows):
+            a_out[slots] = plan.a  # a copy: the elimination changes A in place
+            work.valid[plan.share] = 0.0
+        work.kept[plan.share] = same and keep_rows
         np.multiply(plan.m_tau, t_prev[rows], out=rhs_out[rows])
+
+    def _classes(self, t: np.ndarray) -> np.ndarray:
+        """Node classes: 0 at or below physics.node_limits, 2 at or above, else 1."""
+        lo_n, hi_n = self._node_limits
+        return (t > lo_n).view(np.int8) + (t >= hi_n).view(np.int8)
+
+    def _prefiltered(self, prefilter, t_prev: np.ndarray, tau: float) -> bool:
+        """Whether every plan's key and tau equal its record, told without
+        the cell means: a cell whose nodes all lie below (above)
+        physics.node_limits has key lo (hi), so it is enough that every node
+        keeps the class it had at the record and the other cells keep their
+        keys (a row subset of C @ T)."""
+        if prefilter is None or tau != prefilter[0]:
+            return False
+        _, classes, uncertain, keys, buf = prefilter
+        if not (self._classes(t_prev) == classes).all():
+            return False
+        if not len(keys):
+            return True
+        matvec_into(uncertain, t_prev, buf)
+        np.clip(buf, *self._limits, out=buf)
+        return bool((buf == keys).all())
+
+    def _record(self, t_prev: np.ndarray, tau: float):
+        """The prefilter of the plans' keys, recorded where every plan found
+        its key unchanged: a fill whose key changes every step would only
+        pay for it."""
+        classes = self._classes(t_prev)
+        mean = np.empty(self._cmean.shape[0])  # 0 (2) where all the cell's nodes lie below (above)
+        matvec_into(self._cmean, classes.astype(np.float64), mean)
+        uncertain = self._cmean[np.flatnonzero((mean != 0.0) & (mean != 2.0))]
+        keys = np.empty(uncertain.shape[0])
+        matvec_into(uncertain, t_prev, keys)
+        np.clip(keys, *self._limits, out=keys)
+        return tau, classes, uncertain, keys, np.empty_like(keys)
 
     # -- assembly ----------------------------------------------------------
 
@@ -414,44 +483,28 @@ class Assembler:
     def effective_workers(self, workers: int | None = None) -> int:
         """Worker processes an assemble() call with this ``workers`` argument
         runs: the request (default: the assembler's own count) capped at the
-        CPUs this process may run on, and 1 where the worker pool is
-        unavailable (see parallel.pool_available)."""
+        CPUs this process could run on when the assembler was built, and 1
+        where the worker pool is unavailable (see parallel.pool_available)."""
         nw = self.workers if workers is None else max(1, int(workers))
         # extra processes beyond the usable CPUs only add convoy overhead
-        nw = min(nw, usable_cpus())
+        nw = min(nw, self._cpus)
         return nw if pool_available() else 1
 
     def _layout(self, nw: int):
-        """(fill plans, CgShares, (T_prev, A, rhs)) of the step in nw row
-        shares, cut by linalg.share_bounds: plan w fills the rows of CG share
-        w.  One share fills from the operators themselves into np.zeros
-        buffers, more from their rows into shared memory forked shares see."""
+        """(fill plans, CgShares, buffers (see _fill), _Kept, the system the
+        buffers hold) of the step in nw row shares, cut by
+        linalg.share_bounds: plan w fills the rows of CG share w.  One share
+        fills from the operators themselves into np.zeros buffers, more from
+        their rows into shared memory forked shares see."""
         alloc, run = (np.zeros, None) if nw == 1 else (ForkPool.shared_array, self._run_cg)
         bounds = share_bounds(self.row_offsets, nw)
-        shares = CgShares(self._pattern.with_values(alloc(self.nnz)), bounds, alloc, run)
-        plans = [self._plan(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+        shares = CgShares(self.pattern.with_values(alloc(self.nnz)), bounds, alloc, run)
         n = self.mesh.n_nodes
-        return plans, shares, (alloc(n), shares.values, shares.work.b[:n])
-
-    def _values(self, t_prev: np.ndarray, tau: float, workers: int | None, reuse_buffers: bool):
-        """(A values, rhs, CgShares or None) at the previous field.  The
-        fill writes the layout's arrays (the rhs is the CG work vector b of
-        the shares), which are returned with ``reuse_buffers``, else copied."""
-        nw = self.effective_workers(workers)
-        if nw > 1:
-            self._ensure_pool(nw)
-        elif self._serial is None:
-            self._serial = self._layout(1)
-        plans, shares, bufs = self._pooled if nw > 1 else self._serial
-        bufs[0][:] = t_prev
-        if nw > 1:
-            self._cmd[:2] = (_FILL, tau)
-            self._pool.dispatch()
-        else:
-            self._fill(plans[0], tau, bufs)
-        if reuse_buffers:
-            return (*bufs[1:], shares)
-        return (*(a.copy() for a in bufs[1:]), None)
+        m_tau = alloc(n)
+        plans = [self._plan(w, r0, r1, m_tau) for w, (r0, r1) in enumerate(zip(bounds, bounds[1:]))]
+        bufs = alloc(n), shares.values, shares.work.rhs, shares.work, m_tau, alloc(nw)
+        system = LinearSystem(self.pattern.with_values(shares.values, shares), shares.work.rhs)
+        return plans, shares, bufs, _Kept(), system
 
     def assemble(
         self,
@@ -460,57 +513,116 @@ class Assembler:
         source: np.ndarray | None = None,
         workers: int | None = None,
         reuse_buffers: bool = False,
+        constraints: tuple | None = None,
     ) -> LinearSystem:
         """One implicit step system: A = M/tau + K, b = (M/tau) T_prev.
 
         ``source`` is an optional nodal volumetric heat source (W/m^3),
         integrated with the geometric lumped weights into the rhs.
-        ``reuse_buffers`` lets the assembler hand out its own buffers (and
-        the row shares cg_solve then runs in); the returned system is then
-        only valid until the next assemble() call (the sequential time loop
-        uses this).
+        ``constraints`` = (DirichletPlan, values) are then eliminated as
+        DirichletPlan.apply eliminates them.  ``reuse_buffers`` hands out the
+        assembler's own buffers (and the row shares cg_solve then runs in),
+        else copies; such a system is only valid until the next assemble()
+        call (the time loop uses this) and, with constraints, must not be
+        changed in place before its solve.
         """
         if not tau > 0:
             raise FemError(f"tau must be > 0, got {tau}")
         t_prev = self._field_array(field_prev)
-        a_vals, rhs, shares = self._values(t_prev, float(tau), workers, reuse_buffers)
         if source is not None:
             source = np.asarray(source, dtype=np.float64)
-            if source.shape != rhs.shape:
+            if source.shape != t_prev.shape:
                 raise FemError(f"source shape {source.shape} does not match node count")
+        nw = self.effective_workers(workers)
+        if nw > 1:
+            self._ensure_pool(nw)
+        elif self._serial is None:
+            self._serial = self._layout(1)
+        layout = self._pooled if nw > 1 else self._serial
+        plans, shares, bufs, kept, system = layout
+        dplan, g = constraints or (None, None)
+        if dplan is not None:
+            g = np.asarray(g, dtype=np.float64)
+            if g.shape != dplan.nodes.shape:
+                raise FemError("constraint value array does not match plan nodes")
+        keep_rows = dplan is not None and kept.plan is dplan
+        prefilter, kept.plan, kept.prefilter = kept.prefilter, None, None
+        t_buf, a_vals, rhs, work, m_tau, same_keys = bufs
+        known = self._prefiltered(prefilter, t_prev, tau)
+        if known and keep_rows:
+            np.multiply(m_tau, t_prev, out=rhs)  # no share refills: each one's rhs rows
+            work.kept[:] = 1.0
+        else:
+            t_buf[:] = t_prev
+            if nw > 1:
+                self._cmd[:] = (_FILL, tau, keep_rows)
+                self._pool.dispatch()
+            else:
+                self._fill(plans[0], float(tau), bufs, keep_rows)
+            if not same_keys.all():
+                prefilter = None
+            elif not known:  # missing or missed
+                prefilter = self._record(t_prev, tau)
+        kept.prefilter = prefilter
+        if source is not None:
             rhs += self.node_volumes * source
-        return LinearSystem(self._pattern.with_values(a_vals, shares), rhs)
+        if dplan is not None:
+            self._eliminate(plans, shares, kept, system, dplan, g)
+        if reuse_buffers:
+            return system
+        return LinearSystem(self.pattern.with_values(a_vals.copy()), rhs.copy())
+
+    def _eliminate(self, plans, shares, kept, system: LinearSystem, dplan, g: np.ndarray):
+        """DirichletPlan.apply on the layout's system, keeping the coupling
+        values (A_ij, i constrained, j free) it reads.  Shares that kept
+        their rows (see _fill) hold this elimination already: then only the
+        others' rows are eliminated, updating those values, and the rhs
+        correction takes the kept ones.  The CG shares learn the fixed rows."""
+        a = system.matrix.values
+        if not shares.work.kept.any():  # DirichletPlan.apply, its coupling kept
+            kept.coupling = np.empty(len(dplan._cross_positions))
+            dplan._eliminate_slots(a, kept.coupling, slice(0, len(a)))
+        else:
+            for plan in plans:
+                if not shares.work.kept[plan.share]:
+                    dplan._eliminate_slots(a, kept.coupling, plan.slots)
+        dplan._correct(system.rhs, g, kept.coupling)
+        kept.plan = dplan
+        shares.fixed = dplan.nodes, dplan._rows
 
     # -- worker pool -------------------------------------------------------
 
     def _ensure_pool(self, nw: int):
-        if self._pool is not None and len(self._pooled[0]) == nw and self._pool.alive():
+        # a worker that died since the last dispatch fails the next one, which
+        # closes the pool; the next assemble() then builds a new one
+        if self._pool is not None and len(self._pooled[0]) == nw and not self._pool.closed:
             return
         self.close()
         self._pooled = self._layout(nw)
-        self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, max_iter)
+        self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, keep_rows or max_iter)
         self._sync = ShareSync(nw)
         self._pool = ForkPool(nw, self._share_task, self._sync)
 
-    def _plan(self, r0: int, r1: int):
-        """The fill plan of matrix rows [r0, r1) (see _fill)."""
+    def _plan(self, share: int, r0: int, r1: int, m_tau: np.ndarray):
+        """The fill plan of matrix rows [r0, r1), CG share ``share``, whose
+        M/tau is those rows of ``m_tau`` (see _fill)."""
         touched = self._gm.indices[self._gm.indptr[r0] : self._gm.indptr[r1]]
         c0, c1 = (int(touched.min()), int(touched.max()) + 1) if len(touched) else (0, 0)
         s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
         return _FillPlan(
-            slice(c0, c1), slice(s0, s1), slice(r0, r1),
+            share, slice(c0, c1), slice(s0, s1), slice(r0, r1),
             _rows_of(self._cmean, c0, c1), _rows_of(self._gk, s0, s1), _rows_of(self._gm, r0, r1),
-            self._pattern.diagonal_slots[r0:r1] - s0, np.empty(s1 - s0), np.empty(r1 - r0),
+            self.pattern.diagonal_slots[r0:r1] - s0, np.empty(s1 - s0), m_tau[r0:r1],
         )
 
     def _share_task(self, w: int):
-        command, arg, max_iter = self._cmd
-        plans, shares, bufs = self._pooled
+        command, arg, arg2 = self._cmd
+        plans, shares, bufs = self._pooled[:3]
         if command == _FILL:
-            self._fill(plans[w], arg, bufs)
+            self._fill(plans[w], arg, bufs, bool(arg2))
         else:
             barrier = self._sync.barrier
-            self._cg_result = shares.share(w, arg, int(max_iter), lambda: barrier(w))
+            self._cg_result = shares.share(w, float(arg), int(arg2), lambda: barrier(w))
 
     def _run_cg(self, tol: float, max_iter: int):
         if self._pool is None:
@@ -584,12 +696,27 @@ class DirichletPlan:
         ok = (pos < len(key)) & (key[np.minimum(pos, len(key) - 1)] == want)
         if not ok.all():
             raise FemError("matrix sparsity is not structurally symmetric")
-        self._sym_positions = pos
+        self._sym_positions = np.sort(pos)  # zeroed in any order
 
         self._diag_positions = matrix.diagonal_slots[nodes]
+        # the constrained rows as the elimination leaves them, for products
+        rp = self._row_positions
+        data = (cols[rp] == rows[rp]).astype(np.float64)
+        indptr = np.append(0, np.cumsum(np.diff(offs)[nodes]))
+        self._rows = _sp.csr_matrix((data, cols[rp], indptr), shape=(len(nodes), n))
 
         # map constrained node id -> index into self.nodes
         self._owner_slot = np.searchsorted(nodes, self._cross_owner)
+        # the rhs correction as a CSR product added onto the free rows j it
+        # changes: row j holds -A_ji for its constrained columns i, ascending
+        # (a stable sort by j keeps the order in which np.add.at over the
+        # cross entries subtracts them)
+        order = np.argsort(self._cross_cols, kind="stable")
+        self._coupling_slot = np.empty_like(order)  # cross entry -> its correction slot
+        self._coupling_slot[order] = np.arange(len(order))
+        self._correction_rows, counts = np.unique(self._cross_cols, return_counts=True)
+        self._correction_indptr = np.append(0, np.cumsum(counts))
+        self._correction_indices = self._owner_slot[order]
 
     def apply(self, system: LinearSystem, values: np.ndarray) -> LinearSystem:
         """Symmetric elimination of the constraints, in place.
@@ -601,12 +728,30 @@ class DirichletPlan:
         g = np.asarray(values, dtype=np.float64)
         if g.shape != self.nodes.shape:
             raise FemError("constraint value array does not match plan nodes")
-        a = system.matrix.values
-        b = system.rhs
-        np.add.at(b, self._cross_cols, -a[self._cross_positions] * g[self._owner_slot])
-        a[self._row_positions] = 0.0
-        a[self._sym_positions] = 0.0
-        a[self._diag_positions] = 1.0
-        b[self.nodes] = g
+        a, coupling = system.matrix.values, np.empty(len(self._cross_positions))
+        self._eliminate_slots(a, coupling, slice(0, len(a)))
+        self._correct(system.rhs, g, coupling)
         return system
+
+    def _correct(self, b: np.ndarray, g: np.ndarray, coupling: np.ndarray):
+        """The rhs part of apply, from the coupling values the matrix part
+        read (see _eliminate_slots)."""
+        rows = self._correction_rows
+        corrected = b[rows]
+        matvec_add_into(self._correction_indptr, self._correction_indices, coupling, g, corrected)
+        b[rows] = corrected
+        b[self.nodes] = g
+
+    def _eliminate_slots(self, a: np.ndarray, coupling: np.ndarray, slots: slice):
+        """The matrix part of apply on the entries stored in ``slots``, whose
+        coupling values A_ij (i constrained, j free) it first stores negated
+        into ``coupling``, in the order of the correction's values."""
+        lo, hi = slots.start, slots.stop
+        c0, c1 = np.searchsorted(self._cross_positions, (lo, hi))
+        coupling[self._coupling_slot[c0:c1]] = np.negative(a[self._cross_positions[c0:c1]])
+        for positions, value in (
+            (self._row_positions, 0.0), (self._sym_positions, 0.0), (self._diag_positions, 1.0)
+        ):
+            p0, p1 = np.searchsorted(positions, (lo, hi))
+            a[positions[p0:p1]] = value
 

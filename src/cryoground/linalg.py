@@ -19,6 +19,11 @@ solver is that loop with one share.  Determinism contract:
   every partial, and hence the sum, is the same for any share split.
 Results are therefore bit-identical for any number of shares, for a given
 environment.
+
+A share whose rows did not change since the last solve keeps its inverse
+diagonal and the product A x of that solve's solution, its start residual
+while x0 equals that solution off the constrained rows; a failed solve,
+rewritten rows or a solve without their owner's word drop them (CgShares).
 """
 
 from __future__ import annotations
@@ -149,21 +154,29 @@ class CgWork:
     nothing to any dot product.  ``partials`` holds up to four chunk-partial
     rows per reduction, in two buffers used by alternate reductions: a
     share may start the next reduction while a slower one still reads the
-    last.
+    last.  ``ax`` is the product A x of the last residual formed.  ``p``
+    holds the start's direction; each share keeps its search direction and
+    A p itself (see CgShares.share).
     """
 
     NVEC = 7
 
-    def __init__(self, n: int, alloc=np.zeros):
+    def __init__(self, n: int, alloc=np.zeros, nshares: int = 1):
         self.n = n
         npad = padded_length(n)
         nchunks = npad // DOT_CHUNK
-        store = alloc(self.NVEC * npad + 8 * nchunks + 1)
-        vecs = store[: self.NVEC * npad].reshape(self.NVEC, npad)
-        self.b, self.x, self.r, self.z, self.p, self.q, self.inv_diag = vecs
-        self.partials = store[self.NVEC * npad : -1].reshape(2, 4, nchunks)
-        # 1.0 when p holds a direction d to project the start on (see share)
-        self.projected = store[-1:]
+        store = alloc(self.NVEC * npad + 8 * nchunks + 2 + 2 * nshares)
+        self.vecs = store[: self.NVEC * npad].reshape(self.NVEC, npad)
+        self.b, self.x, self.r, self.z, self.p, self.inv_diag, self.ax = self.vecs
+        self.rhs = self.b[:n]  # the rhs an owner may write in place (see cg_solve)
+        flags = store[self.NVEC * npad + 8 * nchunks :]
+        self.partials = store[self.NVEC * npad : -len(flags)].reshape(2, 4, nchunks)
+        # 1.0 when p holds a direction d to project the start on (see share);
+        # 1.0 when ax holds A x0 on the rows of the kept shares (see cg_solve)
+        self.projected, self.start_kept = flags[:1], flags[1:2]
+        # per share: its rows are unchanged since the last solve (set by
+        # their owner, consumed by a solve), and that solve completed
+        self.kept, self.valid = flags[2:].reshape(2, nshares)
 
 
 def csr_rows(indptr, indices, data, lo: int, hi: int, ncols: int):
@@ -190,6 +203,18 @@ def matvec_into(a, x: np.ndarray, out: np.ndarray):
     _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
 
 
+def matvec_add_into(indptr, indices, data, x: np.ndarray, out: np.ndarray):
+    """out += A x for the CSR arrays (indptr, indices, data) of A: each row's
+    terms are added to its entry of out one at a time, in storage order (the
+    kernel of matvec_into, started from out; np.add.at of the same terms
+    where a scipy release lacks that kernel)."""
+    if _csr_matvec is None:
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        np.add.at(out, rows, data * x[indices])
+        return
+    _csr_matvec(len(indptr) - 1, len(x), indptr, indices, data, x, out)
+
+
 def _no_barrier():
     pass
 
@@ -207,6 +232,12 @@ class CgShares:
     The row blocks view matrix.values, so later in-place changes of the
     values (Dirichlet elimination) are what the solve sees, and so are the
     diagonal entries the loop gathers through matrix.diagonal_slots.
+
+    A share whose rows did not change since the last solve may keep what
+    depends only on them.  Their owner says so before a solve by setting
+    work.kept[s] (a solve consumes the flags), and names in ``fixed`` the
+    rows whose x0 may differ from that solve's solution, as (rows, CSR of
+    those rows of the matrix); cg_solve checks the other rows of x0.
     """
 
     def __init__(self, matrix: CsrMatrix, bounds=None, alloc=np.zeros, run=None):
@@ -224,13 +255,36 @@ class CgShares:
                 f"share bounds {self.bounds} must run from 0 to {n} in nondecreasing "
                 f"multiples of {DOT_CHUNK}"
             )
-        self.work = CgWork(n, alloc)
+        self.work = CgWork(n, alloc, len(self.bounds) - 1)
+        self.fixed = None
         self.blocks = [
             csr_rows(matrix.row_offsets, matrix.column_indices, matrix.values, lo, hi, n)
             for lo, hi in zip(self.bounds, self.bounds[1:])
         ]
         self.diagonal_slots = matrix.diagonal_slots
         self._run = run
+        self._views = {}
+
+    def _share_views(self, s: int):
+        """The views share() works on for share s, and its own vectors."""
+        w, lo, hi = self.work, self.bounds[s], self.bounds[s + 1]
+        own, cols = slice(lo, hi), slice(lo, lo)
+        if hi > lo:  # the columns its rows read
+            indices = self.blocks[s].indices
+            cols = slice(int(indices.min()), int(indices.max()) + 1)
+        # the search direction p over A p, private to the share: it forms
+        # p on the columns it reads itself, so no other share waits on it
+        pq = np.zeros((2, padded_length(w.n)))
+        vecs = [v[own] for v in (w.b, w.x, w.r, w.z, w.inv_diag, w.ax, pq[1])]
+        # x over r and p over q: one step moves x along p and r along -q
+        vecs += [w.vecs[1:3, own], pq[:, own]]
+        vecs += [w.x[: w.n], pq[0, : w.n]]  # the matrix's operands
+        vecs += [pq[0, cols], w.z[cols], w.p[cols]]
+        # this share's whole chunks, zero padding included, for the partials
+        c0, c1 = lo // DOT_CHUNK, padded_length(hi) // DOT_CHUNK
+        chunks = [v[lo : c1 * DOT_CHUNK].reshape(-1, DOT_CHUNK) for v in (w.b, w.r, *pq)]
+        rzc = w.vecs[2:4, lo : c1 * DOT_CHUNK].reshape(2, -1, DOT_CHUNK)  # r over z
+        return (*vecs, c0, c1, *chunks, rzc, np.empty((2, hi - lo)), np.empty((2, 1)))
 
     def solve(self, tol: float, max_iter: int):
         if self._run is not None:
@@ -246,8 +300,11 @@ class CgShares:
         every share has called it), and contributes its chunk partials to
         each reduction; each share then sums all partials in the same order,
         so every share computes the same scalars and takes the same
-        branches.  With one share and a no-op barrier this is the serial
-        solver.  The loop expects w.b and w.x to hold b and x0.
+        branches.  The search direction p and A p are the share's own: it
+        forms p on every column its rows read (p = beta p + z there, the
+        bits the owner of each row forms), so its products wait on no
+        barrier after the update.  With one share and a no-op barrier this
+        is the serial solver.  The loop expects w.b and w.x to hold b and x0.
 
         Returns (iterations, residual, converged, error): error is None, or
         why the matrix cannot be SPD ("diagonal", or the message of a
@@ -257,34 +314,46 @@ class CgShares:
         start moves to x0 + theta d, theta = d^T r0 / d^T A d (r0 = b - A x0),
         the point along d of least A-norm error; theta = 0 when d^T A d <= 0.
         That costs one more product and one more reduction.
+
+        Where work.kept[s] is set and the last solve completed, the share
+        keeps its inverse diagonal, and with work.start_kept also A x0 in
+        w.ax (cg_solve has written its fixed rows), so it forms no product.
         """
-        w, a_rows = self.work, self.blocks[s]
-        lo, hi = self.bounds[s], self.bounds[s + 1]
+        w, a_rows, lo, hi = self.work, self.blocks[s], self.bounds[s], self.bounds[s + 1]
+        if s not in self._views:
+            self._views[s] = self._share_views(s)
+        (b, x, r, z, inv_diag, ax, q, x_r, p_q, x_all, p_all, p_cols, z_cols, d_cols,
+         c0, c1, bc, rc, pc, qc, rzc, step, coef) = self._views[s]
         own = slice(lo, hi)
-        b, x, r, z, p, q, inv_diag = (v[own] for v in (w.b, w.x, w.r, w.z, w.p, w.q, w.inv_diag))
-        x_all, p_all = w.x[: w.n], w.p[: w.n]  # the matrix's operands
-        # this share's whole chunks, zero padding included, for the partials
-        c0, c1 = lo // DOT_CHUNK, padded_length(hi) // DOT_CHUNK
-        bc, rc, zc, pc, qc = (
-            v[lo : c1 * DOT_CHUNK].reshape(-1, DOT_CHUNK) for v in (w.b, w.r, w.z, w.p, w.q)
-        )
-        step = np.empty(hi - lo)
         gen = 0
 
         def reduce(*pairs, flags=0):
-            # the sums of the pairs' dot products and of ``flags`` more rows
-            # the share wrote into the partials of this reduction
+            # the sums of the pairs' dot products (one per row of a stacked
+            # second operand) and of ``flags`` more rows the share wrote
+            # into the partials of this reduction
             nonlocal gen
             parts = w.partials[gen & 1]
-            for k, (u, v) in enumerate(pairs):
-                np.vecdot(u, v, out=parts[k, c0:c1])
+            k = 0
+            for u, v in pairs:
+                m = len(v) if v.ndim == 3 else 1
+                np.vecdot(u, v, out=parts[k : k + m, c0:c1] if m > 1 else parts[k, c0:c1])
+                k += m
             barrier()
             gen += 1
-            return [float(np.add.reduce(parts[k])) for k in range(len(pairs) + flags)]
+            return np.add.reduce(parts[: k + flags], axis=1).tolist()
 
-        def residual_into(out):  # out = b - A x on the own rows
-            matvec_into(a_rows, x_all, out)
-            np.subtract(b, out, out=out)
+        def advance(length):  # x += length p, r -= length q
+            coef[0, 0], coef[1, 0] = length, -length
+            np.multiply(p_q, coef, out=step)
+            np.add(x_r, step, out=x_r)
+
+        def residual_into(out):  # out = b - A x on the own rows, A x kept in ax
+            matvec_into(a_rows, x_all, ax)
+            np.subtract(b, ax, out=out)
+
+        def done(iterations, residual, converged):  # ax is A x: the next solve may keep it
+            w.valid[s] = 1.0
+            return iterations, residual, converged, None
 
         def settled():
             # the recurrence residual passed tol: check the true residual,
@@ -297,41 +366,45 @@ class CgShares:
                 return True
             r[:] = q
             np.multiply(inv_diag, r, out=z)
-            p[:] = z
-            (rz,) = reduce((rc, zc))  # also publishes p
+            (rz,) = reduce((rc, rzc[1]))  # also publishes z
+            p_cols[:] = z_cols
             return False
 
-        np.take(self.values, self.diagonal_slots[own], out=inv_diag)
+        kept = w.kept[s] and w.valid[s]
+        w.valid[s] = 0.0
         bad = w.partials[0, 3, c0:c1]  # flags a non-positive diagonal entry
         bad[:] = 0.0
-        if hi > lo and (inv_diag <= 0.0).any():
-            bad[0] = 1.0  # the solve stops at the first reduction: no 1/0 warning
+        if not kept:
+            np.take(self.values, self.diagonal_slots[own], out=inv_diag)
+            if hi > lo and (inv_diag <= 0.0).any():
+                bad[0] = 1.0  # the solve stops at the first reduction: no 1/0 warning
+            else:
+                np.divide(1.0, inv_diag, out=inv_diag)
+        if kept and w.start_kept[0]:
+            np.subtract(b, ax, out=r)
         else:
-            np.divide(1.0, inv_diag, out=inv_diag)
-        residual_into(r)
+            residual_into(r)
         projected, theta = bool(w.projected[0]), 0.0
         if projected:
+            p_cols[:] = d_cols
             matvec_into(a_rows, p_all, q)
             bb, dr, dq, nbad = reduce((bc, bc), (pc, rc), (pc, qc), flags=1)
             if dq > 0.0 and math.isfinite(dr / dq):
                 theta = dr / dq
-                np.multiply(p, theta, out=step)
-                x += step
-                np.multiply(q, theta, out=step)
-                r -= step
+                advance(theta)
         np.multiply(inv_diag, r, out=z)
-        p[:] = z
         if projected:
-            rr, rz = reduce((rc, rc), (rc, zc))  # also publishes p and x
+            rr, rz = reduce((rc, rzc))  # also publishes z and x
         else:
-            bb, rr, rz, nbad = reduce((bc, bc), (rc, rc), (rc, zc), flags=1)  # also publishes p
+            bb, rr, rz, nbad = reduce((bc, bc), (rc, rzc), flags=1)  # also publishes z
+        p_cols[:] = z_cols
         if nbad:
             return 0, math.nan, False, "diagonal"
         denom = math.sqrt(bb) if bb > 0.0 else 1.0
         residual = math.sqrt(rr) / denom
         # r is the true residual unless the start moved along d
         if residual <= tol and (theta == 0.0 or settled()):
-            return 0, residual, True, None
+            return done(0, residual, True)
 
         iterations = 0
         for k in range(1, max_iter + 1):
@@ -339,27 +412,22 @@ class CgShares:
             (pq,) = reduce((pc, qc))
             if pq <= 0.0:
                 return k, residual, False, f"p^T A p = {pq:.3e} <= 0 at iteration {k}"
-            alpha = rz / pq
-            np.multiply(p, alpha, out=step)
-            x += step
-            np.multiply(q, alpha, out=step)
-            r -= step
+            advance(rz / pq)
             np.multiply(inv_diag, r, out=z)
             iterations = k
-            rr, rz_new = reduce((rc, rc), (rc, zc))  # also publishes x
+            rr, rz_new = reduce((rc, rzc))  # also publishes x
             if math.sqrt(rr) / denom <= tol:
                 if settled():
-                    return iterations, residual, True, None
+                    return done(iterations, residual, True)
                 continue
             beta = rz_new / rz
             rz = rz_new
-            p *= beta
-            p += z
-            barrier()  # publishes p
+            p_cols *= beta
+            p_cols += z_cols
 
         residual_into(q)
         (qq,) = reduce((qc, qc))
-        return iterations, math.sqrt(qq) / denom, False, None
+        return done(iterations, math.sqrt(qq) / denom, False)
 
 
 def cg_solve(
@@ -386,8 +454,10 @@ def cg_solve(
     ... at row i", CsrMatrix's error for a row that stores none) or
     p^T A p raises SpdViolationError.  A matrix that carries CgShares over
     its own values (the assembler's) is solved in those shares; any other
-    in one share.  ``b`` may be the shares' own w.b (the assembler writes
-    its rhs there), which is then not copied.
+    in one share.  ``b`` may be the shares' own w.rhs (the assembler writes
+    its rhs there), which is then not copied.  Shares that kept their rows
+    (see CgShares) start from their kept A x when x0 equals the last
+    solution off the fixed rows, checked here.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)
@@ -409,13 +479,28 @@ def cg_solve(
     if shares is None or shares.values is not a.values:
         shares = CgShares(a)
     w = shares.work
-    if b.strides != (8,) or b.__array_interface__["data"][0] != w.b.ctypes.data:
-        w.b[: a.n] = b
-    w.x[: a.n] = x0
+    if b is not w.rhs:
+        w.rhs[:] = b
+    # shares that kept their rows keep A x of the last solution, which is
+    # A x0 where x0 equals that solution off the fixed rows; w.x then holds
+    # x0 once those rows are written (a rewrite of the rest would only take
+    # the other shares' rows out of their caches)
+    w.start_kept[0] = 0.0
+    if w.kept @ w.valid:
+        rows, fixed = shares.fixed
+        w.x[rows] = x0[rows]
+        if (w.x[: a.n] == x0).all():
+            ax = np.empty(len(rows))
+            matvec_into(fixed, x0, ax)
+            w.ax[rows] = ax
+            w.start_kept[0] = 1.0
+    if not w.start_kept[0]:
+        w.x[: a.n] = x0
     if direction is not None:
         w.p[: a.n] = direction
     w.projected[0] = direction is not None
     iterations, residual, converged, error = shares.solve(tol, int(max_iter))
+    w.kept[:] = 0.0
     if error == "diagonal":
         diag = a.diagonal()
         i = int(np.argmax(diag <= 0))

@@ -6,15 +6,18 @@ parent can read.  Forked children inherit the operators through
 copy-on-write and the result buffers through MAP_SHARED anonymous mmaps;
 the parent runs one share itself.
 
-Every dispatch writes one wake-up byte to each worker's command pipe; a
-worker reads it before it runs its share (after a bounded spin on the
-dispatch number, so a dispatch that follows the last one closely finds the
-byte already written).  Inside a task the shares meet through polled flags
-in one more shared map (ShareSync): a completion number and status per
-share, per-share barrier counters and an abort flag.  A polling loop spins
-a bounded number of times, then falls back to short sleeps that also check
-that its peers are alive, so a descheduled share cannot stall the others
-and a dead one is noticed.  A failed share is reported as WorkerFailure.
+Every dispatch writes one wake-up byte to each worker's command pipe and
+then publishes its dispatch number.  A worker spins on the dispatch number
+for a bounded time and runs its share as soon as the number changes,
+without a system call; only a worker whose spin ran out sleeps on the
+pipe, reading the bytes of the dispatches it ran meanwhile until it finds
+one of a dispatch not yet run, and then waits for that dispatch's number.
+Inside a task the shares meet through polled flags in one more shared map
+(ShareSync): a completion number and status per share, per-share barrier
+counters and an abort flag.  A polling loop spins a bounded number of
+times, then falls back to short sleeps that also check that its peers are
+alive, so a descheduled share cannot stall the others and a dead one is
+noticed.  A failed share is reported as WorkerFailure.
 
 The flags carry no fences: a share publishes data with plain stores and
 then a flag, and its peers read the flag and then the data.  That is
@@ -27,6 +30,7 @@ pickled), and callers fall back to serial execution.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import multiprocessing
 import os
@@ -51,10 +55,12 @@ _PER_SHARE = 3
 _ORDERED_MACHINES = {"x86_64", "amd64", "i386", "i486", "i586", "i686", "x86"}
 
 
+@functools.cache
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+@functools.cache
 def pool_available() -> bool:
     """Whether ForkPool can run here: fork exists and the CPU orders the
     shared-flag stores and loads as the pool needs (x86 and x86-64)."""
@@ -88,6 +94,7 @@ class ShareSync:
         self.nshares = int(nshares)
         self._map = mmap.mmap(-1, 8 * _LINE * (2 + _PER_SHARE * self.nshares))
         self._mv = memoryview(self._map).cast("q")
+        self._arrive = [self.slot(s, _ARRIVE) for s in range(self.nshares)]
         # per-process check that the peers are alive; ForkPool sets it
         self.check_peers = lambda: True
 
@@ -123,11 +130,12 @@ class ShareSync:
 
     def barrier(self, share: int):
         """Return once every share has called barrier() as often as this one."""
-        mine = self.slot(share, _ARRIVE)
-        target = self._mv[mine] + 1
-        self._mv[mine] = target
-        for s in range(self.nshares):
-            self.wait(self.slot(s, _ARRIVE), target)
+        mv, arrive = self._mv, self._arrive
+        target = mv[arrive[share]] + 1
+        mv[arrive[share]] = target
+        for index in arrive:
+            if mv[index] < target:
+                self.wait(index, target)
 
 
 class ForkPool:
@@ -196,15 +204,25 @@ class ForkPool:
         sync = self.sync
         parent = os.getppid()
         sync.check_peers = lambda: os.getppid() == parent
-        seq_at, seq = _SEQ * _LINE, 0
+        seq_at, seq, woken = _SEQ * _LINE, 0, 0  # dispatches run, wake-up bytes read
         while True:
             for _ in range(_SPIN):
                 if sync.get(seq_at) != seq:
                     break
-            # one byte per dispatch, written after the dispatch number
-            if os.read(cmd_r, 1) != _WAKE:
+            else:
+                # idle: sleep on the pipe until it holds the byte of a dispatch
+                # not run yet (those of dispatches seen while spinning are
+                # read here too, so the pipe never fills)
+                while woken <= seq:
+                    data = os.read(cmd_r, 4096)
+                    if not data or _QUIT in data:
+                        os._exit(0)
+                    woken += len(data)
+            try:  # the byte is written before the dispatch number
+                sync.wait(seq_at, seq + 1)
+            except ShareAborted:
                 os._exit(0)
-            seq = sync.get(seq_at)
+            seq += 1
             failed = 0
             try:
                 self._task(w)
@@ -217,6 +235,10 @@ class ForkPool:
             sync.set(sync.slot(w, _FAILED), failed)
             sync.set(sync.slot(w, _DONE), seq)
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def alive(self) -> bool:
         return not self._closed and all(p.is_alive() for p in self._procs)
 
@@ -225,12 +247,12 @@ class ForkPool:
             raise WorkerFailure("pool is closed")
         sync = self.sync
         self._seq += 1
-        sync.set(_SEQ * _LINE, self._seq)
         for fd in self._cmd_w:
             try:
                 os.write(fd, _WAKE)
             except OSError:  # the worker is dead; the wait below reports it
                 pass
+        sync.set(_SEQ * _LINE, self._seq)
         own_error = None
         try:
             self._task(self._nworkers - 1)

@@ -10,7 +10,8 @@ derivative contributes the latent-heat spike to the effective capacity.
 
 apparent_coefficients is the model's one coefficient law: the assembler
 evaluates it at cell means clipped to band_limits, when those changed (each
-row share into its own buffers), and effective_capacity for one material.
+row share into its own buffers; node_limits tell it most unchanged cells
+without their means), and effective_capacity for one material.
 Temperatures may be scalars or numpy arrays.
 """
 
@@ -205,6 +206,18 @@ def band_limits(model: PhaseModel) -> tuple[float, float]:
     while apparent_coefficients(hi, model, 0.0, 1.0, 0.0, 0.0, 0.0)[0] != 1.0:
         hi = np.nextafter(hi, np.inf)
     return float(lo), float(hi)
+
+
+def node_limits(model: PhaseModel) -> tuple[float, float]:
+    """(lo_n, hi_n): four node values at or below lo_n (at or above hi_n), summed as
+    the cell-mean operator sums them (0.25 t from zero, in storage order, each
+    addition monotone), have a mean at or below band_limits' lo (at or above hi)."""
+    lo_n, hi_n = lo, hi = band_limits(model)
+    while 0.0 + 0.25 * lo_n + 0.25 * lo_n + 0.25 * lo_n + 0.25 * lo_n > lo:
+        lo_n = np.nextafter(lo_n, -np.inf)
+    while 0.0 + 0.25 * hi_n + 0.25 * hi_n + 0.25 * hi_n + 0.25 * hi_n < hi:
+        hi_n = np.nextafter(hi_n, np.inf)
+    return float(lo_n), float(hi_n)
 
 
 def effective_capacity(t, mat: Material, model: PhaseModel):

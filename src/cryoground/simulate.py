@@ -3,9 +3,9 @@ forcing and column switching, and emit snapshots.
 
 Each step performs, in order: advance the clock by tau, save the previous
 field, recompute the air temperature, decide whether the freezing columns
-are active, then assemble A = M/tau + K from the previous level, impose the
-Dirichlet constraints that are live this step (static tags always, column
-tags only while active), solve with CG,
+are active and so the Dirichlet constraints that are live this step (static
+tags always, column tags only while active), then assemble A = M/tau + K
+from the previous level with those constraints eliminated, solve with CG,
 and snapshot on the output cadence.  CG starts from the previous field
 moved along the last increment T^n - T^(n-1) by the step of least A-norm
 error (see linalg.cg_solve); the field carries T^(n-1) for this, and
@@ -232,14 +232,14 @@ class Simulation:
                 out[int(tag)] = col_value
         return out
 
-    def _plan_for(self, tags: tuple[int, ...], structure) -> tuple[DirichletPlan, list]:
+    def _plan_for(self, tags: tuple[int, ...]) -> tuple[DirichletPlan, list]:
         plan = self._plans.get(tags)
         if plan is None:
             sel = np.zeros(self.mesh.n_nodes, dtype=bool)
             for t in tags:
                 sel[self._tag_nodes[t]] = True
             nodes = np.flatnonzero(sel)
-            dplan = DirichletPlan(structure, nodes)
+            dplan = DirichletPlan(self.assembler.pattern, nodes)
             # per-tag positions into the plan's node list, in ascending tag
             # order so that a later (larger) tag wins shared nodes
             slots = [
@@ -265,22 +265,26 @@ class Simulation:
         if cfg.source is not None:
             nodal_source = np.asarray(cfg.source(self.mesh.nodes, t_cur), dtype=np.float64)
 
+        tag_values = self._active_tag_values(t_cur, t_air, active)
+        constraints = None
+        if tag_values:
+            dplan, slots = self._plan_for(tuple(sorted(tag_values)))
+            values = np.empty(len(dplan.nodes))
+            for pos, tag in slots:
+                values[pos] = tag_values[tag]
+            constraints = (dplan, values)
+
         t0 = time.perf_counter()
-        system = self.assembler.assemble(t_prev, tau, source=nodal_source, reuse_buffers=True)
+        system = self.assembler.assemble(
+            t_prev, tau, source=nodal_source, reuse_buffers=True, constraints=constraints
+        )
         assemble_seconds = time.perf_counter() - t0
 
         # CG starts from T^n with this step's constraints, moved along the
         # last increment T^n - T^(n-1) (zero on the constrained nodes)
-        tag_values = self._active_tag_values(t_cur, t_air, active)
         x0 = t_prev.copy()
         direction = None if self.field.previous is None else t_prev - self.field.previous
-        if tag_values:
-            tags = tuple(sorted(tag_values))
-            dplan, slots = self._plan_for(tags, system.matrix)
-            values = np.empty(len(dplan.nodes))
-            for pos, tag in slots:
-                values[pos] = tag_values[tag]
-            dplan.apply(system, values)
+        if constraints is not None:
             x0[dplan.nodes] = values
             if direction is not None:
                 direction[dplan.nodes] = 0.0

@@ -9,11 +9,10 @@ manufactured solution with a closed-form source measures the spatial and
 temporal convergence orders with the latent term disabled.
 
 The oracles share no code with the discretization they check.  They take
-the error function and the root of the transcendental Stefan relation from
-scipy (scipy.special.erf, scipy.optimize.brentq), which is a dependency of
-the package, not code under test.  Both are imported on first use:
-importing scipy.special and scipy.optimize adds about 6 and 27 MB to the
-resident set of every process that imports the package.
+the error function from scipy (scipy.special.erf), which is a dependency of
+the package, not code under test, imported on first use: it adds about 6 MB
+to the resident set of every process that imports the package.  The root
+of the transcendental Stefan relation is a plain bisection.
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ def _stefan_relation(lam: float, beta: float) -> float:
 
 def neumann_lambda(beta: float) -> float:
     """Similarity constant: solves sqrt(pi) L e^{L^2} erf(L) = beta by
-    Brent's method on the bracket [1e-8, 5]."""
-    from scipy.optimize import brentq
-
+    bisection on the bracket [1e-8, 5], until the bracket stops shrinking;
+    returns the end of the last bracket with the smaller residual."""
     if not beta > 0:
         raise VerifyError(f"beta must be > 0, got {beta}")
     lo, hi = 1e-8, 5.0
@@ -66,9 +64,10 @@ def neumann_lambda(beta: float) -> float:
             f"beta {beta} outside the root bracket [{lo}, {hi}] "
             f"(f span [{f_lo:.3e}, {f_hi:.3e}])"
         )
-    # brentq's default absolute xtol (2e-12) leaves |f| up to 4e-11 for beta
-    # in [1e-3, 50]; stop on its relative tolerance (4 eps) alone
-    return brentq(_stefan_relation, lo, hi, args=(beta,), xtol=1e-300)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # the relation increases with L
+        f_mid = _stefan_relation(mid, beta)
+        lo, hi, f_lo, f_hi = (lo, mid, f_lo, f_mid) if f_mid > 0 else (mid, hi, f_mid, f_hi)
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 @dataclass(frozen=True)

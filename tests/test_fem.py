@@ -246,7 +246,7 @@ class TestAssemble:
             asm = Assembler(mesh, soil_table, workers=nw)
             try:
                 bounds = asm.assemble(field, 3600.0, reuse_buffers=True).matrix.shares.bounds
-                plans, shares, _ = asm._serial if nw == 1 else asm._pooled
+                plans, shares, *_ = asm._serial if nw == 1 else asm._pooled
                 assert bounds == shares.bounds == share_bounds(asm.row_offsets, nw)
                 assert len(bounds) == nw + 1 and np.all(np.diff(bounds) > 0)
                 offsets = asm.row_offsets
@@ -254,7 +254,7 @@ class TestAssemble:
                     assert plan.rows == slice(lo, hi)
                     assert plan.slots == slice(int(offsets[lo]), int(offsets[hi]))
                     diag = plan.slots.start + plan.diag
-                    assert np.array_equal(diag, asm._pattern.diagonal_slots[lo:hi])
+                    assert np.array_equal(diag, asm.pattern.diagonal_slots[lo:hi])
                 if nw == 1:
                     assert plan.cmean is asm._cmean and plan.gk is asm._gk and plan.gm is asm._gm
             finally:
@@ -433,6 +433,60 @@ class TestFillReuse:
         finally:
             asm.close()
 
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_kept_step_state(self, layered, workers):
+        """A share whose fill keeps its key keeps its eliminated rows, and
+        its CG share the inverse diagonal and start product; the results
+        stay those of a fresh assembler, DirichletPlan.apply and cg_solve:
+        when one of two shares keeps its rows (the lift of the upper nodes
+        changes only the last rows), when the field returns to one whose
+        prefilter a changed key dropped, after a fill that rewrote the rows
+        without a solve, for a field in the band whose nodes keep their
+        classes but not their keys, and for a second solve of a system
+        changed in place after its first."""
+        mesh, table = layered
+        fields = self.fields(mesh)
+        frozen, upper, band = fields[0], fields[2], fields[4]
+        top = nodes_for_tags(mesh, [6])
+        g = np.full(len(top), -4.0)
+        asm = Assembler(mesh, table, workers=workers)
+        plan = DirichletPlan(asm.pattern, top)
+
+        def fresh_solve(field, x0, bump=0.0):
+            system = Assembler(mesh, table).assemble(field, self.TAU)
+            plan_fresh = DirichletPlan(system.matrix, top)
+            plan_fresh.apply(system, g)
+            system.matrix.values[system.matrix.diagonal_slots] += bump
+            return cg_solve(system.matrix, system.rhs, x0, tol=1e-10)
+
+        try:
+            x = frozen
+            # (field, solves, the shares that keep their rows, start product kept)
+            for field, solves, kept, start_kept in (
+                (frozen, True, [0, 0], 0), (None, True, [1, 1], 1), (upper, True, [1, 0], 1),
+                (frozen, True, [1, 0], 1), (band, False, [0, 0], 0), (band, True, [1, 1], 0),
+                (band, True, [1, 1], 1), (band + 0.01, True, [0, 0], 0),
+            ):
+                field = x if field is None else field
+                system = asm.assemble(field, self.TAU, reuse_buffers=True, constraints=(plan, g))
+                work = system.matrix.shares.work
+                assert work.kept.tolist() == (kept if workers == 2 else [min(kept)])
+                if solves:
+                    x0 = x.copy()
+                    x0[top] = g
+                    got = cg_solve(system.matrix, system.rhs, x0, tol=1e-10)
+                    assert work.start_kept[0] == (start_kept if workers == 2 else start_kept * min(kept))
+                    want = fresh_solve(field, x0)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].iterations == want[1].iterations
+                    x = got[0]
+            # a second solve after a change in place keeps nothing
+            system.matrix.values[system.matrix.diagonal_slots] += 1.0
+            got = cg_solve(system.matrix, system.rhs, x0, tol=1e-10)
+            assert work.start_kept[0] == 0.0
+            assert got[0].tobytes() == fresh_solve(field, x0, bump=1.0)[0].tobytes()
+        finally:
+            asm.close()
 
 class TestSetup:
     """Assembler.__init__ builds the pattern and the G_K and G_M operators
@@ -528,7 +582,7 @@ class TestSetup:
         pairs = {
             "row_offsets": (asm.row_offsets, ref["row_offsets"]),
             "column_indices": (asm.column_indices, ref["column_indices"]),
-            "diag_slots": (asm._pattern.diagonal_slots, ref["diag_slots"]),
+            "diag_slots": (asm.pattern.diagonal_slots, ref["diag_slots"]),
             "G_K indptr": (asm._gk.indptr, ref["gk"].indptr),
             "G_K indices": (asm._gk.indices, ref["gk"].indices),
             "G_K data": (asm._gk.data, ref["gk"].data),
@@ -678,6 +732,25 @@ class TestApplyDirichlet:
         denom = np.abs(x_elim).max()
         assert np.abs(x_elim - x_pen).max() <= 1e-6 * denom
 
+    def test_rhs_correction_subtracts_in_ascending_constrained_column(self, unit_box, soil_table):
+        """The rhs correction gives the bits of np.add.at over the coupling
+        entries (i constrained, j free) in storage order: b_j loses A_ji g_i
+        one term at a time, in ascending i."""
+        rng = np.random.default_rng(8)
+        system = Assembler(unit_box, soil_table).assemble(
+            rng.uniform(-4, 4, unit_box.n_nodes), tau=3600.0
+        )
+        system.rhs[:] = rng.standard_normal(unit_box.n_nodes) * 1e4
+        nodes = nodes_for_tags(unit_box, [1, 5, 6])
+        g = rng.uniform(-20, 5, len(nodes))
+        plan = DirichletPlan(system.matrix, nodes)
+        want = system.rhs.copy()
+        vals = system.matrix.values
+        np.add.at(want, plan._cross_cols, -vals[plan._cross_positions] * g[plan._owner_slot])
+        want[nodes] = g
+        plan.apply(system, g)
+        assert system.rhs.tobytes() == want.tobytes()
+
     def test_structurally_unsymmetric_rejected(self):
         m = csr([[1.0, 2.0], [0.0, 3.0]])  # missing (1, 0)
         with pytest.raises(FemError, match="symmetric"):
@@ -693,6 +766,23 @@ class TestApplyDirichlet:
         system = Assembler(mesh, plain_table).assemble(np.zeros(mesh.n_nodes), tau=1.0)
         with pytest.raises(FemError, match="strictly increasing|outside"):
             DirichletPlan(system.matrix, np.array(nodes))
+
+    def test_constraint_values_of_another_length_rejected(self, plain_table):
+        """assemble(constraints=...) checks the values before it fills, as
+        apply checks them, and the next call still eliminates in full."""
+        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))
+        asm = Assembler(mesh, plain_table)
+        plan = DirichletPlan(asm.pattern, np.array([0, 5]))
+        field = np.zeros(mesh.n_nodes)
+        with pytest.raises(FemError, match="plan nodes"):
+            asm.assemble(field, 1.0, constraints=(plan, np.ones(3)))
+        with pytest.raises(FemError, match="plan nodes"):
+            plan.apply(asm.assemble(field, 1.0), np.ones(3))
+        got = asm.assemble(field, 1.0, constraints=(plan, np.ones(2)))
+        want = Assembler(mesh, plain_table).assemble(field, 1.0)
+        plan.apply(want, np.ones(2))
+        assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
 
 
 class TestMaximumPrinciple:

@@ -12,6 +12,7 @@ from cryoground.linalg import (
     LinalgError,
     SpdViolationError,
     cg_solve,
+    matvec_add_into,
     matvec_into,
     padded_length,
 )
@@ -135,6 +136,26 @@ class TestSpmv:
         out = np.full(300, np.nan)
         matvec_into(view, x, out)
         assert out.tobytes() == (view @ x).tobytes()
+
+
+    @pytest.mark.parametrize("kernel", ["scipy_kernel", "fallback"])
+    def test_matvec_add_into_adds_terms_in_storage_order(self, kernel, monkeypatch):
+        """matvec_add_into adds each stored term to its row's entry of out
+        one at a time, in storage order, through scipy's kernel or np.add.at
+        (the bits of a loop that does so), and leaves rows without entries."""
+        if kernel == "fallback":
+            monkeypatch.setattr(linalg, "_csr_matvec", None)
+        rng = np.random.default_rng(6)
+        a = sp.csr_matrix(random_sparse(200, 0.05, rng))
+        a.data *= rng.uniform(1e-3, 1e3, a.nnz)
+        x = rng.standard_normal(200)
+        out = rng.standard_normal(200) * 1e3
+        want = out.copy()
+        for i in range(200):
+            for k in range(a.indptr[i], a.indptr[i + 1]):
+                want[i] = want[i] + a.data[k] * x[a.indices[k]]
+        matvec_add_into(a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data, x, out)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestDetDot:

@@ -70,6 +70,74 @@ def test_calling_process_share_failure_surfaces():
     pool.close()
 
 
+def test_idle_worker_wakes_for_each_dispatch():
+    """Dispatches far enough apart that the worker stops spinning and sleeps
+    on its pipe, and others close together, all run every share once."""
+    arr = ForkPool.shared_array(2)
+    arr[:] = 0.0
+
+    def task(w):
+        arr[w] += 1.0
+
+    pool = ForkPool(2, task)
+    for gap in (0.0, 0.05, 0.0, 0.0, 0.05, 0.0):
+        time.sleep(gap)
+        pool.dispatch()
+    pool.close()
+    assert arr.tolist() == [6.0, 6.0]
+
+
+def test_dispatches_beyond_the_pipe_capacity_complete():
+    """A worker that spins through every dispatch reads no wake-up byte; once
+    the unread bytes fill its pipe, the dispatch blocked on it still
+    completes (the worker's spin runs out and it drains the pipe)."""
+    arr = ForkPool.shared_array(2)
+    arr[:] = 0.0
+
+    def task(w):
+        arr[w] += 1.0
+
+    pool = ForkPool(2, task)
+    capacity = 65536  # bytes in a Linux pipe; other systems hold fewer
+    for _ in range(capacity + 100):
+        pool.dispatch()
+    pool.close()
+    assert arr.tolist() == [capacity + 100.0] * 2
+
+
+def test_worker_dead_before_dispatch_surfaces():
+    """A worker that died between dispatches fails the next one, which
+    closes the pool."""
+    pool = ForkPool(2, lambda w: None)
+    pool.dispatch()
+    pool._procs[0].terminate()
+    pool._procs[0].join()
+    assert not pool.alive() and not pool.closed
+    with pytest.raises(WorkerFailure, match="worker 0 died"):
+        pool.dispatch()
+    assert pool.closed
+
+
+def test_assembler_rebuilds_pool_after_worker_death(monkeypatch):
+    """The assemble() whose dispatch finds a dead worker fails; the next one
+    runs in a new pool and gives the same system."""
+    monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+    mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (10, 10, 10)))
+    asm = Assembler(mesh, MaterialTable({1: Material.single_phase(1.0, 1.0)}, PhaseModel()), 2)
+    field = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
+    want = asm.assemble(field, tau=0.01)
+    pool = asm._pool
+    pool._procs[0].terminate()
+    pool._procs[0].join()
+    with pytest.raises(WorkerFailure, match="worker 0 died"):
+        asm.assemble(field, tau=0.01)
+    got = asm.assemble(field, tau=0.01)
+    assert asm._pool is not pool and asm._pool.alive()
+    assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
+    assert got.rhs.tobytes() == want.rhs.tobytes()
+    asm.close()
+
+
 def test_dispatch_after_close_rejected():
     pool = ForkPool(1, lambda w: None)
     pool.close()

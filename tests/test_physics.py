@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryoground.linalg import matvec_into
 from cryoground.physics import (
     ColumnController,
     Material,
@@ -19,9 +21,12 @@ from cryoground.physics import (
     columns_active,
     effective_capacity,
     frozen_thawed_coeffs,
+    node_limits,
     phi_delta,
     phi_delta_prime,
 )
+from cryoground.scenario import default_materials
+from cryoground.verify import MmsCase
 
 MODEL = PhaseModel(t_star=0.0, delta=1.0, latent_volumetric=1.04e8)
 
@@ -191,6 +196,53 @@ class TestBandLimits:
             t = (t_star - delta, t_star + delta)[end]
             assert apparent_coefficients(t, model, 0.0, 1.0, 0.0, 0.0, 0.0)[0] != side
             assert band_limits(model)[end] == np.nextafter(t, (-np.inf, np.inf)[end])
+
+
+class TestNodeLimits:
+    """node_limits(model) = (lo_n, hi_n): a cell whose four nodes all lie at
+    or below lo_n gets the key lo of band_limits (the clipped cell mean) and
+    one whose nodes all lie at or above hi_n the key hi, so the fill's
+    prefilter may skip their means.  Checked through the cell-mean kernel
+    and the clip the fill runs, for the well's, the Neumann study's and the
+    MMS phase models and the band-limit cases."""
+
+    MODELS = {
+        "well": default_materials().phase,
+        "mms": MmsCase().table().phase,
+        **{f"neumann{k}": PhaseModel(0.0, 0.1 / 2**k, 2.0e6) for k in range(3)},
+        **{f"band{t_star},{delta}": PhaseModel(t_star, delta) for t_star, delta in TestBandLimits.CASES},
+    }
+
+    @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+    def test_certain_cells_key_exactly(self, model):
+        lo, hi = band_limits(model)
+        lo_n, hi_n = node_limits(model)
+        # the node limits sit on the key limits or a few ulps beyond them
+        assert lo - 8 * np.spacing(abs(lo)) <= lo_n <= lo
+        assert hi <= hi_n <= hi + 8 * np.spacing(abs(hi))
+        rng = np.random.default_rng(17)
+        for limit, key, outwards in ((lo_n, lo, -np.inf), (hi_n, hi, np.inf)):
+            near = [limit]
+            for _ in range(300):  # the limit and its neighbours beyond it
+                near.append(np.nextafter(near[-1], outwards))
+            sign = np.sign(outwards)
+            far = limit + sign * np.geomspace(1e-12, 1e3, 300) * model.delta
+            values = np.concatenate([near, far, [sign * 1e30]])
+            # four nodes at the limit, mixes of near ones, mixes with far ones
+            cells = np.concatenate([
+                np.zeros((1, 4), dtype=np.int64),
+                rng.integers(0, len(near), (20000, 4)),
+                rng.integers(0, len(values), (20000, 4)),
+            ])
+            m = len(cells)
+            mean = sp.csr_matrix(
+                (np.full(4 * m, 0.25), cells.ravel(), np.arange(0, 4 * m + 1, 4)),
+                shape=(m, len(values)),
+            )
+            got = np.empty(m)
+            matvec_into(mean, values, got)
+            np.clip(got, lo, hi, out=got)
+            assert (got == key).all()
 
 
 class TestEffectiveCapacity:
