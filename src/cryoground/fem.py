@@ -50,14 +50,12 @@ import numpy as np
 import scipy.sparse as _sp
 
 from .linalg import CgShares, CsrMatrix, csr_rows, matvec_add_into, matvec_into, share_bounds
-from .mesh import Mesh, _volumes
+from .mesh import _GEOMETRY_BLOCK, Mesh, _adjugate, _volumes
 from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
 from .physics import (
     MaterialTable, apparent_coefficients, band_limits, frozen_thawed_coeffs, node_limits
 )
 
-# cells per block of the element-geometry pass in Assembler.__init__
-_GEOMETRY_BLOCK = 4096
 # commands of the pooled share task
 _FILL, _CG = 0.0, 1.0
 
@@ -132,54 +130,27 @@ def check_assemblable(mesh: Mesh):
         raise FemError(f"node {np.argmin(uses)} belongs to no cell; compact the mesh first")
 
 
-def _sum_operator(key: np.ndarray, weights: np.ndarray, per_cell: int, column: np.ndarray):
-    """CSR operator that sums weighted cell values onto the distinct keys.
-
-    Entry e belongs to cell e // per_cell and carries weights[e]; cell c is
-    the operator's column column[c].  One stable sort lists each key's
-    entries contiguously in entry order (so in ascending cell order); row i
-    of the operator holds the entries of the i-th smallest key.  Returns
-    (operator, distinct keys ascending); the index arrays are int32.  G_K
-    takes the 10 upper-triangle entries per cell, G_M the 4 node entries.
-    """
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    head = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    slot_keys = key[starts]
-    del key, head
-    indptr = np.append(starts, len(order)).astype(np.int32)
-    del starts
-    data = weights[order]
-    order //= per_cell
-    op = _sp.csr_matrix(
-        (data, column[order], indptr), shape=(len(indptr) - 1, len(column)), copy=False
-    )
-    return op, slot_keys
-
-
 def _element_matrices(p: np.ndarray, first: int):
-    """Volumes and V * (grad_i . grad_j) (k, 4, 4) of the tets with corners p
-    (k, 4, 3), cell ``first`` first; the gradients are the adjugate (cross
-    products of the edges) over the determinant."""
-    e = p[:, 1:] - p[:, :1]
-    adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # rows e2 x e3, e3 x e1, e1 x e2
-    det = np.einsum("mk,mk->m", e[:, 0], adj[:, 0])
-    vols = _volumes(p, first=first, det=det)  # raises on degenerate cells
-    grads = np.empty((len(p), 3, 4))
-    np.divide(adj.transpose(0, 2, 1), det[:, None, None], out=grads[:, :, 1:])
-    grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
-    kmat = np.einsum("mki,mkj->mij", grads, grads)
-    kmat *= vols[:, None, None]
-    return vols, kmat
+    """Volumes (k,) and the 10 upper-triangle entries (li <= lj) of V *
+    (grad_i . grad_j) (k, 10) of tets with corners p (axis, node, k), cell
+    ``first`` first: gradients are adjugate rows over the determinant, and
+    dot products are summed over the axes from +0, as np.einsum sums them."""
+    adj, det = _adjugate(p)
+    vols = _volumes(p, first, det)  # raises on degenerate cells
+    g = np.empty((3, 4, p.shape[2]))  # (axis, node, k)
+    np.divide(adj.transpose(1, 0, 2), det, out=g[:, 1:])
+    g[:, 0] = -((g[:, 1] + g[:, 2]) + g[:, 3])
+    kgeom = np.stack([(g[0, i] * g[0, j] + g[1, i] * g[1, j]) + g[2, i] * g[2, j] + 0.0
+                      for i, j in zip(*np.triu_indices(4))], axis=1)
+    kgeom *= vols[:, None]
+    return vols, kgeom
 
 
 def _leading_columns(op, ncols: int):
     """The first ``ncols`` columns of ``op``; each row keeps its entries in
     storage order, which must list each row's columns below ``ncols`` in
     ascending order.  Every row of ``op`` must hold an entry (as
-    _sum_operator's do)."""
+    G_K's and G_M's do)."""
     kept = op.indices < ncols
     indptr = np.zeros(op.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.add.reduceat(kept, op.indptr[:-1], dtype=np.int32), out=indptr[1:])
@@ -296,24 +267,32 @@ class Assembler:
         # cells, each kind in cell order
         column = np.where(var, np.cumsum(var) - 1, mv + np.cumsum(~var) - 1).astype(np.int32)
 
-        # element geometry in blocks of cells, so that the temporaries stay
-        # small; K is symmetric, so kgeom and keys keep the 10 upper-triangle
-        # entries (li <= lj) per cell: V * (grad . grad), min * n + max node
-        li, lj = np.triu_indices(4)
+        # K is symmetric, so G_K takes the 10 upper-triangle entries (li <= lj)
+        # per cell, keyed min * n + max node.  One stable sort lists each
+        # key's entries in cell order; it runs, and drops the keys, before
+        # the element geometry V * (grad . grad) exists (in blocks of cells)
+        keys = np.stack([np.minimum(a, b) * n + np.maximum(a, b)
+                         for a, b in (cells.T[[i, j]] for i, j in zip(*np.triu_indices(4)))], axis=1)
+        order = np.argsort(keys.ravel(), kind="stable")
+        keys = keys.ravel()[order]
+        starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+        ukeys = keys[starts]
+        del keys
+        axes = np.ascontiguousarray(mesh.nodes.T)
         vols = np.empty(m)
         kgeom = np.empty((m, 10))
-        keys = np.empty((m, 10), dtype=np.int64)
         for c0 in range(0, m, _GEOMETRY_BLOCK):
             block = slice(c0, c0 + _GEOMETRY_BLOCK)
-            vols[block], kmat = _element_matrices(mesh.nodes[cells[block]], c0)
-            kgeom[block] = kmat[:, li, lj]
-            a, b = cells[block][:, li], cells[block][:, lj]
-            keys[block] = np.minimum(a, b) * n + np.maximum(a, b)
-        del kmat, a, b
+            vols[block], kgeom[block] = _element_matrices(axes.take(cells[block].T, axis=1), c0)
 
-        # G_K over the upper triangle (row u: the u-th smallest upper key)
-        gk, ukeys = _sum_operator(keys.ravel(), kgeom.ravel(), 10, column)
-        del kgeom, keys
+        # G_K over the upper triangle (row u: the entries of the u-th smallest
+        # upper key); the index arrays are int32
+        data = kgeom.ravel()[order]
+        del kgeom
+        order //= 10
+        indptr = np.append(starts, len(order)).astype(np.int32)
+        gk = _sp.csr_matrix((data, column[order], indptr), shape=(len(ukeys), m), copy=False)
+        del order, starts, data, indptr
         # the full pattern: the upper keys and the transposes of the strict
         # upper ones, from one sort; mirror[s] is the upper row of slot s
         strict = np.flatnonzero(ukeys // n != ukeys % n)
@@ -329,8 +308,6 @@ class Assembler:
         del keys
         for arr in (self.row_offsets, self.column_indices):
             arr.flags.writeable = False
-        # every assembled matrix has this pattern (DirichletPlans are built on it)
-        self.pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
 
         # the constant cells' share of K and M is fixed: lam and c of the
         # constant cells by column, zero for the phase-change cells (whose
@@ -346,13 +323,22 @@ class Assembler:
         self._gk = gk[mirror]
         del gk, mirror
 
-        # G_M (4 entries per cell onto node rows, each V / 4) and the
+        # G_M (4 entries per cell onto node rows, each V / 4; row i lists
+        # node i's cells in ascending order, from one stable sort) and the
         # geometric lumped volumes (for source terms)
-        gm, _ = _sum_operator(cells.ravel(), np.repeat(vols / 4.0, 4), 4, column)
+        order = np.argsort(cells.ravel(), kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cells.ravel(), minlength=n), out=indptr[1:])
+        gm = _sp.csr_matrix(
+            (np.repeat(vols / 4.0, 4)[order], column[order // 4], indptr), shape=(n, m), copy=False
+        )
+        del order, indptr
         self.node_volumes = gm @ np.ones(m)
         self._m_const = gm @ fixed[1]
         self._gm = _leading_columns(gm, mv)
         del gm, fixed, column
+        # every assembled matrix has this pattern (DirichletPlans are built on it)
+        self.pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
 
         # C over the phase-change cells: weights 1/4 on the cell's nodes, in
         # the cell's node order

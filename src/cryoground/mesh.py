@@ -36,13 +36,28 @@ _KUHN_PATHS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # local node triples of the four faces of a tet
 _TET_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+# cells per block of a geometry pass (Mesh, Assembler): temporaries stay small
+_GEOMETRY_BLOCK = 4096
+
+
+def _adjugate(p: np.ndarray, rows: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``rows`` of the adjugate rows e2 x e3, e3 x e1, e1 x e2 (rows,
+    axis, k) of tets with corners p (axis, node, k), and their determinants
+    e1 . (e2 x e3), formed and summed as np.cross and np.einsum do (bitwise)."""
+    x, y, z = p[:, 1:] - p[:, :1]
+    adj = np.array([(y[a] * z[b] - z[a] * y[b], z[a] * x[b] - x[a] * z[b],
+                     x[a] * y[b] - y[a] * x[b]) for a, b in ((1, 2), (2, 0), (0, 1))[:rows]])
+    return adj, (x[0] * adj[0, 0] + z[0] * adj[0, 2]) + y[0] * adj[0, 1]
 
 
 def _signed_volumes(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Signed volume det(edge matrix)/6 for every cell, vectorized."""
-    p = nodes[cells]  # (m, 4, 3)
-    e = p[:, 1:] - p[:, :1]  # (m, 3, 3)
-    return np.linalg.det(e) / 6.0
+    """Signed volume e1 . (e2 x e3) / 6 of every cell, in blocks of cells."""
+    axes = np.ascontiguousarray(nodes.T)
+    det = np.empty(len(cells))
+    for c0 in range(0, len(cells), _GEOMETRY_BLOCK):
+        block = slice(c0, c0 + _GEOMETRY_BLOCK)
+        det[block] = _adjugate(axes.take(cells[block].T, axis=1), 1)[1]
+    return det / 6.0
 
 
 @dataclass
@@ -92,11 +107,8 @@ class Mesh:
 
         # Canonical orientation fix-up: swap the last two nodes of any cell
         # with negative signed volume.
-        if len(self.cells):
-            vols = _signed_volumes(self.nodes, self.cells)
-            flip = vols < 0.0
-            if flip.any():
-                self.cells[flip, 2:] = self.cells[flip][:, [3, 2]]
+        flip = _signed_volumes(self.nodes, self.cells) < 0.0
+        self.cells[flip, 2:] = self.cells[flip][:, [3, 2]]
 
         for arr in (self.nodes, self.cells, self.cell_region, self.boundary_facets, self.facet_tag):
             arr.flags.writeable = False
@@ -130,16 +142,15 @@ class BoxMeshSpec:
             raise MeshError(f"divisions must be integers >= 1, got {self.divisions}")
 
 
-def _volumes(p: np.ndarray, first: int = 0, det: np.ndarray | None = None) -> np.ndarray:
-    """Positive volumes of tets from their (m, 4, 3) corners, or from the
-    determinants ``det`` of their edge matrices when the caller has them.
+def _volumes(p: np.ndarray, first: int, det: np.ndarray | None = None) -> np.ndarray:
+    """Positive volumes of tets from their corners p (axis, node, k), or from
+    the determinants ``det`` of their edge matrices when the caller has them.
     Raises DegenerateCellError, naming tet ``first + i``, when some |volume|
-    is at most 1e-14 (longest edge)^3; one edge at a time keeps temporaries
-    (m, 3)."""
-    vols = (np.linalg.det(p[:, 1:] - p[:, :1]) if det is None else det) / 6.0
-    longest2 = np.zeros(len(p))
+    is at most 1e-14 (longest edge)^3."""
+    vols = (_adjugate(p, 1)[1] if det is None else det) / 6.0
+    longest2 = np.zeros(p.shape[2])
     for i, j in _TET_EDGES:
-        np.maximum(longest2, ((p[:, i] - p[:, j]) ** 2).sum(axis=1), out=longest2)
+        np.maximum(longest2, ((p[:, i] - p[:, j]) ** 2).sum(axis=0), out=longest2)
     bad = np.flatnonzero(np.abs(vols) <= 1e-14 * np.sqrt(longest2) ** 3)
     if len(bad):
         raise DegenerateCellError(
@@ -156,7 +167,7 @@ def tet_volume(mesh: Mesh, cell: int) -> float:
     """
     if not 0 <= cell < mesh.n_cells:
         raise IndexError(f"cell index {cell} out of range [0, {mesh.n_cells})")
-    return float(_volumes(mesh.nodes[mesh.cells[cell : cell + 1]], first=cell)[0])
+    return float(_volumes(mesh.nodes.T[:, mesh.cells[cell : cell + 1].T], cell)[0])
 
 
 def generate_box(spec: BoxMeshSpec, region: int = 1) -> Mesh:
@@ -166,12 +177,6 @@ def generate_box(spec: BoxMeshSpec, region: int = 1) -> Mesh:
     ``region``.  The six box faces carry facet tags 1..6 in the order
     -x, +x, -y, +y, -z, +z.
     """
-    return _generate(spec, region)[0]
-
-
-def _generate(spec: BoxMeshSpec, region: int) -> tuple[Mesh, tuple]:
-    """generate_box, also returning the _faces of its cells, so that a
-    carve of the box needs no second sort."""
     nx, ny, nz = (int(d) for d in spec.divisions)
     # node id = i + (nx+1) * (j + (ny+1) * k), x fastest
     axes = [np.linspace(0.0, float(e), d + 1) for e, d in zip(spec.extents, (nx, ny, nz))]
@@ -184,32 +189,31 @@ def _generate(spec: BoxMeshSpec, region: int) -> tuple[Mesh, tuple]:
     cells = np.empty((len(origin), 6, 4), dtype=np.int64)
     for t, path in enumerate(_KUHN_PATHS):
         cells[:, t] = origin[:, None] + np.cumsum([0] + [stride[a] for a in path])
-    cells = cells.reshape(-1, 4)
-    cell_region = np.full(len(cells), int(region), dtype=np.int64)
 
-    faces = _faces(cells)
-    unique, _, _, counts = faces
-    bfaces = unique[counts == 1]
-
-    # classify each boundary face by the grid plane all three nodes share
-    grid = (bfaces % (nx + 1), (bfaces // (nx + 1)) % (ny + 1), bfaces // stride[2])
-    tags = np.zeros(len(bfaces), dtype=np.int64)
-    for axis, (coord, n) in enumerate(zip(grid, (nx, ny, nz))):
+    # the boundary faces, tagged by the box face plane their three nodes
+    # share (only hexes on the box surface have any), as sorted node triples
+    # in lexicographic order; Mesh may swap two nodes of a cell, not a face
+    shell = np.isin(ii, (0, nx - 1)) | np.isin(jj, (0, ny - 1)) | np.isin(kk, (0, nz - 1))
+    faces = cells[shell.ravel()][:, :, _TET_FACES].reshape(-1, 3)
+    tags = np.zeros(len(faces), dtype=np.int64)
+    for axis, n in enumerate((nx, ny, nz)):
+        a, b, c = faces.T // stride[axis] % (n + 1)  # the nodes' grid planes on this axis
         for sign, value in (("-", 0), ("+", n)):
-            on = (coord == value).all(axis=1) & (tags == 0)
-            tags[on] = BOX_FACE_TAGS[sign + "xyz"[axis]]
-    if (tags == 0).any():
-        raise MeshError("internal error: unclassified boundary facet in generate_box")
-
-    # Mesh may swap two nodes of a cell; that leaves its face triples as they are
-    return Mesh(nodes, cells, cell_region, bfaces, tags), faces
+            tags[(a == value) & (b == value) & (c == value)] = BOX_FACE_TAGS[sign + "xyz"[axis]]
+    on = np.flatnonzero(tags)
+    faces = np.sort(faces[on], axis=1)
+    order = _sorted_runs(faces)[0]
+    cell_region = np.full(6 * len(origin), int(region))
+    return Mesh(nodes, cells.reshape(-1, 4), cell_region, faces[order], tags[on][order])
 
 
 def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable lexicographic order of integer triples, and the start and
-    length of each run of equal rows in that order.  lexsort compares the
-    columns one by one, so no packed key can overflow."""
-    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+    """Stable lexicographic order of triples of integers in [0, r), and the
+    start and length of each run of equal rows in that order.  Up to r = 2^21
+    the packed key (a r + b) r + c < 2^63 is sorted instead, in one pass."""
+    if (r := int(rows.max(initial=0)) + 1) <= 1 << 21:
+        rows = ((rows[:, 0] * r + rows[:, 1]) * r + rows[:, 2])[:, None]
+    order = np.lexsort(rows.T[::-1])
     s = rows[order]
     new = np.ones(len(s), dtype=bool)
     new[1:] = (s[1:] != s[:-1]).any(axis=1)
@@ -221,8 +225,10 @@ def _faces(cells: np.ndarray) -> tuple:
     """Sort the 4m faces of m cells, as sorted node triples, once.  Returns
     (unique, owner, starts, counts): the distinct triples in lexicographic
     order, the cell of each face in that order, and the position of each
-    distinct triple's first face and its number of faces."""
-    faces = np.sort(cells[:, _TET_FACES].reshape(-1, 3), axis=1)
+    distinct triple's first face and its number of faces.  The faces of a
+    cell's sorted nodes are sorted triples; equal triples belong to
+    different cells, so the order of a cell's own faces does not matter."""
+    faces = np.sort(cells, axis=1)[:, _TET_FACES].reshape(-1, 3)
     order, starts, counts = _sorted_runs(faces)
     return faces[order[starts]], order // 4, starts, counts
 
@@ -386,15 +392,21 @@ class BoxMeshPlan:
     carve: tuple = ()
 
 
+def _centroids(mesh: Mesh) -> np.ndarray:
+    """Cell centroids (3 axes, m): the four corners summed in node order, / 4."""
+    p = np.ascontiguousarray(mesh.nodes.T).take(mesh.cells.T, axis=1)
+    return (((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]) / 4.0
+
+
 def _inside(centroids: np.ndarray, bounds) -> np.ndarray:
-    """Mask of centroids inside (x0, x1, y0, y1, z0, z1), faces included."""
-    lo, hi = np.asarray(bounds, dtype=np.float64).reshape(3, 2).T
-    return ((centroids >= lo) & (centroids <= hi)).all(axis=1)
+    """Mask of _centroids inside (x0, x1, y0, y1, z0, z1), faces included."""
+    lo, hi = np.asarray(bounds, dtype=np.float64).reshape(3, 2, 1).transpose(1, 0, 2)
+    return ((centroids >= lo) & (centroids <= hi)).all(axis=0)
 
 
 def paint_region(mesh: Mesh, bounds, tag: int) -> Mesh:
     """Retag all cells whose centroid lies inside the axis-aligned bounds."""
-    inside = _inside(mesh.nodes[mesh.cells].mean(axis=1), bounds)
+    inside = _inside(_centroids(mesh), bounds)
     region = mesh.cell_region.copy()
     region[inside] = int(tag)
     return Mesh(mesh.nodes, mesh.cells, region, mesh.boundary_facets, mesh.facet_tag)
@@ -409,7 +421,7 @@ def carve_box(mesh: Mesh, bounds, facet_tag: int) -> Mesh:
     indices compacted in order.  Raises MeshError when the bounds hold no
     cell centroid, or all of them.
     """
-    stage = (_inside(mesh.nodes[mesh.cells].mean(axis=1), bounds), facet_tag, bounds)
+    stage = (_inside(_centroids(mesh), bounds), facet_tag, bounds)
     return _carve(mesh, _faces(mesh.cells), mesh.cell_region, [stage])
 
 
@@ -463,15 +475,15 @@ def build_planned_box(plan: BoxMeshPlan) -> Mesh:
     that holds no remaining cell centroid, or leaves no cell, raises
     MeshError naming its bounds.
     """
-    mesh, faces = _generate(plan.box, plan.region)
-    centroids = mesh.nodes[mesh.cells].mean(axis=1)
+    mesh = generate_box(plan.box, plan.region)
+    centroids = _centroids(mesh)
     region = mesh.cell_region.copy()
     for tag, bounds in plan.paint:
         region[_inside(centroids, bounds)] = int(tag)
     if not plan.carve:
         return Mesh(mesh.nodes, mesh.cells, region, mesh.boundary_facets, mesh.facet_tag)
     stages = [(_inside(centroids, bounds), tag, bounds) for tag, bounds in plan.carve]
-    return _carve(mesh, faces, region, stages)
+    return _carve(mesh, _faces(mesh.cells), region, stages)
 
 
 def write_msh(mesh: Mesh, path) -> None:

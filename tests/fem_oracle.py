@@ -11,8 +11,10 @@ copies.
 ``full_sort_setup`` is different: it builds the assembler's pattern and
 G_K the direct way, from one stable sort of all 16 (row, col) keys of every
 element matrix, where the assembler sorts the upper triangle and mirrors
-it.  It shares the element geometry and the sort with the assembler, so it
-checks the mirroring and nothing else.
+it.  Its element matrices come from ``einsum_element_matrices``, the
+np.cross/np.einsum form of the geometry over (cells, 4, 3) corners that
+the assembler's component-major kernel must reproduce bit for bit, so it
+checks the mirroring, that arithmetic and the assembler's sort.
 
 ``stiffness_values``, ``cell_volumes`` and ``boundary_face_counts`` are
 checks of the assembled K and of mesh geometry and topology that the
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 import cryoground.fem as fem
 from cryoground.fem import FemError, TemperatureField
 from cryoground.linalg import CsrMatrix
-from cryoground.mesh import Mesh, tet_volume
+from cryoground.mesh import DegenerateCellError, Mesh, tet_volume
 from cryoground.physics import (
     FREEZING_POROUS,
     MaterialTable,
@@ -106,11 +108,35 @@ def cell_coefficients(
     return c_cell, lam_cell
 
 
+def einsum_element_matrices(p: np.ndarray, first: int):
+    """Volumes and V * (grad_i . grad_j) (k, 4, 4) of the tets with corners p
+    (k, 4, 3), cell ``first`` first, raising DegenerateCellError as the
+    assembler does: the gradients are the adjugate (np.cross of the edges)
+    over the determinant (np.einsum), and the products an np.einsum."""
+    e = p[:, 1:] - p[:, :1]
+    adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # rows e2 x e3, e3 x e1, e1 x e2
+    det = np.einsum("mk,mk->m", e[:, 0], adj[:, 0])
+    vols = det / 6.0
+    longest2 = np.zeros(len(p))
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        np.maximum(longest2, ((p[:, i] - p[:, j]) ** 2).sum(axis=1), out=longest2)
+    bad = np.flatnonzero(np.abs(vols) <= 1e-14 * np.sqrt(longest2) ** 3)
+    if len(bad):
+        raise DegenerateCellError(f"cell {first + bad[0]} is degenerate (volume {vols[bad[0]]:.3e})")
+    vols = np.abs(vols)
+    grads = np.empty((len(p), 3, 4))
+    np.divide(adj.transpose(0, 2, 1), det[:, None, None], out=grads[:, :, 1:])
+    grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
+    kmat = np.einsum("mki,mkj->mij", grads, grads)
+    kmat *= vols[:, None, None]
+    return vols, kmat
+
+
 def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
     """The CSR pattern, diagonal slots, G_K, K_const and element matrices
     (cells, 4, 4) of an Assembler built from one stable sort of the 16
     (row, col) keys of every element matrix (entry 16 c + 4 i + j), with the
-    geometry in blocks of fem._GEOMETRY_BLOCK cells."""
+    einsum geometry in blocks of fem._GEOMETRY_BLOCK cells."""
     m, n, cells = mesh.n_cells, mesh.n_nodes, mesh.cells
     # a constant cell's lam: equal frozen and thawed values, no latent heat
     lam_const = {}
@@ -123,11 +149,16 @@ def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
     column = np.where(var, np.cumsum(var) - 1, mv + np.cumsum(~var) - 1).astype(np.int32)
     block = fem._GEOMETRY_BLOCK
     kmat = np.concatenate([
-        fem._element_matrices(mesh.nodes[cells[c0 : c0 + block]], c0)[1]
+        einsum_element_matrices(mesh.nodes[cells[c0 : c0 + block]], c0)[1]
         for c0 in range(0, m, block)
     ])
-    gk, keys = fem._sum_operator(
-        (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel(), kmat.ravel(), 16, column
+    entry_keys = (cells[:, :, None] * np.int64(n) + cells[:, None, :]).ravel()
+    keys, slot = np.unique(entry_keys, return_inverse=True)
+    # rows in key order, each listing its entries in entry (so cell) order
+    order = np.argsort(slot, kind="stable")
+    indptr = np.append(0, np.cumsum(np.bincount(slot, minlength=len(keys)))).astype(np.int32)
+    gk = sp.csr_matrix(
+        (kmat.ravel()[order], column[order // 16], indptr), shape=(len(keys), m), copy=False
     )
     rows, cols = keys // n, keys % n
     row_offsets = np.zeros(n + 1, dtype=np.int64)

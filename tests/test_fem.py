@@ -29,6 +29,7 @@ from cryoground.parallel import pool_available
 from cryoground.physics import Material, MaterialTable, UnknownRegionError, apparent_coefficients
 from cryoground.scenario import default_materials, well_mesh_plan
 from cryoground.simulate import Simulation, SimulationConfig
+from cryoground.verify import MmsCase
 
 from fem_oracle import (
     cell_coefficients,
@@ -534,6 +535,35 @@ class TestSetup:
         for name, digest in self.WELL_SHA256.items():
             assert hashlib.sha256(got[name].tobytes()).hexdigest() == digest, name
 
+    # sha256 of the assembler's arrays on the 32^3 box of the MMS order study
+    # (every cell constant), recorded from the build whose element geometry
+    # came from np.cross and einsum over (cells, 4, 3) corner blocks
+    MMS_BOX_SHA256 = {
+        "row_offsets": "3aaa3c332b80a33061e2361ec3cd94e04be17ba83188f3f767742008a40c908c",
+        "column_indices": "2a05eec43b21c8d308f3bdac77764a9c8f83dbf50f930a503bdeb15c7a8da54e",
+        "node_volumes": "9c33bd351e6be8504f63ebf14c26b3d22a68f0d1dfa466c2e75201288b4ccaa5",
+        "capacity": "9c33bd351e6be8504f63ebf14c26b3d22a68f0d1dfa466c2e75201288b4ccaa5",
+        "matrix": "92b3b3ce56263aae507ed53af923cc78375d4803b01da97dfa1a78156e56b387",
+        "rhs": "6f1b8cd7a10e4883600bc523aa76ef944d68abc9842a9b8a7e2d5bcf5f7556d3",
+    }
+
+    def test_mms_box_values_pinned(self):
+        case = MmsCase()
+        mesh = generate_box(BoxMeshSpec(case.lengths, (32, 32, 32)))
+        asm = Assembler(mesh, case.table())
+        field = case.exact(mesh.nodes, 0.0)
+        system = asm.assemble(field, tau=0.1 / 32, source=case.source(mesh.nodes, 0.0))
+        got = {
+            "row_offsets": asm.row_offsets,
+            "column_indices": asm.column_indices,
+            "node_volumes": asm.node_volumes,
+            "capacity": asm.capacity_diagonal(field),
+            "matrix": system.matrix.values,
+            "rhs": system.rhs,
+        }
+        for name, digest in self.MMS_BOX_SHA256.items():
+            assert hashlib.sha256(got[name].tobytes()).hexdigest() == digest, name
+
     def test_geometry_block_size_moves_no_bit(self, monkeypatch):
         mesh = lumpy_mesh()  # regions 1 (soil) and 2 (sand)
         table = default_materials()
@@ -609,13 +639,14 @@ class TestSetup:
             Assembler(mesh, plain_table)
 
     def test_setup_memory_per_cell_bounded(self, plain_table):
-        """Setting up the 16^3 box (24,576 cells) traces 394 B/cell of numpy
-        allocations at its peak, and the 20^3 well (47,184 cells) 447 B/cell,
-        since G_K is built from the 10 upper-triangle entries per cell (585
-        and 543 B/cell from all 16; 649 B/cell on the box before the
-        constant-cell split freed the element geometry early, 756 B/cell with
-        the grouped scatter plans the operators replaced, 1,930 B/cell with
-        the two-sort builder before them)."""
+        """Setting up the 16^3 box (24,576 cells) traces 302 B/cell of numpy
+        allocations at its peak, and the 20^3 well (47,184 cells) 427 B/cell,
+        since the keys are sorted before the element geometry exists (392
+        and 445 B/cell before), and G_K is built from the 10 upper-triangle
+        entries per cell (585 and 543 B/cell from all 16; 649 B/cell on the
+        box before the constant-cell split freed the element geometry early,
+        756 B/cell with the grouped scatter plans the operators replaced,
+        1,930 B/cell with the two-sort builder before them)."""
         cases = [
             (generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16))), plain_table, 490),
             (build_planned_box(well_mesh_plan()), default_materials(), 540),
@@ -633,6 +664,30 @@ class TestSetup:
         finally:
             if not tracing:
                 tracemalloc.stop()
+
+    def test_box_setup_memory_per_cell_bounded(self, plain_table):
+        """generate_box and Assembler.__init__ on the 24^3 box (82,944 cells)
+        trace 162 and 298 B/cell of numpy allocations at their peaks (400 and
+        391 B/cell when boundary faces came from a lexsort of all face triples,
+        the orientation test from np.linalg.det on all cells at once and the
+        element geometry from np.einsum over (cells, 4, 3) corners)."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (24, 24, 24)))
+            mesh_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            Assembler(mesh, plain_table)
+            assembler_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert mesh_peak / mesh.n_cells < 187
+        assert assembler_peak / mesh.n_cells < 343
 
 
 def one_step_field(mesh, table, dirichlet):

@@ -21,6 +21,7 @@ from cryoground.mesh import (
     tet_volume,
     write_msh,
 )
+from cryoground.mesh import _sorted_runs
 from cryoground.scenario import well_mesh_plan
 
 from fem_oracle import boundary_face_counts, cell_volumes
@@ -218,6 +219,23 @@ class TestMeshValidation:
 
         assert _signed_volumes(mesh.nodes, mesh.cells)[0] > 0
 
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_orientation_matches_linalg_det(self, seed):
+        """The orientation test's triple product flips exactly the cells
+        whose np.linalg.det is negative, on a lumpy box whose cells list
+        their nodes in random orders."""
+        rng = np.random.default_rng(seed)
+        box = generate_box(BoxMeshSpec((1.0, 1.5, 2.0), (3, 4, 5)))
+        nodes = box.nodes + rng.uniform(-0.04, 0.04, box.nodes.shape)
+        cells = rng.permuted(box.cells, axis=1)
+        want = cells.copy()
+        p = nodes[cells]
+        flip = np.linalg.det(p[:, 1:] - p[:, :1]) < 0.0
+        want[flip, 2:] = want[flip][:, [3, 2]]
+        mesh = Mesh(nodes, cells, box.cell_region, box.boundary_facets, box.facet_tag)
+        assert mesh.cells.tobytes() == want.tobytes()
+
     def test_out_of_range_node(self):
         nodes = np.zeros((3, 3))
         with pytest.raises(MeshError, match="node indices"):
@@ -387,6 +405,56 @@ class TestOnePassBuild:
             arr = getattr(mesh, name)
             assert arr.dtype.byteorder in "=<", name
             assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
+
+    # sha256 of the five arrays of plain boxes (numpy 2.4, x86-64), recorded
+    # from the build that found boundary faces by a lexsort of all face triples
+    BOX_SHA256 = {
+        ((1.0, 1.0, 1.0), (8, 8, 8)): {
+            "nodes": "f14c8e29e84f9f032ca3407f111d03b57c85987b0c013d56a5111853ff81beba",
+            "cells": "36aac58c1364f57091c1aa1d825e6884f1630bbd1c6958b4c2e94dc6d521d45a",
+            "cell_region": "917e4da8f850635ab48ff08553144a383450d5ec2bc6d568c0bc75d15f8d2f76",
+            "boundary_facets": "2f6c33c91ae90c060d7e1d581c6638ad8a28bacd44fbbbd0828ee356e8ad519f",
+            "facet_tag": "8dca84c7938dc5bceaccfd411922d3cfad8fa27173143ab9ac92d08dae317231",
+        },
+        ((1.0, 1.0, 1.0), (32, 32, 32)): {
+            "nodes": "517467be3ba6b7a8afe71a05c847061dc597f0ea92e41b422164b579fbc74291",
+            "cells": "0d948149ee7f92811f0e890600effa71bd67b566a28ee45e350a3022fb2b11cf",
+            "cell_region": "419677209a8bb6665bf1be5512f6c4c43b02d0ab2694954267b63029ca7af97c",
+            "boundary_facets": "541b48d39c03aa9fec9db46c6d33ba84413ba1279d7a3f312466fa5e7feb4d91",
+            "facet_tag": "7f4dbe353dd4abb5edff1446c701b68862592c1a4d36089d1bf9144e93800e72",
+        },
+        ((1.0, 2.0, 1.5), (5, 3, 4)): {
+            "nodes": "fe70b060aface40a0da1526a2ee3ec41615a14b2f66cfd747770b4be85eadd43",
+            "cells": "ade272e3754dcb3fe9899a5b2b6d23d08e8d15ea9e044cf0d570f03d69580fb4",
+            "cell_region": "b67cb5005afeab478193eee00aeab5523f6527105b7105632fbe74a635b9ecc1",
+            "boundary_facets": "e074fb30625a8a5e61198656378534e60c8b858b8aacafed23477010f54dcf6f",
+            "facet_tag": "02368825b8a70c7d3ca40343da114a4ca3206dfa146775359ff3525bc26536a3",
+        },
+    }
+
+    @pytest.mark.parametrize("box", BOX_SHA256, ids=["8^3", "32^3", "5x3x4"])
+    def test_box_mesh_arrays_pinned(self, box):
+        mesh = generate_box(BoxMeshSpec(*box))
+        for name, digest in self.BOX_SHA256[box].items():
+            arr = getattr(mesh, name)
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("top", [2**21, 2**21 + 1, 2**40])
+    def test_sorted_runs_equal_lexsort_at_any_node_range(self, top):
+        """Triples of integers below 2^21 are sorted by one packed int64 key,
+        whose largest value is then 2^63 - 1; larger ones by a lexsort.  Both
+        give the order and runs of a lexsort of the three columns."""
+        values = np.array([0, 1, 2, top - 2, top - 1])
+        rows = values[np.random.default_rng(top % 97).integers(0, 5, (600, 3))]
+        rows[:5] = top - 1  # the largest triple, in a run
+        order, starts, counts = _sorted_runs(rows)
+        want = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+        assert np.array_equal(order, want)
+        s = rows[want]
+        want_starts = np.flatnonzero(np.append(True, (s[1:] != s[:-1]).any(axis=1)))
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(counts, np.diff(np.append(want_starts, len(rows))))
+        assert counts[-1] == (rows == top - 1).all(axis=1).sum() >= 5
 
     @pytest.mark.parametrize("name", PLANS)
     def test_planned_box_equals_fold(self, name):
