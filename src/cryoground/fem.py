@@ -35,11 +35,11 @@ What a step keeps, per share, and what drops it:
   physics.band_limits (the key) and tau stay: no law, no products.  Nodes
   beyond physics.node_limits tell most keys without the means, and a step
   whose keys they tell unchanged runs no fill at all;
-- those rows eliminated, while the step's DirichletPlan is the one the last
-  full elimination used; only the rhs is corrected, from the coupling
-  values kept then.  assemble() without that plan drops them;
+- those rows eliminated, while the step's DirichletPlan is the one its last
+  elimination used; only the rhs is corrected, from the coupling A_ji its
+  free rows j stored then.  assemble() without that plan drops them;
 - the CG's inverse diagonal and A x of the last solution, while its rows
-  stay and x0 equals that solution off the constrained rows.
+  stay and x0 equals that solution off the constrained (identity) rows.
 """
 
 from __future__ import annotations
@@ -528,9 +528,7 @@ class Assembler:
         plans, shares, bufs, kept, system = layout
         dplan, g = constraints or (None, None)
         if dplan is not None:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != dplan.nodes.shape:
-                raise FemError("constraint value array does not match plan nodes")
+            g = dplan._checked(system.matrix, g)
         keep_rows = dplan is not None and kept.plan is dplan
         prefilter, kept.plan, kept.prefilter = kept.prefilter, None, None
         t_buf, a_vals, rhs, work, m_tau, same_keys = bufs
@@ -560,21 +558,18 @@ class Assembler:
 
     def _eliminate(self, plans, shares, kept, system: LinearSystem, dplan, g: np.ndarray):
         """DirichletPlan.apply on the layout's system, keeping the coupling
-        values (A_ij, i constrained, j free) it reads.  Shares that kept
-        their rows (see _fill) hold this elimination already: then only the
-        others' rows are eliminated, updating those values, and the rhs
-        correction takes the kept ones.  The CG shares learn the fixed rows."""
-        a = system.matrix.values
-        if not shares.work.kept.any():  # DirichletPlan.apply, its coupling kept
-            kept.coupling = np.empty(len(dplan._cross_positions))
-            dplan._eliminate_slots(a, kept.coupling, slice(0, len(a)))
-        else:
-            for plan in plans:
-                if not shares.work.kept[plan.share]:
-                    dplan._eliminate_slots(a, kept.coupling, plan.slots)
+        values (A_ji, j free, i constrained) it reads.  Each share that did
+        not keep its rows (see _fill; all of them on a full elimination)
+        eliminates them, reading the coupling they store; the rhs correction
+        takes it all.  The CG shares learn the constrained rows."""
+        if not shares.work.kept.any():
+            kept.coupling = np.empty(len(dplan._sym_positions))
+        for plan in plans:
+            if not shares.work.kept[plan.share]:
+                dplan._eliminate_slots(system.matrix.values, kept.coupling, plan.slots)
         dplan._correct(system.rhs, g, kept.coupling)
         kept.plan = dplan
-        shares.fixed = dplan.nodes, dplan._rows
+        shares.fixed = dplan.nodes
 
     # -- worker pool -------------------------------------------------------
 
@@ -662,47 +657,40 @@ class DirichletPlan:
         if len(nodes) and (nodes[0] < 0 or nodes[-1] >= n):
             raise FemError(f"constraint node outside [0, {n})")
         self.nodes = nodes
-        offs = matrix.row_offsets
-        cols = matrix.column_indices
+        self._pattern = offs, cols = matrix.row_offsets, matrix.column_indices
         constrained = np.zeros(n, dtype=bool)
         constrained[nodes] = True
 
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
-        self._row_positions = np.flatnonzero(constrained[rows])
-        cross = self._row_positions[~constrained[cols[self._row_positions]]]
-        self._cross_positions = cross  # entries (i constrained, j free)
-        self._cross_cols = cols[cross]
-        self._cross_owner = rows[cross]
-
-        # symmetric counterparts (j free row, i constrained col), located by
-        # binary search on the globally sorted (row, col) key
-        key = rows * np.int64(n) + cols
-        want = self._cross_cols * np.int64(n) + self._cross_owner
-        pos = np.searchsorted(key, want)
-        ok = (pos < len(key)) & (key[np.minimum(pos, len(key) - 1)] == want)
-        if not ok.all():
+        in_row = constrained[rows]
+        self._row_positions = np.flatnonzero(in_row)
+        # the coupling entries (j free row, i constrained column), in storage
+        # order: rows j ascending, columns i ascending within a row
+        self._sym_positions = np.flatnonzero(~in_row & constrained[cols])
+        sym_rows, sym_cols = rows[self._sym_positions], cols[self._sym_positions]
+        cross = in_row & ~constrained[cols]  # their transposes (i, j)
+        if not np.array_equal(np.sort(cols[cross] * n + rows[cross]), sym_rows * n + sym_cols):
             raise FemError("matrix sparsity is not structurally symmetric")
-        self._sym_positions = np.sort(pos)  # zeroed in any order
-
         self._diag_positions = matrix.diagonal_slots[nodes]
-        # the constrained rows as the elimination leaves them, for products
-        rp = self._row_positions
-        data = (cols[rp] == rows[rp]).astype(np.float64)
-        indptr = np.append(0, np.cumsum(np.diff(offs)[nodes]))
-        self._rows = _sp.csr_matrix((data, cols[rp], indptr), shape=(len(nodes), n))
 
-        # map constrained node id -> index into self.nodes
-        self._owner_slot = np.searchsorted(nodes, self._cross_owner)
         # the rhs correction as a CSR product added onto the free rows j it
-        # changes: row j holds -A_ji for its constrained columns i, ascending
-        # (a stable sort by j keeps the order in which np.add.at over the
-        # cross entries subtracts them)
-        order = np.argsort(self._cross_cols, kind="stable")
-        self._coupling_slot = np.empty_like(order)  # cross entry -> its correction slot
-        self._coupling_slot[order] = np.arange(len(order))
-        self._correction_rows, counts = np.unique(self._cross_cols, return_counts=True)
+        # changes: row j holds -A_ji for its constrained columns i, ascending,
+        # as np.add.at over the coupling entries subtracts them
+        self._correction_rows, counts = np.unique(sym_rows, return_counts=True)
         self._correction_indptr = np.append(0, np.cumsum(counts))
-        self._correction_indices = self._owner_slot[order]
+        self._correction_indices = np.searchsorted(nodes, sym_cols)
+
+    def _checked(self, matrix: CsrMatrix, values) -> np.ndarray:
+        """``values`` as float64, once the matrix has the plan's pattern
+        (the same arrays, else equal ones) and there is one value per node."""
+        (offs, cols), m_offs, m_cols = self._pattern, matrix.row_offsets, matrix.column_indices
+        same = m_offs is offs and m_cols is cols  # Simulation builds plans on Assembler.pattern
+        if not (same or np.array_equal(m_offs, offs) and np.array_equal(m_cols, cols)):
+            raise FemError("the Dirichlet plan was built on another sparsity pattern")
+        g = np.asarray(values, dtype=np.float64)
+        if g.shape != self.nodes.shape:
+            raise FemError("constraint value array does not match plan nodes")
+        return g
 
     def apply(self, system: LinearSystem, values: np.ndarray) -> LinearSystem:
         """Symmetric elimination of the constraints, in place.
@@ -711,17 +699,15 @@ class DirichletPlan:
         j loses A_ji g_i, then row i and column i are zeroed, A_ii = 1 and
         b_i = g_i.  Symmetry (hence SPD-ness for CG) is preserved.
         """
-        g = np.asarray(values, dtype=np.float64)
-        if g.shape != self.nodes.shape:
-            raise FemError("constraint value array does not match plan nodes")
-        a, coupling = system.matrix.values, np.empty(len(self._cross_positions))
+        g = self._checked(system.matrix, values)
+        a, coupling = system.matrix.values, np.empty(len(self._sym_positions))
         self._eliminate_slots(a, coupling, slice(0, len(a)))
         self._correct(system.rhs, g, coupling)
         return system
 
     def _correct(self, b: np.ndarray, g: np.ndarray, coupling: np.ndarray):
-        """The rhs part of apply, from the coupling values the matrix part
-        read (see _eliminate_slots)."""
+        """The rhs part of apply, from the negated coupling values -A_ji that
+        the matrix part read (see _eliminate_slots)."""
         rows = self._correction_rows
         corrected = b[rows]
         matvec_add_into(self._correction_indptr, self._correction_indices, coupling, g, corrected)
@@ -729,15 +715,15 @@ class DirichletPlan:
         b[self.nodes] = g
 
     def _eliminate_slots(self, a: np.ndarray, coupling: np.ndarray, slots: slice):
-        """The matrix part of apply on the entries stored in ``slots``, whose
-        coupling values A_ij (i constrained, j free) it first stores negated
-        into ``coupling``, in the order of the correction's values."""
+        """The matrix part of apply on the entries stored in ``slots``: the
+        coupling values A_ji (j free row, i constrained column) stored there
+        go negated into their slice of ``coupling`` (the correction's order is
+        their storage order) before they are zeroed."""
         lo, hi = slots.start, slots.stop
-        c0, c1 = np.searchsorted(self._cross_positions, (lo, hi))
-        coupling[self._coupling_slot[c0:c1]] = np.negative(a[self._cross_positions[c0:c1]])
+        p0, p1 = np.searchsorted(self._sym_positions, (lo, hi))
+        coupling[p0:p1] = np.negative(a[self._sym_positions[p0:p1]])
         for positions, value in (
             (self._row_positions, 0.0), (self._sym_positions, 0.0), (self._diag_positions, 1.0)
         ):
             p0, p1 = np.searchsorted(positions, (lo, hi))
             a[positions[p0:p1]] = value
-

@@ -236,8 +236,8 @@ class CgShares:
     A share whose rows did not change since the last solve may keep what
     depends only on them.  Their owner says so before a solve by setting
     work.kept[s] (a solve consumes the flags), and names in ``fixed`` the
-    rows whose x0 may differ from that solve's solution, as (rows, CSR of
-    those rows of the matrix); cg_solve checks the other rows of x0.
+    rows whose x0 may differ from that solve's solution: identity rows (the
+    constrained ones), where A x0 is x0; cg_solve checks the other rows.
     """
 
     def __init__(self, matrix: CsrMatrix, bounds=None, alloc=np.zeros, run=None):
@@ -457,7 +457,7 @@ def cg_solve(
     in one share.  ``b`` may be the shares' own w.rhs (the assembler writes
     its rhs there), which is then not copied.  Shares that kept their rows
     (see CgShares) start from their kept A x when x0 equals the last
-    solution off the fixed rows, checked here.
+    solution off the fixed (identity) rows, checked here.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)
@@ -487,12 +487,10 @@ def cg_solve(
     # the other shares' rows out of their caches)
     w.start_kept[0] = 0.0
     if w.kept @ w.valid:
-        rows, fixed = shares.fixed
+        rows = shares.fixed  # identity rows: A x0 is x0 there
         w.x[rows] = x0[rows]
         if (w.x[: a.n] == x0).all():
-            ax = np.empty(len(rows))
-            matvec_into(fixed, x0, ax)
-            w.ax[rows] = ax
+            w.ax[rows] = x0[rows] + 0.0  # a product sums from +0.0: -0.0 gives +0.0
             w.start_kept[0] = 1.0
     if not w.start_kept[0]:
         w.x[: a.n] = x0

@@ -11,6 +11,7 @@ import pytest
 
 from cryoground.mesh import BoxMeshSpec
 from cryoground.simulate import Simulation, SimulationConfig
+from cryoground.verify import MmsCase, run_mms
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -60,3 +61,19 @@ def test_assemble_speedup_side_measurement(workloads, soil_table, workers):
     finally:
         sim.close()
     assert math.isfinite(ratio) and ratio > 0.0
+
+
+def test_mms_step_windows(spans, workloads):
+    """mms_space times each implicit step as the window from assemble() to
+    the end of the next solve (workloads.solve_windows): a change that
+    moved the solve into assemble() would turn that step time into setup
+    time.  Four steps give four windows and four Simulation.step spans."""
+    rec = spans.Recorder()
+    rec.install(spans.LIGHT)
+    try:
+        run_mms((3, 3, 3), 0.025, 0.1, MmsCase())
+    finally:
+        rec.uninstall()
+    indices = range(len(rec.spans))
+    assert len(workloads.solve_windows(rec.spans, indices)) == 4
+    assert len(workloads.simulation_steps(rec.spans, indices)) == 4

@@ -489,6 +489,37 @@ class TestFillReuse:
         finally:
             asm.close()
 
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_kept_start_on_negative_zero_constraints(self, layered, workers):
+        """A kept start takes A x0 on the constrained (identity) rows from
+        x0; a product there sums from +0.0, so a constraint value -0.0 must
+        give the +0.0 a fresh solve starts from, and its sign in the
+        solution."""
+        mesh, table = layered
+        frozen = self.fields(mesh)[0]
+        top = nodes_for_tags(mesh, [6])
+        g = np.full(len(top), -0.0)
+        asm = Assembler(mesh, table, workers=workers)
+        plan = DirichletPlan(asm.pattern, top)
+        try:
+            x0 = frozen.copy()
+            x0[top] = g
+            system = asm.assemble(frozen, self.TAU, reuse_buffers=True, constraints=(plan, g))
+            x0 = cg_solve(system.matrix, system.rhs, x0, tol=1e-10)[0]
+            x0[top] = g
+            field = frozen - 0.5  # the same keys and node classes: the rows are kept
+            system = asm.assemble(field, self.TAU, reuse_buffers=True, constraints=(plan, g))
+            got, report = cg_solve(system.matrix, system.rhs, x0, tol=1e-10)
+            assert system.matrix.shares.work.start_kept[0] == 1.0
+            assert report.iterations > 0
+            fresh = Assembler(mesh, table).assemble(field, self.TAU)
+            DirichletPlan(fresh.matrix, top).apply(fresh, g)
+            want = cg_solve(fresh.matrix, fresh.rhs, x0, tol=1e-10)[0]
+            assert np.signbit(want[top]).all()
+            assert got.tobytes() == want.tobytes()
+        finally:
+            asm.close()
+
 class TestSetup:
     """Assembler.__init__ builds the pattern and the G_K and G_M operators
     from one sort each and the element geometry in blocks of cells; none of
@@ -788,9 +819,10 @@ class TestApplyDirichlet:
         assert np.abs(x_elim - x_pen).max() <= 1e-6 * denom
 
     def test_rhs_correction_subtracts_in_ascending_constrained_column(self, unit_box, soil_table):
-        """The rhs correction gives the bits of np.add.at over the coupling
-        entries (i constrained, j free) in storage order: b_j loses A_ji g_i
-        one term at a time, in ascending i."""
+        """The rhs correction gives the bits of np.add.at over the entries
+        (i constrained, j free) in storage order: b_j loses A_ij g_i one term
+        at a time, in ascending i.  A is bitwise symmetric, so the A_ji that
+        row j stores gives the same bits."""
         rng = np.random.default_rng(8)
         system = Assembler(unit_box, soil_table).assemble(
             rng.uniform(-4, 4, unit_box.n_nodes), tau=3600.0
@@ -798,13 +830,28 @@ class TestApplyDirichlet:
         system.rhs[:] = rng.standard_normal(unit_box.n_nodes) * 1e4
         nodes = nodes_for_tags(unit_box, [1, 5, 6])
         g = rng.uniform(-20, 5, len(nodes))
-        plan = DirichletPlan(system.matrix, nodes)
+        m = system.matrix
+        rows = np.repeat(np.arange(m.n), np.diff(m.row_offsets))
+        constrained = np.isin(np.arange(m.n), nodes)
+        cross = constrained[rows] & ~constrained[m.column_indices]
         want = system.rhs.copy()
-        vals = system.matrix.values
-        np.add.at(want, plan._cross_cols, -vals[plan._cross_positions] * g[plan._owner_slot])
+        owner = np.searchsorted(nodes, rows[cross])
+        np.add.at(want, m.column_indices[cross], -m.values[cross] * g[owner])
         want[nodes] = g
-        plan.apply(system, g)
+        DirichletPlan(m, nodes).apply(system, g)
         assert system.rhs.tobytes() == want.tobytes()
+
+    def test_rhs_correction_takes_the_free_rows_own_coupling(self):
+        """On a structurally symmetric A with A_01 != A_10, eliminating node
+        0 takes A_10 g_0 from b_1, the entry row 1 stores."""
+        system = LinearSystem(
+            csr([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 6.0]]), np.array([0.0, 10.0, 20.0])
+        )
+        DirichletPlan(system.matrix, np.array([0])).apply(system, np.array([3.0]))
+        assert system.rhs.tolist() == [3.0, 4.0, 20.0]
+        assert scipy_view(system.matrix).toarray().tolist() == [
+            [1.0, 0.0, 0.0], [0.0, 5.0, 1.0], [0.0, 1.0, 6.0]
+        ]
 
     def test_structurally_unsymmetric_rejected(self):
         m = csr([[1.0, 2.0], [0.0, 3.0]])  # missing (1, 0)
@@ -821,6 +868,28 @@ class TestApplyDirichlet:
         system = Assembler(mesh, plain_table).assemble(np.zeros(mesh.n_nodes), tau=1.0)
         with pytest.raises(FemError, match="strictly increasing|outside"):
             DirichletPlan(system.matrix, np.array(nodes))
+
+    @pytest.mark.parametrize("divisions", [(3, 3, 3), (1, 2, 5)], ids=["larger", "same_size"])
+    def test_plan_of_another_pattern_rejected(self, plain_table, divisions):
+        """A plan serves only the pattern it was built on: a plan of the
+        (2, 2, 3) box (36 nodes) is an input error for a larger box and for
+        the (1, 2, 5) box of as many nodes, at both entry points; a plan on
+        equal copies of the pattern serves."""
+        plan_mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 3)))
+        plan = DirichletPlan(Assembler(plan_mesh, plain_table).pattern, np.array([0, 5]))
+        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), divisions))
+        asm = Assembler(mesh, plain_table)
+        field = np.zeros(mesh.n_nodes)
+        with pytest.raises(FemError, match="another sparsity pattern"):
+            asm.assemble(field, 1.0, constraints=(plan, np.ones(2)))
+        with pytest.raises(FemError, match="another sparsity pattern"):
+            plan.apply(asm.assemble(field, 1.0), np.ones(2))
+        copied = CsrMatrix(asm.row_offsets.copy(), asm.column_indices.copy(), np.zeros(asm.nnz))
+        got = asm.assemble(field, 1.0, constraints=(DirichletPlan(copied, np.array([0, 5])), np.ones(2)))
+        want = asm.assemble(field, 1.0)
+        DirichletPlan(asm.pattern, np.array([0, 5])).apply(want, np.ones(2))
+        assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
 
     def test_constraint_values_of_another_length_rejected(self, plain_table):
         """assemble(constraints=...) checks the values before it fills, as
