@@ -25,6 +25,7 @@ K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
 bit-identical for any split of the rows.  A step's rows are cut once, into
 the CG's shares (linalg.share_bounds): each share fills its rows of A and b
+from the row runs (linalg.matvec_into) of its spans of the operators' rows
 and runs the CG loop on them, and the serial step is the one-share case.
 With workers the shares run in the calling process plus forked ones,
 writing disjoint row ranges of shared buffers; see cryoground.parallel and
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as _sp
 
-from .linalg import CgShares, CsrMatrix, csr_rows, matvec_add_into, matvec_into, share_bounds
+from .linalg import CgShares, CsrMatrix, matvec_into, share_bounds
 from .mesh import _GEOMETRY_BLOCK, Mesh, _adjugate, _volumes
 from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
 from .physics import (
@@ -161,26 +162,22 @@ def _leading_columns(op, ncols: int):
     return sub
 
 
-def _rows_of(op, lo: int, hi: int):
-    if (lo, hi) == (0, op.shape[0]):
-        return op  # all rows: the operator itself
-    return csr_rows(op.indptr, op.indices, op.data, lo, hi, op.shape[1])
+def _rows_of(op, rows: slice):
+    """The row run of ``rows`` of scipy CSR ``op`` (see linalg.matvec_into)."""
+    return op.indptr[rows.start : rows.stop + 1], op.indices, op.data
 
 
 @dataclass(eq=False)
 class _FillPlan:
-    """One fill's rows (see Assembler._fill): its CG share, the operators'
-    rows and the diagonal positions in its slots, with the A rows and M/tau
-    of its last products and the key and tau they came from (key None: none
-    to reuse)."""
+    """One fill's rows (see Assembler._fill): its CG share, its spans of
+    C's, G_K's and G_M's rows and the diagonal positions in its slots, with
+    the A rows and M/tau of its last products and the key and tau they came
+    from (key None: none to reuse)."""
 
     share: int
     cells: slice
     slots: slice
     rows: slice
-    cmean: object
-    gk: object
-    gm: object
     diag: np.ndarray
     a: np.ndarray
     m_tau: np.ndarray
@@ -230,7 +227,7 @@ class Assembler:
     of A and the rhs from the span of phase-change cells they touch, and
     the matrix an assemble(reuse_buffers=True) call returns carries the
     same shares, in which cg_solve runs its loop.  The serial step is one
-    share, which fills from the operators themselves; with workers > 1 the
+    share, whose rows are all of the operators'; with workers > 1 the
     buffers are shared memory and forked worker processes run all shares
     but the last, which the calling process runs (see cryoground.parallel).
     """
@@ -385,7 +382,7 @@ class Assembler:
         cells, slots, rows = plan.cells, plan.slots, plan.rows
         t_prev, a_out, rhs_out, work, _, same_keys = bufs
         key = self._key[cells]
-        matvec_into(plan.cmean, t_prev, key)
+        matvec_into(*_rows_of(self._cmean, cells), t_prev, key)
         np.clip(key, *self._limits, out=key)
         same = plan.key is not None and tau == plan.tau and np.array_equal(key, plan.key)
         same_keys[plan.share] = same
@@ -398,9 +395,9 @@ class Assembler:
                 key, model, *self._law[:, cells], model.latent_volumetric,
                 out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
             )
-            matvec_into(plan.gk, self._lam, plan.a)
+            matvec_into(*_rows_of(self._gk, slots), self._lam, plan.a)
             plan.a += self._k_const[slots]
-            matvec_into(plan.gm, self._c, plan.m_tau)
+            matvec_into(*_rows_of(self._gm, rows), self._c, plan.m_tau)
             plan.m_tau += self._m_const[rows]
             plan.m_tau /= tau
             plan.a[plan.diag] += plan.m_tau
@@ -429,7 +426,7 @@ class Assembler:
             return False
         if not len(keys):
             return True
-        matvec_into(uncertain, t_prev, buf)
+        matvec_into(*uncertain, t_prev, buf)
         np.clip(buf, *self._limits, out=buf)
         return bool((buf == keys).all())
 
@@ -437,14 +434,14 @@ class Assembler:
         """The prefilter of the plans' keys, recorded where every plan found
         its key unchanged: a fill whose key changes every step would only
         pay for it."""
-        classes = self._classes(t_prev)
-        mean = np.empty(self._cmean.shape[0])  # 0 (2) where all the cell's nodes lie below (above)
-        matvec_into(self._cmean, classes.astype(np.float64), mean)
-        uncertain = self._cmean[np.flatnonzero((mean != 0.0) & (mean != 2.0))]
-        keys = np.empty(uncertain.shape[0])
-        matvec_into(uncertain, t_prev, keys)
+        classes, c = self._classes(t_prev), self._cmean
+        mean = np.empty(c.shape[0])  # 0 (2) where all the cell's nodes lie below (above)
+        matvec_into(c.indptr, c.indices, c.data, classes.astype(np.float64), mean)
+        c = c[np.flatnonzero((mean != 0.0) & (mean != 2.0))]  # the uncertain cells
+        keys = np.empty(c.shape[0])
+        matvec_into(c.indptr, c.indices, c.data, t_prev, keys)
         np.clip(keys, *self._limits, out=keys)
-        return tau, classes, uncertain, keys, np.empty_like(keys)
+        return tau, classes, (c.indptr, c.indices, c.data), keys, np.empty_like(keys)
 
     # -- assembly ----------------------------------------------------------
 
@@ -480,8 +477,8 @@ class Assembler:
         """(fill plans, CgShares, buffers (see _fill), _Kept, the system the
         buffers hold) of the step in nw row shares, cut by
         linalg.share_bounds: plan w fills the rows of CG share w.  One share
-        fills from the operators themselves into np.zeros buffers, more from
-        their rows into shared memory forked shares see."""
+        fills into np.zeros buffers, more into shared memory forked shares
+        see."""
         alloc, run = (np.zeros, None) if nw == 1 else (ForkPool.shared_array, self._run_cg)
         bounds = share_bounds(self.row_offsets, nw)
         shares = CgShares(self.pattern.with_values(alloc(self.nnz)), bounds, alloc, run)
@@ -512,13 +509,15 @@ class Assembler:
         call (the time loop uses this) and, with constraints, must not be
         changed in place before its solve.
         """
-        if not tau > 0:
-            raise FemError(f"tau must be > 0, got {tau}")
+        if not 0 < tau < np.inf:
+            raise FemError(f"tau must be > 0 and finite, got {tau}")
         t_prev = self._field_array(field_prev)
         if source is not None:
             source = np.asarray(source, dtype=np.float64)
             if source.shape != t_prev.shape:
                 raise FemError(f"source shape {source.shape} does not match node count")
+            if not np.isfinite(source).all():
+                raise FemError("source contains non-finite values")
         nw = self.effective_workers(workers)
         if nw > 1:
             self._ensure_pool(nw)
@@ -592,7 +591,6 @@ class Assembler:
         s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
         return _FillPlan(
             share, slice(c0, c1), slice(s0, s1), slice(r0, r1),
-            _rows_of(self._cmean, c0, c1), _rows_of(self._gk, s0, s1), _rows_of(self._gm, r0, r1),
             self.pattern.diagonal_slots[r0:r1] - s0, np.empty(s1 - s0), m_tau[r0:r1],
         )
 
@@ -677,12 +675,11 @@ class DirichletPlan:
         # changes: row j holds -A_ji for its constrained columns i, ascending,
         # as np.add.at over the coupling entries subtracts them
         self._correction_rows, counts = np.unique(sym_rows, return_counts=True)
-        self._correction_indptr = np.append(0, np.cumsum(counts))
-        self._correction_indices = np.searchsorted(nodes, sym_cols)
+        self._correction = np.append(0, np.cumsum(counts)), np.searchsorted(nodes, sym_cols)
 
     def _checked(self, matrix: CsrMatrix, values) -> np.ndarray:
         """``values`` as float64, once the matrix has the plan's pattern
-        (the same arrays, else equal ones) and there is one value per node."""
+        (the same arrays, else equal ones) and there is one finite value per node."""
         (offs, cols), m_offs, m_cols = self._pattern, matrix.row_offsets, matrix.column_indices
         same = m_offs is offs and m_cols is cols  # Simulation builds plans on Assembler.pattern
         if not (same or np.array_equal(m_offs, offs) and np.array_equal(m_cols, cols)):
@@ -690,6 +687,8 @@ class DirichletPlan:
         g = np.asarray(values, dtype=np.float64)
         if g.shape != self.nodes.shape:
             raise FemError("constraint value array does not match plan nodes")
+        if not np.isfinite(g).all():
+            raise FemError("constraint values contain non-finite values")
         return g
 
     def apply(self, system: LinearSystem, values: np.ndarray) -> LinearSystem:
@@ -708,9 +707,9 @@ class DirichletPlan:
     def _correct(self, b: np.ndarray, g: np.ndarray, coupling: np.ndarray):
         """The rhs part of apply, from the negated coupling values -A_ji that
         the matrix part read (see _eliminate_slots)."""
-        rows = self._correction_rows
+        (indptr, indices), rows = self._correction, self._correction_rows
         corrected = b[rows]
-        matvec_add_into(self._correction_indptr, self._correction_indices, coupling, g, corrected)
+        matvec_into(indptr, indices, coupling, g, corrected, add=True)
         b[rows] = corrected
         b[self.nodes] = g
 

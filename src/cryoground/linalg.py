@@ -10,7 +10,9 @@ solutions (Fischer 1998, successive right-hand sides).
 
 One CG loop (CgShares.share) serves every worker count: the rows are cut into
 contiguous shares, each share runs the loop on its own rows, and the serial
-solver is that loop with one share.  Determinism contract:
+solver is that loop with one share.  Every product is matvec_into over a
+row run: rows [lo, hi) of a CSR are indptr[lo : hi + 1], offsets that index
+its column indices and values absolutely.  Determinism contract:
 - the matrix-vector product (scipy's CSR kernel) sums each row in storage
   order, so a row's value does not depend on the share that computes it;
 - vector updates are elementwise;
@@ -34,12 +36,18 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as _sp
+
+
+def _add_at_matvec(n_row, n_col, indptr, indices, data, x, out):
+    """scipy's csr_matvec, bit for bit: np.add.at adds in storage order."""
+    s = slice(indptr[0], indptr[-1])
+    np.add.at(out, np.repeat(np.arange(n_row), np.diff(indptr)), data[s] * x[indices[s]])
+
 
 try:  # scipy's private CSR kernel, behind a @ x; see matvec_into
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:
-    _csr_matvec = None
+except ImportError:  # a scipy release without it
+    _csr_matvec = _add_at_matvec
 
 
 class LinalgError(ValueError):
@@ -179,39 +187,13 @@ class CgWork:
         self.kept, self.valid = flags[2:].reshape(2, nshares)
 
 
-def csr_rows(indptr, indices, data, lo: int, hi: int, ncols: int):
-    """scipy CSR of rows [lo, hi) of the CSR arrays (indptr, indices, data),
-    holding a view of ``data`` (scipy may copy the data it is handed, so the
-    view is bound after construction)."""
-    s0, s1 = int(indptr[lo]), int(indptr[hi])
-    block = _sp.csr_matrix(
-        (np.zeros(s1 - s0), indices[s0:s1], indptr[lo : hi + 1] - s0), shape=(hi - lo, ncols)
-    )
-    block.data = data[s0:s1]
-    return block
-
-
-def matvec_into(a, x: np.ndarray, out: np.ndarray):
-    """out = a @ x for a scipy CSR matrix ``a``, written in place: the
-    kernel behind scipy's ``a @ x``, started from zero, so each row sums in
-    storage order exactly as there, without the temporary result.  Where a
-    scipy release lacks that private kernel, ``a @ x`` is copied into out."""
-    if _csr_matvec is None:
-        np.copyto(out, a @ x)
-        return
-    out.fill(0.0)
-    _csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
-
-
-def matvec_add_into(indptr, indices, data, x: np.ndarray, out: np.ndarray):
-    """out += A x for the CSR arrays (indptr, indices, data) of A: each row's
-    terms are added to its entry of out one at a time, in storage order (the
-    kernel of matvec_into, started from out; np.add.at of the same terms
-    where a scipy release lacks that kernel)."""
-    if _csr_matvec is None:
-        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        np.add.at(out, rows, data * x[indices])
-        return
+def matvec_into(indptr, indices, data, x: np.ndarray, out: np.ndarray, add: bool = False):
+    """out = A x, or out += A x with ``add``, on the rows of A whose row run
+    is ``indptr`` (see the module docstring): scipy's kernel behind
+    ``a @ x``, which adds each row's terms to out in storage order, started
+    from zero unless ``add``, without the temporary result."""
+    if not add:
+        out.fill(0.0)
     _csr_matvec(len(indptr) - 1, len(x), indptr, indices, data, x, out)
 
 
@@ -229,9 +211,11 @@ class CgShares:
     every share: in the calling process by default, or through ``run(tol,
     max_iter)``, which an owner of worker processes (fem.Assembler) passes
     to run the shares concurrently and return the result of one of them.
-    The row blocks view matrix.values, so later in-place changes of the
-    values (Dirichlet elimination) are what the solve sees, and so are the
-    diagonal entries the loop gathers through matrix.diagonal_slots.
+    ``runs`` holds each share's row run for matvec_into, views of one int32
+    copy of the pattern (int64 if nnz needs it; half the int64 pattern's
+    bytes) and of matrix.values, so later in-place changes of the values
+    (Dirichlet elimination) are what the solve sees, and so are the diagonal
+    entries the loop gathers through matrix.diagonal_slots.
 
     A share whose rows did not change since the last solve may keep what
     depends only on them.  Their owner says so before a solve by setting
@@ -257,10 +241,10 @@ class CgShares:
             )
         self.work = CgWork(n, alloc, len(self.bounds) - 1)
         self.fixed = None
-        self.blocks = [
-            csr_rows(matrix.row_offsets, matrix.column_indices, matrix.values, lo, hi, n)
-            for lo, hi in zip(self.bounds, self.bounds[1:])
-        ]
+        index = np.int32 if matrix.nnz <= np.iinfo(np.int32).max else np.int64
+        offsets, indices = (a.astype(index) for a in (matrix.row_offsets, matrix.column_indices))
+        self.runs = [(offsets[lo : hi + 1], indices, matrix.values)
+                     for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.diagonal_slots = matrix.diagonal_slots
         self._run = run
         self._views = {}
@@ -270,8 +254,9 @@ class CgShares:
         w, lo, hi = self.work, self.bounds[s], self.bounds[s + 1]
         own, cols = slice(lo, hi), slice(lo, lo)
         if hi > lo:  # the columns its rows read
-            indices = self.blocks[s].indices
-            cols = slice(int(indices.min()), int(indices.max()) + 1)
+            offsets, indices, _ = self.runs[s]
+            read = indices[offsets[0] : offsets[-1]]
+            cols = slice(int(read.min()), int(read.max()) + 1)
         # the search direction p over A p, private to the share: it forms
         # p on the columns it reads itself, so no other share waits on it
         pq = np.zeros((2, padded_length(w.n)))
@@ -319,7 +304,7 @@ class CgShares:
         keeps its inverse diagonal, and with work.start_kept also A x0 in
         w.ax (cg_solve has written its fixed rows), so it forms no product.
         """
-        w, a_rows, lo, hi = self.work, self.blocks[s], self.bounds[s], self.bounds[s + 1]
+        w, a_rows, lo, hi = self.work, self.runs[s], self.bounds[s], self.bounds[s + 1]
         if s not in self._views:
             self._views[s] = self._share_views(s)
         (b, x, r, z, inv_diag, ax, q, x_r, p_q, x_all, p_all, p_cols, z_cols, d_cols,
@@ -348,7 +333,7 @@ class CgShares:
             np.add(x_r, step, out=x_r)
 
         def residual_into(out):  # out = b - A x on the own rows, A x kept in ax
-            matvec_into(a_rows, x_all, ax)
+            matvec_into(*a_rows, x_all, ax)
             np.subtract(b, ax, out=out)
 
         def done(iterations, residual, converged):  # ax is A x: the next solve may keep it
@@ -387,7 +372,7 @@ class CgShares:
         projected, theta = bool(w.projected[0]), 0.0
         if projected:
             p_cols[:] = d_cols
-            matvec_into(a_rows, p_all, q)
+            matvec_into(*a_rows, p_all, q)
             bb, dr, dq, nbad = reduce((bc, bc), (pc, rc), (pc, qc), flags=1)
             if dq > 0.0 and math.isfinite(dr / dq):
                 theta = dr / dq
@@ -408,7 +393,7 @@ class CgShares:
 
         iterations = 0
         for k in range(1, max_iter + 1):
-            matvec_into(a_rows, p_all, q)
+            matvec_into(*a_rows, p_all, q)
             (pq,) = reduce((pc, qc))
             if pq <= 0.0:
                 return k, residual, False, f"p^T A p = {pq:.3e} <= 0 at iteration {k}"

@@ -160,6 +160,8 @@ def run_neumann_benchmark(
         raise VerifyError(f"cells must be >= 1, got {cells}")
     if samples < 1:
         raise VerifyError(f"samples must be >= 1, got {samples}")
+    if not 0 < tau < math.inf:
+        raise VerifyError(f"tau must be > 0 and finite, got {tau}")
     t_star, t_w = 0.0, 1.0
     a = lam / crho
     case = NeumannCase.create(a, t_w, t_star, beta)
@@ -180,6 +182,8 @@ def run_neumann_benchmark(
 
     # stop when the exact front reaches 80% of the bar
     t_end = (0.8 * length / (2.0 * case.lambda_s)) ** 2 / a
+    if not t_end / tau < 2.0**63:
+        raise VerifyError(f"tau = {tau:g} s needs {t_end / tau:.3g} steps, more than int64 counts")
     n_steps = math.ceil(t_end / tau)
 
     config = SimulationConfig(

@@ -457,8 +457,12 @@ class TestOracle:
             ("--samples", "0", "samples must be >= 1"),
             ("--tau", "-1", "tau must be > 0"),
             ("--delta", "0", "delta must be > 0"),
+            ("--tau", "0", "tau must be > 0"),
+            ("--tau", "nan", "tau must be > 0"),
+            ("--tau", "inf", "tau must be > 0"),
+            ("--tau", "1e-300", "more than int64 counts"),
         ],
-        ids=["cells", "samples", "tau", "delta"],
+        ids=["cells", "samples", "tau", "delta", "tau-zero", "tau-nan", "tau-inf", "tau-tiny"],
     )
     def test_bad_parameter_is_config_error(self, capsys, flag, value, message):
         assert main(["oracle", "neumann", flag, value]) == 2

@@ -139,8 +139,20 @@ class TestAssemble:
         assert np.abs(x - c0).max() < 1e-10
 
     def test_tau_must_be_positive(self, unit_box, plain_table):
-        with pytest.raises(FemError, match="tau"):
-            Assembler(unit_box, plain_table).assemble(np.zeros(unit_box.n_nodes), tau=0.0)
+        """tau = inf would leave A = K alone, and nan no step at all."""
+        for tau in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(FemError, match="tau must be > 0 and finite"):
+                Assembler(unit_box, plain_table).assemble(np.zeros(unit_box.n_nodes), tau=tau)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+    def test_non_finite_source_rejected(self, unit_box, plain_table, value):
+        """A non-finite source would put it into the rhs and run the CG to
+        max_iter; it is an input error before any fill."""
+        asm = Assembler(unit_box, plain_table)
+        source = np.zeros(unit_box.n_nodes)
+        source[3] = value
+        with pytest.raises(FemError, match="source contains non-finite"):
+            asm.assemble(np.zeros(unit_box.n_nodes), 1.0, source=source)
 
     def test_stiffness_properties(self, unit_box, soil_table):
         rng = np.random.default_rng(5)
@@ -237,8 +249,8 @@ class TestAssemble:
     @pytest.mark.skipif(not pool_available(), reason="needs the worker pool")
     def test_fill_plans_are_the_cg_shares(self, soil_table, monkeypatch):
         """A step's rows are cut once: fill plan w owns exactly the rows (and
-        their stored entries) of CG share w, and the one-share plan holds the
-        operators themselves."""
+        their stored entries) of CG share w, and the one-share plan's cells
+        span covers every phase-change cell."""
         monkeypatch.setattr(fem, "usable_cpus", lambda: 4)
         mesh = generate_box(BoxMeshSpec((2.0, 1.0, 1.0), (24, 12, 8)))
         assert mesh.n_nodes == 2925
@@ -257,7 +269,7 @@ class TestAssemble:
                     diag = plan.slots.start + plan.diag
                     assert np.array_equal(diag, asm.pattern.diagonal_slots[lo:hi])
                 if nw == 1:
-                    assert plan.cmean is asm._cmean and plan.gk is asm._gk and plan.gm is asm._gm
+                    assert plan.cells == slice(0, asm._cmean.shape[0])
             finally:
                 asm.close()
 
@@ -373,9 +385,9 @@ class TestFillReuse:
         mesh, table = layered
         products, laws = [], []
 
-        def counting(op, x, out):
-            products.append(op)
-            matvec_into(op, x, out)
+        def counting(indptr, indices, data, x, out, add=False):
+            products.append(data)
+            matvec_into(indptr, indices, data, x, out, add)
 
         def counting_law(t, *args, **kwargs):
             laws.append(t)
@@ -405,7 +417,7 @@ class TestFillReuse:
                 if field is edge:
                     lo, hi = asm._limits
                     assert (key == lo).any() and ((key > lo) & (key < hi)).any()
-                ran = sum(op is plan.gk or op is plan.gm for op in products)
+                ran = sum(data is asm._gk.data or data is asm._gm.data for data in products)
                 assert ran == 2 * expected
                 assert len(laws) == expected
                 assert all(np.shares_memory(t, asm._key) for t in laws)
@@ -893,7 +905,8 @@ class TestApplyDirichlet:
 
     def test_constraint_values_of_another_length_rejected(self, plain_table):
         """assemble(constraints=...) checks the values before it fills, as
-        apply checks them, and the next call still eliminates in full."""
+        apply checks them: one per node and finite (apply would write a NaN
+        into the rhs); the next call still eliminates in full."""
         mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))
         asm = Assembler(mesh, plain_table)
         plan = DirichletPlan(asm.pattern, np.array([0, 5]))
@@ -902,6 +915,11 @@ class TestApplyDirichlet:
             asm.assemble(field, 1.0, constraints=(plan, np.ones(3)))
         with pytest.raises(FemError, match="plan nodes"):
             plan.apply(asm.assemble(field, 1.0), np.ones(3))
+        for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(FemError, match="constraint values contain non-finite"):
+                asm.assemble(field, 1.0, constraints=(plan, np.array(bad)))
+            with pytest.raises(FemError, match="constraint values contain non-finite"):
+                plan.apply(asm.assemble(field, 1.0), np.array(bad))
         got = asm.assemble(field, 1.0, constraints=(plan, np.ones(2)))
         want = Assembler(mesh, plain_table).assemble(field, 1.0)
         plan.apply(want, np.ones(2))

@@ -12,7 +12,6 @@ from cryoground.linalg import (
     LinalgError,
     SpdViolationError,
     cg_solve,
-    matvec_add_into,
     matvec_into,
     padded_length,
 )
@@ -80,8 +79,8 @@ class TestCsrMatrix:
 
 
 class TestSpmv:
-    """The matrix-vector product the solver uses: scipy's CSR kernel (the
-    solver calls it on row blocks through linalg.matvec_into)."""
+    """The matrix-vector product the solver uses: scipy's CSR kernel (every
+    product of a step runs it on row runs through linalg.matvec_into)."""
 
     def test_identity(self):
         m = sp.csr_matrix(np.eye(5))
@@ -122,40 +121,57 @@ class TestSpmv:
         x = rng.random(40)
         assert np.allclose(sp.csr_matrix(a) @ x, a @ x, rtol=1e-13, atol=1e-13)
 
+    # row runs [lo, hi): all rows, runs past row 0 (one of them the empty
+    # row 11 alone), the last row and empty runs
+    RUNS = [(0, 300), (17, 63), (11, 12), (150, 299), (299, 300), (40, 40), (0, 0), (300, 300)]
+
+    @staticmethod
+    def use_kernel(kernel, monkeypatch):
+        """scipy's private kernel, or the np.add.at fallback bound in its place."""
+        if kernel == "fallback":
+            monkeypatch.setattr(linalg, "_csr_matvec", linalg._add_at_matvec)
+
     @pytest.mark.parametrize("kernel", ["scipy_kernel", "fallback"])
     def test_matvec_into_equals_product(self, kernel, monkeypatch):
-        """matvec_into writes exactly a @ x into a dirty buffer, through
-        scipy's private kernel or, without it, through a @ x itself."""
-        if kernel == "fallback":
-            monkeypatch.setattr(linalg, "_csr_matvec", None)
+        """matvec_into on a row run writes exactly those rows of a @ x into
+        a dirty buffer, with int32 and with int64 index arrays, through
+        scipy's private kernel or the np.add.at fallback."""
+        self.use_kernel(kernel, monkeypatch)
         rng = np.random.default_rng(5)
         a = random_sparse(300, 0.05, rng)
         a[11, :] = 0.0
         view = sp.csr_matrix(a)
         x = rng.standard_normal(300)
-        out = np.full(300, np.nan)
-        matvec_into(view, x, out)
-        assert out.tobytes() == (view @ x).tobytes()
-
+        want = view @ x
+        for index in (np.int32, np.int64):
+            indptr, indices = view.indptr.astype(index), view.indices.astype(index)
+            for lo, hi in self.RUNS:
+                out = np.full(hi - lo, np.nan)
+                matvec_into(indptr[lo : hi + 1], indices, view.data, x, out)
+                assert out.tobytes() == want[lo:hi].tobytes(), (index, lo, hi)
 
     @pytest.mark.parametrize("kernel", ["scipy_kernel", "fallback"])
-    def test_matvec_add_into_adds_terms_in_storage_order(self, kernel, monkeypatch):
-        """matvec_add_into adds each stored term to its row's entry of out
-        one at a time, in storage order, through scipy's kernel or np.add.at
-        (the bits of a loop that does so), and leaves rows without entries."""
-        if kernel == "fallback":
-            monkeypatch.setattr(linalg, "_csr_matvec", None)
+    def test_matvec_into_add_adds_terms_in_storage_order(self, kernel, monkeypatch):
+        """matvec_into(..., add=True) adds each stored term of a row run to
+        its row's entry of out one at a time, in storage order, through
+        scipy's kernel or np.add.at (the bits of a loop that does so), and
+        leaves rows without entries, with int32 and int64 index arrays."""
+        self.use_kernel(kernel, monkeypatch)
         rng = np.random.default_rng(6)
         a = sp.csr_matrix(random_sparse(200, 0.05, rng))
         a.data *= rng.uniform(1e-3, 1e3, a.nnz)
         x = rng.standard_normal(200)
-        out = rng.standard_normal(200) * 1e3
-        want = out.copy()
+        start = rng.standard_normal(200) * 1e3
+        want = start.copy()
         for i in range(200):
             for k in range(a.indptr[i], a.indptr[i + 1]):
                 want[i] = want[i] + a.data[k] * x[a.indices[k]]
-        matvec_add_into(a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data, x, out)
-        assert out.tobytes() == want.tobytes()
+        for index in (np.int32, np.int64):
+            indptr, indices = a.indptr.astype(index), a.indices.astype(index)
+            for lo, hi in [(0, 200), (17, 63), (199, 200), (40, 40)]:
+                out = start[lo:hi].copy()
+                matvec_into(indptr[lo : hi + 1], indices, a.data, x, out, add=True)
+                assert out.tobytes() == want[lo:hi].tobytes(), (index, lo, hi)
 
 
 class TestDetDot:

@@ -240,7 +240,7 @@ class TestNodeLimits:
                 shape=(m, len(values)),
             )
             got = np.empty(m)
-            matvec_into(mean, values, got)
+            matvec_into(mean.indptr, mean.indices, mean.data, values, got)
             np.clip(got, lo, hi, out=got)
             assert (got == key).all()
 

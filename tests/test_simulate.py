@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cryoground.fem as fem
+import cryoground.linalg as linalg
 from cryoground.fem import TemperatureField
 from cryoground.io import snapshot_write
 from cryoground.linalg import DOT_CHUNK
@@ -123,6 +124,29 @@ class TestStep:
             sim.step()
         assert err.value.record.step == 1
         assert err.value.record.solver.converged is False
+
+    @pytest.mark.parametrize("bad", ["dirichlet", "source"])
+    def test_non_finite_step_input_is_input_error(self, plain_table, bad):
+        """A callable Dirichlet value or source that turns non-finite stops
+        the first step with a FemError (an input error, exit code 2), not a
+        CG run to max_iter that surfaces as a SolverFailure."""
+
+        def nan_surface(points, t):
+            return np.full(len(points), np.nan)
+
+        def inf_source(points, t):
+            return np.full(len(points), np.inf)
+
+        kwargs = {"dirichlet": {6: -20.0}, "source": inf_source}
+        if bad == "dirichlet":
+            kwargs = {"dirichlet": {6: nan_surface}}
+        sim = Simulation(box_config(plain_table, **kwargs))
+        try:
+            with pytest.raises(fem.FemError, match="non-finite"):
+                sim.step()
+            assert sim.step_index == 0 and sim.records == []
+        finally:
+            sim.close()
 
     def test_air_dirichlet_follows_forcing(self, plain_table):
         from cryoground.physics import air_temperature
@@ -388,6 +412,47 @@ class TestDeterminism:
             results[workers] = (sim.field.values.tobytes(), iterations)
         for workers in (3, 4):
             assert results[workers] == results[1], workers
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(not pool_available(), reason="needs the pool")),
+    ])
+    def test_fallback_product_gives_the_kernel_bits(self, soil_table, monkeypatch, workers):
+        """Where scipy lacks its private CSR kernel, linalg binds an np.add.at
+        fallback in its place: whole steps (fill, elimination, CG) on a box
+        with phase-change cells and a Dirichlet face end on the kernel's bits.
+        The 8x8x9 box (810 nodes) gives both shares rows."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+
+        def march():
+            sim = Simulation(
+                box_config(
+                    soil_table,
+                    mesh=BoxMeshSpec((1.0, 1.0, 1.0), (8, 8, 9)),
+                    tau=3600.0,
+                    t_max=4 * 3600.0,
+                    initial_temperature=-0.5,
+                    dirichlet={6: 5.0},
+                    workers=workers,
+                )
+            )
+            try:
+                assert sim.assembler.effective_workers() == workers
+                iterations = [sim.step().solver.iterations for _ in range(4)]
+            finally:
+                sim.close()
+            return sim.field.values.tobytes(), iterations
+
+        kernel = march()
+        calls = []
+
+        def fallback(*args):
+            calls.append(args[0])
+            linalg._add_at_matvec(*args)
+
+        monkeypatch.setattr(linalg, "_csr_matvec", fallback)
+        assert march() == kernel
+        assert calls  # the calling process's share ran the fallback
 
 
 class TestConservation:
