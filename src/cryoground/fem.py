@@ -24,18 +24,20 @@ C @ T_prev and the coefficient law on the phase-change cells,
 K = G_K @ lam + K_const and M = G_M @ c + M_const.
 CSR products sum each row in storage order, so the values are
 bit-identical for any split of the rows.  A step's rows are cut once, into
-the CG's shares (linalg.share_bounds): each share fills its rows of A and b
+the CG's shares (linalg.share_bounds): each share fills its rows of A and M
 from the row runs (linalg.matvec_into) of its spans of the operators' rows
 and runs the CG loop on them, and the serial step is the one-share case.
 With workers the shares run in the calling process plus forked ones,
 writing disjoint row ranges of shared buffers; see cryoground.parallel and
 cryoground.linalg.
 
-What a step keeps, per share, and what drops it:
-- its A rows (M/tau on the diagonal), while its cell means clipped to
-  physics.band_limits (the key) and tau stay: no law, no products.  Nodes
-  beyond physics.node_limits tell most keys without the means, and a step
-  whose keys they tell unchanged runs no fill at all;
+What a step keeps, and what drops it:
+- one record per layout of tau, the node classes (physics.node_limits)
+  and the keys (cell means clipped to physics.band_limits) of the
+  phase-change cells; a step re-keys only the cells of the nodes whose
+  class moved and the uncertain cells, and an error in a call drops it;
+- per share, its A rows (M/tau on the diagonal), while tau and its cells'
+  keys stay: no law, no products;
 - those rows eliminated, while the step's DirichletPlan is the one its last
   elimination used; only the rhs is corrected, from the coupling A_ji its
   free rows j stored then.  assemble() without that plan drops them;
@@ -171,8 +173,7 @@ def _rows_of(op, rows: slice):
 class _FillPlan:
     """One fill's rows (see Assembler._fill): its CG share, its spans of
     C's, G_K's and G_M's rows and the diagonal positions in its slots, with
-    the A rows and M/tau of its last products and the key and tau they came
-    from (key None: none to reuse)."""
+    the A rows and M/tau of its last products."""
 
     share: int
     cells: slice
@@ -181,19 +182,27 @@ class _FillPlan:
     diag: np.ndarray
     a: np.ndarray
     m_tau: np.ndarray
-    key: np.ndarray | None = None
-    tau: float = 0.0
 
 
 @dataclass(eq=False)
 class _Kept:
-    """What a layout keeps across steps: the DirichletPlan its A buffer holds
-    eliminated and the coupling values that elimination read, and the
-    prefilter of its plans' keys (see Assembler._prefiltered)."""
+    """What a layout keeps across steps: the record of its last fill (see
+    Assembler._rekey), whose keys of the phase-change cells the shares read,
+    and the DirichletPlan its A buffer holds eliminated with the coupling
+    values that elimination read.  A dropped record, as a new one, has
+    every node moved (class -1) and every key and tau NaN."""
 
+    classes: np.ndarray
+    keys: np.ndarray
+    retest: np.ndarray  # the uncertain cells, whose nodes are not all of class 0 or all 2
+    tau: float = np.nan
     plan: object = None
     coupling: np.ndarray | None = None
-    prefilter: tuple | None = None
+
+    def drop(self):
+        self.tau = np.nan
+        self.classes.fill(-1)
+        self.keys.fill(np.nan)
 
 
 class Assembler:
@@ -216,20 +225,20 @@ class Assembler:
     - C (phase-change cells x nodes): their mean temperatures C @ T.
     Without constant cells K_const and M_const are zero; without
     phase-change cells the operators are empty.  Each assemble() call
-    computes the cell means of the previous field, evaluates the
-    coefficient law into preallocated buffers, applies the two operators and
-    adds the constant shares; a CSR product sums each row in storage order,
-    so every value is bit-identical however the rows are split.  A fill plan
-    (see _fill) keeps its A rows while its key and tau stay the same.
+    re-keys the cells whose means may have moved (see _rekey) and refills
+    the fill plans whose keys or tau changed (see _fill); a CSR product sums
+    each row in storage order, so every value is bit-identical however the
+    rows are split.
 
     A step runs in the contiguous row shares of linalg.share_bounds (whole
     dot-product chunks, balanced by stored entries): share w fills its rows
-    of A and the rhs from the span of phase-change cells they touch, and
-    the matrix an assemble(reuse_buffers=True) call returns carries the
-    same shares, in which cg_solve runs its loop.  The serial step is one
-    share, whose rows are all of the operators'; with workers > 1 the
-    buffers are shared memory and forked worker processes run all shares
-    but the last, which the calling process runs (see cryoground.parallel).
+    of A and M from the span of phase-change cells they touch, the calling
+    process forms the rhs, and the matrix an assemble(reuse_buffers=True)
+    call returns carries the same shares, in which cg_solve runs its loop.
+    The serial step is one share, whose rows are all of the operators';
+    with workers > 1 the buffers are shared memory and forked worker
+    processes run all shares but the last, which the calling process runs
+    (see cryoground.parallel).
     """
 
     def __init__(self, mesh: Mesh, table: MaterialTable, workers: int = 1):
@@ -354,8 +363,8 @@ class Assembler:
             self._law[:, var_region == tag] = row[:4, None]
         self._law[1::2] -= self._law[::2]  # the law's (crm, dcr, lamm, dlam)
         # per-step buffers of the phase-change cells' values (each process
-        # writes its own): the clipped cell means, c and lam, the band tests
-        self._key, self._c, self._lam = np.empty(mv), np.empty(mv), np.empty(mv)
+        # writes its own): c and lam, the band tests
+        self._c, self._lam = np.empty(mv), np.empty(mv)
         self._band = np.empty((2, mv), dtype=bool)
         self._limits = band_limits(table.phase)
         self._node_limits = node_limits(table.phase)
@@ -366,33 +375,24 @@ class Assembler:
     # -- per-step fill -----------------------------------------------------
 
     def _fill(self, plan: _FillPlan, tau: float, bufs, keep_rows: bool):
-        """A = K + M/tau and the rhs (M/tau) T_prev of the plan's rows at the
-        previous field.
+        """A = K + M/tau and M/tau on the plan's rows, at the record's keys.
 
-        ``bufs`` is (T_prev, A out, rhs out, CG work, M/tau of all rows,
-        keys kept per share).  The cell buffers are indexed by phase-change
-        cell, so the products read only the plan's own cells; the constant
-        cells' share is added after them.  The law is constant beyond
-        physics.band_limits, so it runs on the cell means clipped to them
-        (the key), and neither it nor the products run while the key and tau
-        equal the plan's record.  With ``keep_rows`` (A out holds the rows of
-        that record, eliminated as this step eliminates them) such a fill
+        ``bufs`` is (A out, CG work, M/tau of all rows, the record's keys,
+        refill flags per share).  A flagged plan runs the law on its cells'
+        keys (see _rekey) and the products, which read only its own cells of
+        the cell buffers, and adds the constant cells' share.  An unflagged
+        one keeps the rows of its last products; with ``keep_rows`` too (A
+        out holds those rows, eliminated as this step eliminates them) it
         copies no rows either, and tells the CG share so.
         """
         cells, slots, rows = plan.cells, plan.slots, plan.rows
-        t_prev, a_out, rhs_out, work, _, same_keys = bufs
-        key = self._key[cells]
-        matvec_into(*_rows_of(self._cmean, cells), t_prev, key)
-        np.clip(key, *self._limits, out=key)
-        same = plan.key is not None and tau == plan.tau and np.array_equal(key, plan.key)
-        same_keys[plan.share] = same
-        if not same:
-            plan.key = None  # rows cut short by an error must not be reused
+        a_out, work, _, keys, refill = bufs
+        if fresh := bool(refill[plan.share]):
             # single-phase cells are constant, so every phase-change cell is
             # freezing-porous and carries the phase model's latent heat
             model = self.table.phase
             apparent_coefficients(
-                key, model, *self._law[:, cells], model.latent_volumetric,
+                keys[cells], model, *self._law[:, cells], model.latent_volumetric,
                 out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
             )
             matvec_into(*_rows_of(self._gk, slots), self._lam, plan.a)
@@ -401,47 +401,55 @@ class Assembler:
             plan.m_tau += self._m_const[rows]
             plan.m_tau /= tau
             plan.a[plan.diag] += plan.m_tau
-            plan.key, plan.tau = key.copy(), tau
-        if not (same and keep_rows):
+        if fresh or not keep_rows:
             a_out[slots] = plan.a  # a copy: the elimination changes A in place
             work.valid[plan.share] = 0.0
-        work.kept[plan.share] = same and keep_rows
-        np.multiply(plan.m_tau, t_prev[rows], out=rhs_out[rows])
+        work.kept[plan.share] = not fresh and keep_rows
 
-    def _classes(self, t: np.ndarray) -> np.ndarray:
-        """Node classes: 0 at or below physics.node_limits, 2 at or above, else 1."""
+    def _rekey(self, plans, kept: _Kept, t_prev: np.ndarray, tau: float, refill: np.ndarray):
+        """Bring the layout's record to t_prev and tau, and flag each plan
+        whose tau or a key in whose cell span changed (see _fill).
+
+        Node classes are 0 at or below physics.node_limits, 2 at or above
+        and 1 between.  A cell whose nodes are all of class 0 (2) has key lo
+        (hi), so a key can change only in the cells of the nodes whose class
+        moved (their G_M row runs) and in the uncertain cells, and only the
+        former can change which cells are uncertain.  Those cells are
+        re-keyed as a row subset of C, each row summed from zero in storage
+        order: the full product's bits."""
         lo_n, hi_n = self._node_limits
-        return (t > lo_n).view(np.int8) + (t >= hi_n).view(np.int8)
-
-    def _prefiltered(self, prefilter, t_prev: np.ndarray, tau: float) -> bool:
-        """Whether every plan's key and tau equal its record, told without
-        the cell means: a cell whose nodes all lie below (above)
-        physics.node_limits has key lo (hi), so it is enough that every node
-        keeps the class it had at the record and the other cells keep their
-        keys (a row subset of C @ T)."""
-        if prefilter is None or tau != prefilter[0]:
-            return False
-        _, classes, uncertain, keys, buf = prefilter
-        if not (self._classes(t_prev) == classes).all():
-            return False
-        if not len(keys):
-            return True
-        matvec_into(*uncertain, t_prev, buf)
-        np.clip(buf, *self._limits, out=buf)
-        return bool((buf == keys).all())
-
-    def _record(self, t_prev: np.ndarray, tau: float):
-        """The prefilter of the plans' keys, recorded where every plan found
-        its key unchanged: a fill whose key changes every step would only
-        pay for it."""
-        classes, c = self._classes(t_prev), self._cmean
-        mean = np.empty(c.shape[0])  # 0 (2) where all the cell's nodes lie below (above)
-        matvec_into(c.indptr, c.indices, c.data, classes.astype(np.float64), mean)
-        c = c[np.flatnonzero((mean != 0.0) & (mean != 2.0))]  # the uncertain cells
-        keys = np.empty(c.shape[0])
-        matvec_into(c.indptr, c.indices, c.data, t_prev, keys)
-        np.clip(keys, *self._limits, out=keys)
-        return tau, classes, (c.indptr, c.indices, c.data), keys, np.empty_like(keys)
+        classes = (t_prev > lo_n).view(np.int8) + (t_prev >= hi_n).view(np.int8)
+        moved = np.flatnonzero(classes != kept.classes)
+        kept.classes = classes
+        refill[:] = tau != kept.tau
+        kept.tau = tau
+        cells = kept.retest
+        if len(moved):
+            starts, stops = self._gm.indptr[moved], self._gm.indptr[moved + 1]
+            runs = stops - starts
+            ends = np.cumsum(runs, dtype=np.int32)
+            entries = np.arange(ends[-1], dtype=np.int32) + np.repeat(stops - ends, runs)
+            touched = np.zeros(len(kept.keys), dtype=bool)
+            touched[cells] = True
+            touched[self._gm.indices[entries]] = True
+            cells = np.flatnonzero(touched)
+        if len(cells):
+            c = self._cmean
+            nodes = np.take(c.indices.reshape(-1, 4), cells, axis=0)
+            if len(moved):
+                # a cell's four node classes read as one int32: 0 when all
+                # are of class 0, 0x02020202 when all are of class 2
+                quads = np.take(classes, nodes).view(np.int32).ravel()
+                kept.retest = cells[(quads != 0) & (quads != 0x02020202)]
+            # C is built with 4 entries of 0.25 a row, so the gathered rows
+            # take the offsets and weights of its first len(cells) rows
+            keys = np.empty(len(cells))
+            matvec_into(c.indptr[: len(cells) + 1], nodes.ravel(), c.data, t_prev, keys)
+            np.clip(keys, *self._limits, out=keys)
+            changed = keys != np.take(kept.keys, cells)
+            kept.keys[cells] = keys
+            spans = np.searchsorted(cells, [(p.cells.start, p.cells.stop) for p in plans])
+            refill[[changed[a:b].any() for a, b in spans]] = 1.0
 
     # -- assembly ----------------------------------------------------------
 
@@ -455,8 +463,12 @@ class Assembler:
         return self._gm @ c + self._m_const
 
     def _field_array(self, field_prev) -> np.ndarray:
-        vals = field_prev.values if isinstance(field_prev, TemperatureField) else field_prev
-        vals = np.asarray(vals, dtype=np.float64)
+        if isinstance(field_prev, TemperatureField):
+            vals = field_prev.values  # finite: checked when the field was built
+        else:
+            vals = np.asarray(field_prev, dtype=np.float64)
+            if not np.isfinite(vals).all():
+                raise FemError("field contains non-finite values")
         if vals.shape != (self.mesh.n_nodes,):
             raise FemError(
                 f"field has shape {vals.shape}, mesh has {self.mesh.n_nodes} nodes"
@@ -485,9 +497,11 @@ class Assembler:
         n = self.mesh.n_nodes
         m_tau = alloc(n)
         plans = [self._plan(w, r0, r1, m_tau) for w, (r0, r1) in enumerate(zip(bounds, bounds[1:]))]
-        bufs = alloc(n), shares.values, shares.work.rhs, shares.work, m_tau, alloc(nw)
+        kept = _Kept(np.empty(n, dtype=np.int8), alloc(self._cmean.shape[0]), np.empty(0, int))
+        kept.drop()
+        bufs = shares.values, shares.work, m_tau, kept.keys, alloc(nw)
         system = LinearSystem(self.pattern.with_values(shares.values, shares), shares.work.rhs)
-        return plans, shares, bufs, _Kept(), system
+        return plans, shares, bufs, kept, system
 
     def assemble(
         self,
@@ -529,24 +543,21 @@ class Assembler:
         if dplan is not None:
             g = dplan._checked(system.matrix, g)
         keep_rows = dplan is not None and kept.plan is dplan
-        prefilter, kept.plan, kept.prefilter = kept.prefilter, None, None
-        t_buf, a_vals, rhs, work, m_tau, same_keys = bufs
-        known = self._prefiltered(prefilter, t_prev, tau)
-        if known and keep_rows:
-            np.multiply(m_tau, t_prev, out=rhs)  # no share refills: each one's rhs rows
-            work.kept[:] = 1.0
-        else:
-            t_buf[:] = t_prev
-            if nw > 1:
+        kept.plan = None
+        a_vals, work, m_tau, _, refill = bufs
+        try:
+            self._rekey(plans, kept, t_prev, tau, refill)
+            if keep_rows and not refill.any():
+                work.kept[:] = 1.0  # no share refills or copies its rows
+            elif nw > 1:
                 self._cmd[:] = (_FILL, tau, keep_rows)
                 self._pool.dispatch()
             else:
                 self._fill(plans[0], float(tau), bufs, keep_rows)
-            if not same_keys.all():
-                prefilter = None
-            elif not known:  # missing or missed
-                prefilter = self._record(t_prev, tau)
-        kept.prefilter = prefilter
+        except BaseException:
+            kept.drop()  # rows cut short by an error must not be reused
+            raise
+        rhs = np.multiply(m_tau, t_prev, out=work.rhs)
         if source is not None:
             rhs += self.node_volumes * source
         if dplan is not None:

@@ -95,10 +95,10 @@ class SimulationConfig:
     source: Callable | None = None
 
     def validate(self):
-        if not self.tau > 0:
-            raise SimulationError(f"tau must be > 0, got {self.tau}")
-        if self.t_max < self.tau:
-            raise SimulationError(f"t_max ({self.t_max}) must be >= tau ({self.tau})")
+        if not 0 < self.tau < math.inf:
+            raise SimulationError(f"tau must be > 0 and finite, got {self.tau}")
+        if not self.tau <= self.t_max < math.inf:
+            raise SimulationError(f"t_max must be finite and >= tau ({self.tau}), got {self.t_max}")
         if int(self.cadence) < 1:
             raise SimulationError(f"output cadence must be >= 1, got {self.cadence}")
         if not math.isfinite(self.initial_temperature):
@@ -276,7 +276,7 @@ class Simulation:
 
         t0 = time.perf_counter()
         system = self.assembler.assemble(
-            t_prev, tau, source=nodal_source, reuse_buffers=True, constraints=constraints
+            self.field, tau, source=nodal_source, reuse_buffers=True, constraints=constraints
         )
         assemble_seconds = time.perf_counter() - t0
 

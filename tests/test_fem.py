@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cryoground.fem as fem
 from cryoground.fem import (
@@ -410,17 +412,17 @@ class TestFillReuse:
             for field, tau, expected in steps:
                 del products[:], laws[:]  # also those of the fresh assemblers below
                 system = asm.assemble(field, tau, reuse_buffers=True)
-                plans = (asm._serial if workers == 1 else asm._pooled)[0]
+                plans, *_, kept, _ = asm._serial if workers == 1 else asm._pooled
                 assert len(plans) == workers and all(p.rows.stop > p.rows.start for p in plans)
                 plan = plans[-1]
-                key = asm._key[plan.cells]
+                key = kept.keys[plan.cells]
                 if field is edge:
                     lo, hi = asm._limits
                     assert (key == lo).any() and ((key > lo) & (key < hi)).any()
                 ran = sum(data is asm._gk.data or data is asm._gm.data for data in products)
                 assert ran == 2 * expected
                 assert len(laws) == expected
-                assert all(np.shares_memory(t, asm._key) for t in laws)
+                assert all(np.shares_memory(t, kept.keys) for t in laws)
                 del products[:], laws[:]
                 capacity = asm.capacity_diagonal(-field)
                 assert products == [] and len(laws) == 1
@@ -452,8 +454,8 @@ class TestFillReuse:
         its CG share the inverse diagonal and start product; the results
         stay those of a fresh assembler, DirichletPlan.apply and cg_solve:
         when one of two shares keeps its rows (the lift of the upper nodes
-        changes only the last rows), when the field returns to one whose
-        prefilter a changed key dropped, after a fill that rewrote the rows
+        changes only the last rows), when the field returns to the keys
+        the record held before them, after a fill that rewrote the rows
         without a solve, for a field in the band whose nodes keep their
         classes but not their keys, and for a second solve of a system
         changed in place after its first."""
@@ -531,6 +533,151 @@ class TestFillReuse:
             assert got.tobytes() == want.tobytes()
         finally:
             asm.close()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_fill_cut_short_leaves_nothing_reusable(self, layered, workers, monkeypatch):
+        """A fill that raises in the calling process's share, after the key
+        test took in the new keys, leaves no record: the next assemble() at
+        the same field and tau refills every row, as a fresh assembler
+        fills them."""
+        mesh, table = layered
+        parent, armed = os.getpid(), []
+
+        def failing_law(t, *args, **kwargs):
+            if armed and os.getpid() == parent:
+                armed.clear()
+                raise RuntimeError("law cut short")
+            return apparent_coefficients(t, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "apparent_coefficients", failing_law)
+        frozen, band = self.fields(mesh)[0], self.fields(mesh)[4]
+        asm = Assembler(mesh, table, workers=workers)
+        try:
+            asm.assemble(frozen, self.TAU)
+            armed.append(True)
+            with pytest.raises(RuntimeError, match="law cut short"):
+                asm.assemble(band, self.TAU)
+            assert not armed
+            system = asm.assemble(band, self.TAU)
+            self.assert_fresh(mesh, table, band, system.matrix.values, system.rhs)
+        finally:
+            asm.close()
+
+    def test_non_finite_field_rejected_before_the_key_test(self, layered):
+        """A NaN node would take class 0, so a cell keyed NaN with it would
+        keep that key once the node is frozen again: a field of non-finite
+        values is an input error, and the record stays the last good one."""
+        mesh, table = layered
+        asm = Assembler(mesh, table)
+        frozen = self.fields(mesh)[0]
+        band = self.fields(mesh)[4]
+        bad = band.copy()
+        bad[asm._cmean.indices[:4]] = np.nan  # the nodes of a phase-change cell
+        asm.assemble(band, self.TAU)
+        with pytest.raises(FemError, match="field contains non-finite"):
+            asm.assemble(bad, self.TAU)
+        system = asm.assemble(frozen, self.TAU)
+        self.assert_fresh(mesh, table, frozen, system.matrix.values, system.rhs)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_class_changes_without_key_changes(self, layered, workers, monkeypatch):
+        """The key test re-keys the cells of the nodes whose class moved and
+        the uncertain cells, and no other: (a) nodes of constant cells alone
+        crossing physics.node_limits run no C product, no law and no G_K or
+        G_M product; (b) one phase-change node crossing lo_n while its
+        cells' clipped means stay at lo re-keys exactly that node's cells
+        and runs no law.  A and b stay a fresh assembler's."""
+        mesh, table = layered
+        products, laws = [], []
+
+        def counting(indptr, indices, data, x, out, add=False):
+            products.append((data, indices))
+            matvec_into(indptr, indices, data, x, out, add)
+
+        def counting_law(t, *args, **kwargs):
+            laws.append(t)
+            return apparent_coefficients(t, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "matvec_into", counting)
+        monkeypatch.setattr(fem, "apparent_coefficients", counting_law)
+        asm = Assembler(mesh, table, workers=workers)
+        gm, cmean = asm._gm, asm._cmean
+        runs = np.diff(gm.indptr)
+        constant_only = np.flatnonzero(runs == 0)
+        node = int(np.flatnonzero(runs == runs.max())[0])  # a phase-change node
+        frozen = self.fields(mesh)[0]
+        lo_n, hi_n = asm._node_limits
+        crossed = frozen.copy()
+        crossed[constant_only] = 3.0  # (a)
+        lifted = crossed.copy()
+        lifted[node] = 0.5 * lo_n  # (b): class 1, its cells' means below lo
+        assert len(constant_only) and lo_n < lifted[node] < hi_n
+        node_cells = gm.indices[gm.indptr[node] : gm.indptr[node + 1]]
+        try:
+            asm.assemble(frozen, self.TAU)
+            for field, rekeyed in ((crossed, None), (lifted, node_cells), (crossed, node_cells)):
+                del products[:], laws[:]
+                system = asm.assemble(field, self.TAU)
+                c_rows = [i.reshape(-1, 4) for data, i in products if data is cmean.data]
+                if rekeyed is None:
+                    assert c_rows == []
+                else:  # the node's cells, and only they, take new keys
+                    want = cmean.indices.reshape(-1, 4)[rekeyed]
+                    assert len(c_rows) == 1 and np.array_equal(c_rows[0], want)
+                assert not any(data is asm._gk.data or data is asm._gm.data for data, _ in products)
+                assert laws == []
+                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
+        finally:
+            asm.close()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_random_moves_match_fresh_assembler(self, layered, workers):
+        """One assembler driven through random node moves in, across and out
+        of the band (about node_limits too, nodes of the constant layer
+        among them) and random changes of tau gives a fresh assembler's A
+        and b after every step."""
+        mesh, table = layered
+        lo_n, hi_n = Assembler(mesh, table)._node_limits
+        groups = {
+            "all": np.arange(mesh.n_nodes),
+            "constant layer": np.flatnonzero((mesh.nodes[:, 2] > 0.25) & (mesh.nodes[:, 2] < 0.5)),
+            "upper": np.flatnonzero(mesh.nodes[:, 2] > 0.5),
+            "one": np.array([mesh.n_nodes // 2]),
+        }
+        levels = {
+            "frozen": lambda rng, k: rng.uniform(-3.2, -2.8, k),
+            "lo_n": lambda rng, k: rng.choice([np.nextafter(lo_n, -np.inf), lo_n,
+                                               np.nextafter(lo_n, np.inf)], k),
+            "band": lambda rng, k: rng.uniform(-1.0, 1.0, k),
+            "hi_n": lambda rng, k: rng.choice([np.nextafter(hi_n, -np.inf), hi_n,
+                                               np.nextafter(hi_n, np.inf)], k),
+            "thawed": lambda rng, k: rng.uniform(2.8, 3.2, k),
+            "across": lambda rng, k: rng.uniform(-3.0, 3.0, k),
+        }
+        step = st.tuples(
+            st.sampled_from(sorted(groups)), st.sampled_from(sorted(levels)),
+            st.floats(0.05, 1.0), st.sampled_from([self.TAU, 2.5 * self.TAU]),
+            st.integers(0, 2**32 - 1),
+        )
+
+        @given(st.lists(step, min_size=1, max_size=5))
+        @settings(max_examples=10, deadline=None)
+        def drive(steps):
+            field = self.fields(mesh)[0].copy()
+            asm = Assembler(mesh, table, workers=workers)
+            try:
+                for group, level, share, tau, seed in steps:
+                    rng = np.random.default_rng(seed)
+                    nodes = groups[group]
+                    nodes = nodes[rng.random(len(nodes)) < share] if len(nodes) > 1 else nodes
+                    field[nodes] = levels[level](rng, len(nodes))
+                    system = asm.assemble(field, tau)
+                    self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs, tau=tau)
+            finally:
+                asm.close()
+
+        drive()
+
 
 class TestSetup:
     """Assembler.__init__ builds the pattern and the G_K and G_M operators

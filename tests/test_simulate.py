@@ -56,6 +56,18 @@ class TestInitialize:
         with pytest.raises(SimulationError, match="finite"):
             initialize(box_config(plain_table, initial_temperature=float("nan")))
 
+    @pytest.mark.parametrize(
+        "tau, t_max, match",
+        [(math.inf, math.inf, "tau"), (100.0, math.inf, "t_max"), (100.0, math.nan, "t_max"),
+         (math.nan, 1000.0, "tau")],
+        ids=["both-inf", "t_max-inf", "t_max-nan", "tau-nan"],
+    )
+    def test_nonfinite_step_length_or_end_rejected(self, plain_table, tau, t_max, match):
+        """The step count of a run needs finite tau and t_max; without them
+        it could not be counted."""
+        with pytest.raises(SimulationError, match=f"{match} must be"):
+            initialize(box_config(plain_table, tau=tau, t_max=t_max))
+
     def test_bad_cadence(self, plain_table):
         with pytest.raises(SimulationError, match="cadence"):
             initialize(box_config(plain_table, cadence=0))
