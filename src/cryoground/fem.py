@@ -36,11 +36,10 @@ What a step keeps, and what drops it:
   and the keys (cell means clipped to physics.band_limits) of the
   phase-change cells; a step re-keys only the cells of the nodes whose
   class moved and the uncertain cells, and an error in a call drops it;
-- per share, its A rows (M/tau on the diagonal), while tau and its cells'
-  keys stay: no law, no products;
-- those rows eliminated, while the step's DirichletPlan is the one its last
-  elimination used; only the rhs is corrected, from the coupling A_ji its
-  free rows j stored then.  assemble() without that plan drops them;
+- per share, its A rows (M/tau on the diagonal) as the last call left
+  them, eliminated by its DirichletPlan if it had one, while tau, its
+  cells' keys and that plan stay: no law, no products, and only the rhs
+  is corrected, from the coupling A_ji its free rows j stored then;
 - the CG's inverse diagonal and A x of the last solution, while its rows
   stay and x0 equals that solution off the constrained (identity) rows.
 """
@@ -173,14 +172,13 @@ def _rows_of(op, rows: slice):
 class _FillPlan:
     """One fill's rows (see Assembler._fill): its CG share, its spans of
     C's, G_K's and G_M's rows and the diagonal positions in its slots, with
-    the A rows and M/tau of its last products."""
+    the M/tau of its last products."""
 
     share: int
     cells: slice
     slots: slice
     rows: slice
     diag: np.ndarray
-    a: np.ndarray
     m_tau: np.ndarray
 
 
@@ -188,9 +186,9 @@ class _FillPlan:
 class _Kept:
     """What a layout keeps across steps: the record of its last fill (see
     Assembler._rekey), whose keys of the phase-change cells the shares read,
-    and the DirichletPlan its A buffer holds eliminated with the coupling
-    values that elimination read.  A dropped record, as a new one, has
-    every node moved (class -1) and every key and tau NaN."""
+    and the DirichletPlan its A buffer holds eliminated (None: none) with
+    the coupling values that elimination read.  A dropped record, as a new
+    one, has every node moved (class -1) and every key and tau NaN."""
 
     classes: np.ndarray
     keys: np.ndarray
@@ -226,7 +224,7 @@ class Assembler:
     Without constant cells K_const and M_const are zero; without
     phase-change cells the operators are empty.  Each assemble() call
     re-keys the cells whose means may have moved (see _rekey) and refills
-    the fill plans whose keys or tau changed (see _fill); a CSR product sums
+    the A rows whose keys, tau or elimination changed; a CSR product sums
     each row in storage order, so every value is bit-identical however the
     rows are split.
 
@@ -374,37 +372,33 @@ class Assembler:
 
     # -- per-step fill -----------------------------------------------------
 
-    def _fill(self, plan: _FillPlan, tau: float, bufs, keep_rows: bool):
-        """A = K + M/tau and M/tau on the plan's rows, at the record's keys.
+    def _fill(self, plan: _FillPlan, tau: float, bufs):
+        """A = K + M/tau and M/tau on the plan's rows, at the record's keys,
+        where its share is flagged to refill (see assemble), else nothing.
 
-        ``bufs`` is (A out, CG work, M/tau of all rows, the record's keys,
-        refill flags per share).  A flagged plan runs the law on its cells'
-        keys (see _rekey) and the products, which read only its own cells of
-        the cell buffers, and adds the constant cells' share.  An unflagged
-        one keeps the rows of its last products; with ``keep_rows`` too (A
-        out holds those rows, eliminated as this step eliminates them) it
-        copies no rows either, and tells the CG share so.
-        """
+        ``bufs`` is (A, M/tau of all rows, the record's keys, refill flags
+        per share).  The law runs on the plan's cells' keys (see _rekey),
+        and the products, which read only its own cells of the cell
+        buffers, write its rows of A in place; the constant cells' share is
+        added to them."""
+        a_out, _, keys, refill = bufs
+        if not refill[plan.share]:
+            return
         cells, slots, rows = plan.cells, plan.slots, plan.rows
-        a_out, work, _, keys, refill = bufs
-        if fresh := bool(refill[plan.share]):
-            # single-phase cells are constant, so every phase-change cell is
-            # freezing-porous and carries the phase model's latent heat
-            model = self.table.phase
-            apparent_coefficients(
-                keys[cells], model, *self._law[:, cells], model.latent_volumetric,
-                out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
-            )
-            matvec_into(*_rows_of(self._gk, slots), self._lam, plan.a)
-            plan.a += self._k_const[slots]
-            matvec_into(*_rows_of(self._gm, rows), self._c, plan.m_tau)
-            plan.m_tau += self._m_const[rows]
-            plan.m_tau /= tau
-            plan.a[plan.diag] += plan.m_tau
-        if fresh or not keep_rows:
-            a_out[slots] = plan.a  # a copy: the elimination changes A in place
-            work.valid[plan.share] = 0.0
-        work.kept[plan.share] = not fresh and keep_rows
+        a = a_out[slots]
+        # single-phase cells are constant, so every phase-change cell is
+        # freezing-porous and carries the phase model's latent heat
+        model = self.table.phase
+        apparent_coefficients(
+            keys[cells], model, *self._law[:, cells], model.latent_volumetric,
+            out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
+        )
+        matvec_into(*_rows_of(self._gk, slots), self._lam, a)
+        a += self._k_const[slots]
+        matvec_into(*_rows_of(self._gm, rows), self._c, plan.m_tau)
+        plan.m_tau += self._m_const[rows]
+        plan.m_tau /= tau
+        a[plan.diag] += plan.m_tau
 
     def _rekey(self, plans, kept: _Kept, t_prev: np.ndarray, tau: float, refill: np.ndarray):
         """Bring the layout's record to t_prev and tau, and flag each plan
@@ -499,7 +493,7 @@ class Assembler:
         plans = [self._plan(w, r0, r1, m_tau) for w, (r0, r1) in enumerate(zip(bounds, bounds[1:]))]
         kept = _Kept(np.empty(n, dtype=np.int8), alloc(self._cmean.shape[0]), np.empty(0, int))
         kept.drop()
-        bufs = shares.values, shares.work, m_tau, kept.keys, alloc(nw)
+        bufs = shares.values, m_tau, kept.keys, alloc(nw)
         system = LinearSystem(self.pattern.with_values(shares.values, shares), shares.work.rhs)
         return plans, shares, bufs, kept, system
 
@@ -520,8 +514,8 @@ class Assembler:
         DirichletPlan.apply eliminates them.  ``reuse_buffers`` hands out the
         assembler's own buffers (and the row shares cg_solve then runs in),
         else copies; such a system is only valid until the next assemble()
-        call (the time loop uses this) and, with constraints, must not be
-        changed in place before its solve.
+        call (the time loop uses this) and must not be changed in place: the
+        next call keeps the rows no key, tau or plan change refills.
         """
         if not 0 < tau < np.inf:
             raise FemError(f"tau must be > 0 and finite, got {tau}")
@@ -542,44 +536,46 @@ class Assembler:
         dplan, g = constraints or (None, None)
         if dplan is not None:
             g = dplan._checked(system.matrix, g)
-        keep_rows = dplan is not None and kept.plan is dplan
-        kept.plan = None
-        a_vals, work, m_tau, _, refill = bufs
+        a_vals, m_tau, _, refill = bufs
+        work = shares.work
         try:
             self._rekey(plans, kept, t_prev, tau, refill)
-            if keep_rows and not refill.any():
-                work.kept[:] = 1.0  # no share refills or copies its rows
-            elif nw > 1:
-                self._cmd[:] = (_FILL, tau, keep_rows)
+            if kept.plan is not dplan:
+                refill[:] = 1.0  # the rows hold another elimination, or none
+            if nw == 1:
+                self._fill(plans[0], float(tau), bufs)
+            elif refill.any():
+                self._cmd[:2] = (_FILL, tau)
                 self._pool.dispatch()
-            else:
-                self._fill(plans[0], float(tau), bufs, keep_rows)
+            # the CG shares keep what depends only on rows no plan refilled
+            work.kept[:] = refill == 0.0
+            work.valid[refill != 0.0] = 0.0
+            rhs = np.multiply(m_tau, t_prev, out=work.rhs)
+            if source is not None:
+                rhs += self.node_volumes * source
+            if dplan is not None:
+                self._eliminate(plans, work, kept, system, dplan, g)
+            kept.plan = dplan
+            shares.fixed = np.empty(0, int) if dplan is None else dplan.nodes
         except BaseException:
             kept.drop()  # rows cut short by an error must not be reused
             raise
-        rhs = np.multiply(m_tau, t_prev, out=work.rhs)
-        if source is not None:
-            rhs += self.node_volumes * source
-        if dplan is not None:
-            self._eliminate(plans, shares, kept, system, dplan, g)
         if reuse_buffers:
             return system
         return LinearSystem(self.pattern.with_values(a_vals.copy()), rhs.copy())
 
-    def _eliminate(self, plans, shares, kept, system: LinearSystem, dplan, g: np.ndarray):
+    def _eliminate(self, plans, work, kept, system: LinearSystem, dplan, g: np.ndarray):
         """DirichletPlan.apply on the layout's system, keeping the coupling
-        values (A_ji, j free, i constrained) it reads.  Each share that did
-        not keep its rows (see _fill; all of them on a full elimination)
+        values (A_ji, j free, i constrained) it reads.  Each share that
+        refilled its rows (see _fill; all of them on a full elimination)
         eliminates them, reading the coupling they store; the rhs correction
-        takes it all.  The CG shares learn the constrained rows."""
-        if not shares.work.kept.any():
+        takes it all."""
+        if not work.kept.any():
             kept.coupling = np.empty(len(dplan._sym_positions))
         for plan in plans:
-            if not shares.work.kept[plan.share]:
+            if not work.kept[plan.share]:
                 dplan._eliminate_slots(system.matrix.values, kept.coupling, plan.slots)
         dplan._correct(system.rhs, g, kept.coupling)
-        kept.plan = dplan
-        shares.fixed = dplan.nodes
 
     # -- worker pool -------------------------------------------------------
 
@@ -590,7 +586,7 @@ class Assembler:
             return
         self.close()
         self._pooled = self._layout(nw)
-        self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, keep_rows or max_iter)
+        self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, max_iter)
         self._sync = ShareSync(nw)
         self._pool = ForkPool(nw, self._share_task, self._sync)
 
@@ -602,14 +598,14 @@ class Assembler:
         s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
         return _FillPlan(
             share, slice(c0, c1), slice(s0, s1), slice(r0, r1),
-            self.pattern.diagonal_slots[r0:r1] - s0, np.empty(s1 - s0), m_tau[r0:r1],
+            self.pattern.diagonal_slots[r0:r1] - s0, m_tau[r0:r1],
         )
 
     def _share_task(self, w: int):
         command, arg, arg2 = self._cmd
         plans, shares, bufs = self._pooled[:3]
         if command == _FILL:
-            self._fill(plans[w], arg, bufs, bool(arg2))
+            self._fill(plans[w], arg, bufs)
         else:
             barrier = self._sync.barrier
             self._cg_result = shares.share(w, float(arg), int(arg2), lambda: barrier(w))

@@ -433,18 +433,42 @@ class TestFillReuse:
             asm.close()
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_dirichlet_elimination_does_not_leak(self, layered, workers):
-        """DirichletPlan.apply zeroes rows of the returned A in place; the
-        next fill at the same coefficients must not see them."""
+    def test_dirichlet_elimination_does_not_leak(self, layered, workers, monkeypatch):
+        """The assembler eliminates a DirichletPlan in its own rows of A; a
+        call at the same field and tau with another plan, or none, must not
+        see them, so it refills every row: the calling process's plan runs
+        its G_K and G_M products again.  A call with the plan of the call
+        before keeps the rows and runs none."""
         mesh, table = layered
+        products = []
+
+        def counting(indptr, indices, data, x, out, add=False):
+            products.append(data)
+            matvec_into(indptr, indices, data, x, out, add)
+
+        monkeypatch.setattr(fem, "matvec_into", counting)
         field = self.fields(mesh)[0]
-        top = nodes_for_tags(mesh, [6])
         asm = Assembler(mesh, table, workers=workers)
+        top = DirichletPlan(asm.pattern, nodes_for_tags(mesh, [6]))
+        sides = DirichletPlan(asm.pattern, nodes_for_tags(mesh, [1, 3]))
+        # (plan, constraint value, fills that run the products)
+        steps = [(top, 5.0, 1), (top, 5.0, 0), (None, None, 1), (None, None, 0),
+                 (top, 5.0, 1), (sides, -2.0, 1), (sides, -2.0, 0), (top, 5.0, 1)]
         try:
-            for _ in range(3):
-                system = asm.assemble(field, self.TAU, reuse_buffers=True)
-                self.assert_fresh(mesh, table, field, system.matrix.values, system.rhs)
-                DirichletPlan(system.matrix, top).apply(system, np.full(len(top), 5.0))
+            for dplan, value, expected in steps:
+                g = None if dplan is None else np.full(len(dplan.nodes), value)
+                del products[:]
+                system = asm.assemble(
+                    field, self.TAU, reuse_buffers=True,
+                    constraints=None if dplan is None else (dplan, g),
+                )
+                ran = sum(data is asm._gk.data or data is asm._gm.data for data in products)
+                assert ran == 2 * expected
+                fresh = Assembler(mesh, table).assemble(field, self.TAU)
+                if dplan is not None:
+                    DirichletPlan(fresh.matrix, dplan.nodes).apply(fresh, g)
+                assert system.matrix.values.tobytes() == fresh.matrix.values.tobytes()
+                assert system.rhs.tobytes() == fresh.rhs.tobytes()
         finally:
             asm.close()
 

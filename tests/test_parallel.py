@@ -120,7 +120,9 @@ def test_worker_dead_before_dispatch_surfaces():
 
 def test_assembler_rebuilds_pool_after_worker_death(monkeypatch):
     """The assemble() whose dispatch finds a dead worker fails; the next one
-    runs in a new pool and gives the same system."""
+    runs in a new pool and gives the same system.  A call at the same field
+    and tau keeps its rows and dispatches nothing, so the failing call
+    changes tau."""
     monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
     mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (10, 10, 10)))
     asm = Assembler(mesh, MaterialTable({1: Material.single_phase(1.0, 1.0)}, PhaseModel()), 2)
@@ -130,7 +132,7 @@ def test_assembler_rebuilds_pool_after_worker_death(monkeypatch):
     pool._procs[0].terminate()
     pool._procs[0].join()
     with pytest.raises(WorkerFailure, match="worker 0 died"):
-        asm.assemble(field, tau=0.01)
+        asm.assemble(field, tau=0.02)
     got = asm.assemble(field, tau=0.01)
     assert asm._pool is not pool and asm._pool.alive()
     assert got.matrix.values.tobytes() == want.matrix.values.tobytes()

@@ -201,10 +201,10 @@ class TestBandLimits:
 class TestNodeLimits:
     """node_limits(model) = (lo_n, hi_n): a cell whose four nodes all lie at
     or below lo_n gets the key lo of band_limits (the clipped cell mean) and
-    one whose nodes all lie at or above hi_n the key hi, so the fill's
-    prefilter may skip their means.  Checked through the cell-mean kernel
-    and the clip the fill runs, for the well's, the Neumann study's and the
-    MMS phase models and the band-limit cases."""
+    one whose nodes all lie at or above hi_n the key hi, so the key test
+    (fem.Assembler._rekey) need not re-key such cells.  Checked through the
+    cell-mean kernel and the clip the key test runs, for the well's, the
+    Neumann study's and the MMS phase models and the band-limit cases."""
 
     MODELS = {
         "well": default_materials().phase,

@@ -514,6 +514,41 @@ class TestWarmStart:
             assert sim.field.previous is not None
             assert np.array_equal(sim.field.values[top], g(sim.mesh.nodes[top], sim.field.time))
 
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(not pool_available(), reason="needs the pool")),
+    ])
+    def test_unconstrained_steady_step_keeps_its_start(self, soil_table, monkeypatch, workers):
+        """Without Dirichlet tags a second step at unchanged keys keeps its
+        rows, so its CG starts from the kept A x of the first step's
+        solution, and its field is still the bits of a fresh assemble() and
+        cg_solve.  The 8x8x9 box (810 nodes) gives both shares rows."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+        cfg = box_config(
+            soil_table, mesh=BoxMeshSpec((1.0, 1.0, 1.0), (8, 8, 9)), tau=3600.0,
+            t_max=2 * 3600.0, workers=workers,
+        )
+        sim = Simulation(cfg)
+        try:
+            assert sim.assembler.effective_workers() == workers
+            rng = np.random.default_rng(7)
+            sim.field = TemperatureField(rng.uniform(-6.0, -4.0, sim.mesh.n_nodes))
+            sim.step()
+            field = sim.field.copy()
+            rec = sim.step()
+            layout = sim.assembler._serial if workers == 1 else sim.assembler._pooled
+            assert layout[1].work.start_kept[0] == 1.0
+            assert rec.solver.iterations > 0
+        finally:
+            sim.close()
+        fresh = fem.Assembler(sim.mesh, soil_table).assemble(field, cfg.tau)
+        want, report = linalg.cg_solve(
+            fresh.matrix, fresh.rhs, field.values.copy(), tol=cfg.solver_tol,
+            max_iter=int(cfg.solver_max_iter), direction=field.values - field.previous,
+        )
+        assert sim.field.values.tobytes() == want.tobytes()
+        assert rec.solver.iterations == report.iterations
+
     def test_reassigned_field_drops_history(self, soil_table):
         """sim.field = TemperatureField(...) starts a new history: the next
         step is the first step of a fresh run from that field."""
