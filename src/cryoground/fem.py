@@ -60,6 +60,10 @@ from .physics import (
 
 # commands of the pooled share task
 _FILL, _CG = 0.0, 1.0
+# entries per block of a scatter through an int32 permutation (numpy
+# copies int32 indices to intp) and of _leading
+_GATHER_BLOCK = 1 << 16
+_INT32_KEY_NODES = 46340  # the most nodes whose keys min * n + max (< n**2) are int32
 
 
 class FemError(ValueError):
@@ -148,19 +152,24 @@ def _element_matrices(p: np.ndarray, first: int):
     return vols, kgeom
 
 
-def _leading_columns(op, ncols: int):
-    """The first ``ncols`` columns of ``op``; each row keeps its entries in
-    storage order, which must list each row's columns below ``ncols`` in
-    ascending order.  Every row of ``op`` must hold an entry (as
-    G_K's and G_M's do)."""
-    kept = op.indices < ncols
-    indptr = np.zeros(op.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.add.reduceat(kept, op.indptr[:-1], dtype=np.int32), out=indptr[1:])
-    sub = _sp.csr_matrix(
-        (op.data[kept], op.indices[kept], indptr), shape=(op.shape[0], ncols), copy=False
-    )
-    sub.has_sorted_indices = True
-    return sub
+def _leading(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, ncols: int):
+    """The first ``ncols`` columns of CSR (indptr, indices, data) as scipy
+    CSR, each row's entries in storage order: compacted in place
+    (overwriting indices and data) in blocks, then copied out at their
+    length, as a shrink in place would leave its heap block pinned."""
+    out, kept = np.empty_like(indptr), 0
+    for b0 in range(0, len(indices), _GATHER_BLOCK):
+        keep = indices[b0 : b0 + _GATHER_BLOCK] < ncols
+        before = np.cumsum(np.append(0, keep), dtype=indptr.dtype)  # kept entries before each
+        # the rows that start in the block; needles of indptr's dtype, lest it be copied
+        rows = slice(*np.searchsorted(indptr, np.array([b0, b0 + len(keep)], indptr.dtype)))
+        out[rows] = kept + before[indptr[rows] - b0]
+        for arr in (indices, data):
+            arr[kept : kept + before[-1]] = arr[b0 : b0 + len(keep)][keep]
+        kept += int(before[-1])
+    out[np.searchsorted(indptr, indptr[-1]) :] = kept
+    shape = (len(indptr) - 1, ncols)
+    return _sp.csr_matrix((data[:kept].copy(), indices[:kept].copy(), out), shape, copy=False)
 
 
 def _rows_of(op, rows: slice):
@@ -222,7 +231,11 @@ class Assembler:
     - G_M (nodes x phase-change cells): M = G_M @ c_cell + M_const;
     - C (phase-change cells x nodes): their mean temperatures C @ T.
     Without constant cells K_const and M_const are zero; without
-    phase-change cells the operators are empty.  Each assemble() call
+    phase-change cells the operators are empty.  Of the build's arrays of
+    10 entries per cell only the values (and the keys where n**2 does not
+    fit int32) are 8 bytes wide: the element geometry is scattered into
+    storage order through the inverse of the sort's int32 permutation, and
+    the constant cells' entries are dropped in place.  Each assemble() call
     re-keys the cells whose means may have moved (see _rekey) and refills
     the A rows whose keys, tau or elimination changed; a CSR product sums
     each row in storage order, so every value is bit-identical however the
@@ -272,39 +285,27 @@ class Assembler:
         column = np.where(var, np.cumsum(var) - 1, mv + np.cumsum(~var) - 1).astype(np.int32)
 
         # K is symmetric, so G_K takes the 10 upper-triangle entries (li <= lj)
-        # per cell, keyed min * n + max node.  One stable sort lists each
-        # key's entries in cell order; it runs, and drops the keys, before
-        # the element geometry V * (grad . grad) exists (in blocks of cells)
-        keys = np.stack([np.minimum(a, b) * n + np.maximum(a, b)
-                         for a, b in (cells.T[[i, j]] for i, j in zip(*np.triu_indices(4)))], axis=1)
-        order = np.argsort(keys.ravel(), kind="stable")
-        keys = keys.ravel()[order]
-        starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-        ukeys = keys[starts]
-        del keys
-        axes = np.ascontiguousarray(mesh.nodes.T)
-        vols = np.empty(m)
-        kgeom = np.empty((m, 10))
-        for c0 in range(0, m, _GEOMETRY_BLOCK):
-            block = slice(c0, c0 + _GEOMETRY_BLOCK)
-            vols[block], kgeom[block] = _element_matrices(axes.take(cells[block].T, axis=1), c0)
-
-        # G_K over the upper triangle (row u: the entries of the u-th smallest
-        # upper key); the index arrays are int32
-        data = kgeom.ravel()[order]
-        del kgeom
-        order //= 10
-        indptr = np.append(starts, len(order)).astype(np.int32)
-        gk = _sp.csr_matrix((data, column[order], indptr), shape=(len(ukeys), m), copy=False)
-        del order, starts, data, indptr
+        # per cell, keyed min * n + max node.  The unique keys give G_K's
+        # upper rows and the pattern before any element geometry exists; one
+        # stable sort lists each key's entries in cell order
+        keys = np.empty((m, 10), dtype=np.int32 if n <= _INT32_KEY_NODES else np.int64)
+        for k, (i, j) in enumerate(zip(*np.triu_indices(4))):
+            a, b = cells[:, i], cells[:, j]
+            keys[:, k] = np.minimum(a, b) * n + np.maximum(a, b)
+        ukeys, counts = np.unique(keys, return_counts=True)
+        indptr = np.append(0, np.cumsum(counts)).astype(np.int32)  # G_K's upper rows
+        order = np.argsort(keys, axis=None, kind="stable")
+        del keys, counts
+        order = order.astype(np.int32)
+        ukeys = ukeys.astype(np.int64)
         # the full pattern: the upper keys and the transposes of the strict
         # upper ones, from one sort; mirror[s] is the upper row of slot s
         strict = np.flatnonzero(ukeys // n != ukeys % n)
         keys = np.concatenate([ukeys, ukeys[strict] % n * n + ukeys[strict] // n])
-        order = np.argsort(keys)
-        keys = keys[order]
-        mirror = np.concatenate([np.arange(len(ukeys)), strict])[order]
-        del ukeys, strict, order
+        sort = np.argsort(keys)
+        keys = keys[sort]
+        mirror = np.concatenate([np.arange(len(ukeys)), strict]).astype(np.int32)[sort]
+        del ukeys, strict, sort
         self.nnz = nnz = len(keys)
         self.column_indices = keys % n
         self.row_offsets = np.zeros(n + 1, dtype=np.int64)
@@ -313,6 +314,27 @@ class Assembler:
         for arr in (self.row_offsets, self.column_indices):
             arr.flags.writeable = False
 
+        # entry e (upper entry e % 10 of cell e // 10) is stored at slot
+        # inverse[e]: the element geometry and then the cell columns are
+        # scattered there, in blocks of cells
+        inverse = np.empty_like(order)
+        for b0 in range(0, len(order), _GATHER_BLOCK):
+            block = slice(b0, b0 + _GATHER_BLOCK)
+            inverse[order[block]] = np.arange(b0, b0 + len(order[block]), dtype=np.int32)
+        del order
+        axes = np.ascontiguousarray(mesh.nodes.T)
+        vols = np.empty(m)
+        data = np.empty(len(inverse))
+        for c0 in range(0, m, _GEOMETRY_BLOCK):
+            block = slice(c0, c0 + _GEOMETRY_BLOCK)
+            vols[block], kgeom = _element_matrices(axes.take(cells[block].T, axis=1), c0)
+            data[inverse[10 * c0 : 10 * c0 + kgeom.size]] = kgeom.ravel()
+        cols = np.empty_like(inverse)
+        for c0 in range(0, m, _GEOMETRY_BLOCK):
+            block = slice(c0, c0 + _GEOMETRY_BLOCK)
+            cols[inverse[10 * c0 : 10 * block.stop]] = np.repeat(column[block], 10)
+        del inverse
+
         # the constant cells' share of K and M is fixed: lam and c of the
         # constant cells by column, zero for the phase-change cells (whose
         # zero products leave each row the sum of its constant entries, in
@@ -320,27 +342,27 @@ class Assembler:
         fixed = np.zeros((2, m))
         for tag in const_tags:
             fixed[:, column[region == tag]] = rows[tag][[2, 0], None]
-        # K_const and G_K gather upper rows through mirror; rebinding gk frees
-        # the all-columns operator before the G_K gather
-        self._k_const = (gk @ fixed[0])[mirror]
-        gk = _leading_columns(gk, mv)
-        self._gk = gk[mirror]
-        del gk, mirror
+        # K_const and G_K gather upper rows through mirror
+        upper = np.empty(len(indptr) - 1)
+        matvec_into(indptr, cols, data, fixed[0], upper)
+        gk = _leading(indptr, cols, data, mv)
+        del indptr, cols, data
+        self._k_const, self._gk = upper[mirror], gk[mirror]
+        del upper, gk, mirror
 
         # G_M (4 entries per cell onto node rows, each V / 4; row i lists
         # node i's cells in ascending order, from one stable sort) and the
         # geometric lumped volumes (for source terms)
-        order = np.argsort(cells.ravel(), kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cells.ravel(), minlength=n), out=indptr[1:])
-        gm = _sp.csr_matrix(
-            (np.repeat(vols / 4.0, 4)[order], column[order // 4], indptr), shape=(n, m), copy=False
-        )
-        del order, indptr
-        self.node_volumes = gm @ np.ones(m)
-        self._m_const = gm @ fixed[1]
-        self._gm = _leading_columns(gm, mv)
-        del gm, fixed, column
+        order = np.argsort(cells, axis=None, kind="stable")
+        order //= 4
+        data, cols = (vols / 4.0)[order], column[order]
+        del order, vols
+        indptr = np.append(0, np.cumsum(np.bincount(cells.ravel(), minlength=n))).astype(np.int32)
+        self.node_volumes, self._m_const = np.empty(n), np.empty(n)
+        matvec_into(indptr, cols, data, np.ones(m), self.node_volumes)
+        matvec_into(indptr, cols, data, fixed[1], self._m_const)
+        self._gm = _leading(indptr, cols, data, mv)
+        del indptr, cols, data, fixed, column
         # every assembled matrix has this pattern (DirichletPlans are built on it)
         self.pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
 

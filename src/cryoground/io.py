@@ -20,6 +20,7 @@ from .mesh import Mesh
 VTK_FILE_PATTERN = "step_%06d.vtk"
 RESTART_FILE_PATTERN = "restart_%06d.bin"
 PROBES_FILE_NAME = "probes.csv"
+_VTK_CHUNK = 4096  # rows formatted per string of vtk_geometry
 
 _SNAPSHOT_MAGIC = b"CRYOGRND"
 # version 1 holds one level, version 2 also the previous one
@@ -35,30 +36,35 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_vtk(mesh: Mesh, field: TemperatureField, path) -> None:
-    """Write the mesh and nodal temperatures as a legacy VTK unstructured grid."""
+def _rows(fmt: str, table: np.ndarray) -> str:
+    """``fmt`` filled with each row of ``table``, formatted in chunks of rows."""
+    return "".join("".join(map(fmt.format, *table[r0 : r0 + _VTK_CHUNK].T.tolist()))
+                   for r0 in range(0, len(table), _VTK_CHUNK))
+
+
+def vtk_geometry(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES lines of write_vtk's file for ``mesh``."""
+    n, m = mesh.n_nodes, mesh.n_cells
+    return "".join([
+        f"POINTS {n} double\n", _rows("{:.17g} {:.17g} {:.17g}\n", mesh.nodes),
+        f"CELLS {m} {5 * m}\n", _rows("4 {} {} {} {}\n", mesh.cells),
+        f"CELL_TYPES {m}\n", "10\n" * m,
+    ])
+
+
+def write_vtk(mesh: Mesh, field: TemperatureField, path, geometry: str | None = None) -> None:
+    """Write the mesh and nodal temperatures as a legacy VTK unstructured
+    grid; ``geometry`` is vtk_geometry(mesh), formatted here if not given."""
     if len(field.values) != mesh.n_nodes:
         raise ValueError(
             f"field has {len(field.values)} values for {mesh.n_nodes} nodes"
         )
-    n, m = mesh.n_nodes, mesh.n_cells
-    lines = [
-        "# vtk DataFile Version 3.0",
-        f"temperature field at t = {_fmt(field.time)} s",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    lines.extend(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in mesh.nodes)
-    lines.append(f"CELLS {m} {5 * m}")
-    lines.extend(f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.cells)
-    lines.append(f"CELL_TYPES {m}")
-    lines.extend("10" for _ in range(m))
-    lines.append(f"POINT_DATA {n}")
-    lines.append("SCALARS temperature double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(v) for v in field.values)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(f"# vtk DataFile Version 3.0\ntemperature field at t = {_fmt(field.time)} s\n"
+                "ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(vtk_geometry(mesh) if geometry is None else geometry)
+        f.write(f"POINT_DATA {mesh.n_nodes}\nSCALARS temperature double 1\nLOOKUP_TABLE default\n")
+        f.write("".join(map("{:.17g}\n".format, field.values.tolist())))
 
 
 def write_probes(records, probe_values, path) -> None:

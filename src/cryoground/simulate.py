@@ -210,6 +210,7 @@ class Simulation:
         self._csv_records: list[StepRecord] = []
         self._csv_probes: list[np.ndarray] = []
         self._out_dir: Path | None = None
+        self._vtk_geometry = ""  # io.vtk_geometry of the mesh, formatted at the first snapshot
         if config.output_dir is not None:
             self._out_dir = Path(config.output_dir)
             self._out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,9 +333,9 @@ class Simulation:
         if self._out_dir is None:
             return
         if self.config.write_vtk:
-            cgio.write_vtk(
-                self.mesh, self.field, self._out_dir / (cgio.VTK_FILE_PATTERN % record.step)
-            )
+            self._vtk_geometry = self._vtk_geometry or cgio.vtk_geometry(self.mesh)
+            path = self._out_dir / (cgio.VTK_FILE_PATTERN % record.step)
+            cgio.write_vtk(self.mesh, self.field, path, self._vtk_geometry)
         if self.config.write_restart:
             cgio.snapshot_write(
                 self._out_dir / (cgio.RESTART_FILE_PATTERN % record.step), self.field

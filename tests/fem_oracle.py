@@ -132,6 +132,18 @@ def einsum_element_matrices(p: np.ndarray, first: int):
     return vols, kmat
 
 
+def leading_columns(op, ncols: int):
+    """The first ``ncols`` columns of scipy CSR ``op``, each row's entries
+    in storage order, which lists its columns below ``ncols`` ascending;
+    every row of ``op`` holds an entry."""
+    kept = op.indices < ncols
+    indptr = np.zeros(op.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.add.reduceat(kept, op.indptr[:-1], dtype=np.int32), out=indptr[1:])
+    return sp.csr_matrix(
+        (op.data[kept], op.indices[kept], indptr), shape=(op.shape[0], ncols), copy=False
+    )
+
+
 def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
     """The CSR pattern, diagonal slots, G_K, K_const and element matrices
     (cells, 4, 4) of an Assembler built from one stable sort of the 16
@@ -170,7 +182,7 @@ def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
         "row_offsets": row_offsets,
         "column_indices": cols,
         "diag_slots": np.flatnonzero(cols == rows),
-        "gk": fem._leading_columns(gk, mv),
+        "gk": leading_columns(gk, mv),
         "k_const": gk @ fixed,
         "element_matrices": kmat,
     }

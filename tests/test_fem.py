@@ -799,6 +799,56 @@ class TestSetup:
         assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
         assert a.rhs.tobytes() == b.rhs.tobytes()
 
+    @pytest.mark.parametrize(
+        "make, table",
+        [
+            (lumpy_mesh, default_materials),  # soil and constant sand cells
+            (
+                lambda: generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (3, 3, 3))),
+                lambda: MaterialTable({1: Material.single_phase(crho=1.0, lam=1.0)}),
+            ),
+        ],
+        ids=["lumpy", "box3-constant"],
+    )
+    def test_key_width_and_gather_block_move_no_bit(self, make, table, monkeypatch):
+        """int64 keys and a 7-entry block for the scatters through the sort's
+        permutation and for dropping the constant cells' entries build the
+        operators of int32 keys and the default block, bit for bit."""
+        mesh, table = make(), table()
+        key_dtypes = []  # of the stable sort of the 10 upper keys per cell
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            if a.size == 10 * mesh.n_cells:
+                key_dtypes.append(a.dtype)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        narrow = Assembler(mesh, table)
+        monkeypatch.setattr(fem, "_INT32_KEY_NODES", 0)
+        monkeypatch.setattr(fem, "_GATHER_BLOCK", 7)
+        assert 10 * mesh.n_cells > 7 * 10
+        wide = Assembler(mesh, table)
+        assert key_dtypes == [np.int32, np.int64]
+        pairs = {
+            "row_offsets": (narrow.row_offsets, wide.row_offsets),
+            "column_indices": (narrow.column_indices, wide.column_indices),
+            "diag_slots": (narrow.pattern.diagonal_slots, wide.pattern.diagonal_slots),
+            "G_K data": (narrow._gk.data, wide._gk.data),
+            "G_K indices": (narrow._gk.indices, wide._gk.indices),
+            "G_K indptr": (narrow._gk.indptr, wide._gk.indptr),
+            "K_const": (narrow._k_const, wide._k_const),
+            "G_M data": (narrow._gm.data, wide._gm.data),
+            "G_M indices": (narrow._gm.indices, wide._gm.indices),
+            "G_M indptr": (narrow._gm.indptr, wide._gm.indptr),
+            "M_const": (narrow._m_const, wide._m_const),
+            "node_volumes": (narrow.node_volumes, wide.node_volumes),
+        }
+        for name, (a, b) in pairs.items():
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert narrow._gk.shape == wide._gk.shape and narrow._gm.shape == wide._gm.shape
+
     @pytest.mark.parametrize("block", [fem._GEOMETRY_BLOCK, 7])
     @pytest.mark.parametrize(
         "make, table",
@@ -853,17 +903,21 @@ class TestSetup:
             Assembler(mesh, plain_table)
 
     def test_setup_memory_per_cell_bounded(self, plain_table):
-        """Setting up the 16^3 box (24,576 cells) traces 302 B/cell of numpy
-        allocations at its peak, and the 20^3 well (47,184 cells) 427 B/cell,
-        since the keys are sorted before the element geometry exists (392
-        and 445 B/cell before), and G_K is built from the 10 upper-triangle
-        entries per cell (585 and 543 B/cell from all 16; 649 B/cell on the
-        box before the constant-cell split freed the element geometry early,
-        756 B/cell with the grouped scatter plans the operators replaced,
-        1,930 B/cell with the two-sort builder before them)."""
+        """Setting up the 16^3 box (24,576 cells) traces 282 B/cell of numpy
+        allocations at its peak, and the 20^3 well (47,184 cells) 420 B/cell,
+        since the 10-per-cell arrays are int32 but for the values, the
+        element geometry is scattered into storage order and the constant
+        cells' entries are dropped in place (302 and 427 B/cell with int64
+        keys, an all-columns G_K and a whole-mask trim; 392 and 445 B/cell
+        before the keys were sorted ahead of the element geometry), and G_K
+        is built from the 10 upper-triangle entries per cell (585 and 543
+        B/cell from all 16; 649 B/cell on the box before the constant-cell
+        split freed the element geometry early, 756 B/cell with the grouped
+        scatter plans the operators replaced, 1,930 B/cell with the two-sort
+        builder before them)."""
         cases = [
-            (generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16))), plain_table, 490),
-            (build_planned_box(well_mesh_plan()), default_materials(), 540),
+            (generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (16, 16, 16))), plain_table, 325),
+            (build_planned_box(well_mesh_plan()), default_materials(), 485),
         ]
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -881,10 +935,12 @@ class TestSetup:
 
     def test_box_setup_memory_per_cell_bounded(self, plain_table):
         """generate_box and Assembler.__init__ on the 24^3 box (82,944 cells)
-        trace 162 and 298 B/cell of numpy allocations at their peaks (400 and
-        391 B/cell when boundary faces came from a lexsort of all face triples,
-        the orientation test from np.linalg.det on all cells at once and the
-        element geometry from np.einsum over (cells, 4, 3) corners)."""
+        trace 162 and 228 B/cell of numpy allocations at their peaks (298
+        B/cell for the assembler with int64 keys and an all-columns G_K;
+        400 and 391 B/cell when boundary faces came from a lexsort of all
+        face triples, the orientation test from np.linalg.det on all cells
+        at once and the element geometry from np.einsum over (cells, 4, 3)
+        corners)."""
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -901,7 +957,7 @@ class TestSetup:
             if not tracing:
                 tracemalloc.stop()
         assert mesh_peak / mesh.n_cells < 187
-        assert assembler_peak / mesh.n_cells < 343
+        assert assembler_peak / mesh.n_cells < 263
 
 
 def one_step_field(mesh, table, dirichlet):
