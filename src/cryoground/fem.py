@@ -307,12 +307,13 @@ class Assembler:
         mirror = np.concatenate([np.arange(len(ukeys)), strict]).astype(np.int32)[sort]
         del ukeys, strict, sort
         self.nnz = nnz = len(keys)
-        self.column_indices = keys % n
-        self.row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self.row_offsets[1:])
+        # the pattern in CsrMatrix's index width; its zero values are made
+        # again once the element geometry is gone, so they add nothing to its peak
+        pattern = CsrMatrix(np.append(0, np.cumsum(np.bincount(keys // n, minlength=n))),
+                            keys % n, np.zeros(nnz))
+        pattern.values = None
+        pattern.row_offsets.flags.writeable = pattern.column_indices.flags.writeable = False
         del keys
-        for arr in (self.row_offsets, self.column_indices):
-            arr.flags.writeable = False
 
         # entry e (upper entry e % 10 of cell e // 10) is stored at slot
         # inverse[e]: the element geometry and then the cell columns are
@@ -363,8 +364,7 @@ class Assembler:
         matvec_into(indptr, cols, data, fixed[1], self._m_const)
         self._gm = _leading(indptr, cols, data, mv)
         del indptr, cols, data, fixed, column
-        # every assembled matrix has this pattern (DirichletPlans are built on it)
-        self.pattern = CsrMatrix(self.row_offsets, self.column_indices, np.zeros(nnz))
+        self.pattern = pattern.with_values(np.zeros(nnz))  # DirichletPlans are built on it
 
         # C over the phase-change cells: weights 1/4 on the cell's nodes, in
         # the cell's node order
@@ -508,7 +508,7 @@ class Assembler:
         fills into np.zeros buffers, more into shared memory forked shares
         see."""
         alloc, run = (np.zeros, None) if nw == 1 else (ForkPool.shared_array, self._run_cg)
-        bounds = share_bounds(self.row_offsets, nw)
+        bounds = share_bounds(self.pattern.row_offsets, nw)
         shares = CgShares(self.pattern.with_values(alloc(self.nnz)), bounds, alloc, run)
         n = self.mesh.n_nodes
         m_tau = alloc(n)
@@ -617,7 +617,7 @@ class Assembler:
         M/tau is those rows of ``m_tau`` (see _fill)."""
         touched = self._gm.indices[self._gm.indptr[r0] : self._gm.indptr[r1]]
         c0, c1 = (int(touched.min()), int(touched.max()) + 1) if len(touched) else (0, 0)
-        s0, s1 = int(self.row_offsets[r0]), int(self.row_offsets[r1])
+        s0, s1 = self.pattern.row_offsets[[r0, r1]].tolist()
         return _FillPlan(
             share, slice(c0, c1), slice(s0, s1), slice(r0, r1),
             self.pattern.diagonal_slots[r0:r1] - s0, m_tau[r0:r1],
@@ -677,7 +677,7 @@ class DirichletPlan:
     """
 
     def __init__(self, matrix: CsrMatrix, nodes: np.ndarray):
-        n = matrix.n
+        n = np.int64(matrix.n)  # keys in int64: an int32 column * n wraps past 46,340 nodes
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 1 or (np.diff(nodes) <= 0).any():
             raise FemError("constraint nodes must be strictly increasing (unique)")

@@ -60,18 +60,19 @@ class SpdViolationError(LinalgError):
 
 # entries per dot-product chunk; CG row shares are cut at multiples of it
 DOT_CHUNK = 512
+_INT32_NNZ = np.iinfo(np.int32).max  # the most stored entries of an int32 CsrMatrix
 
 
 @dataclass
 class CsrMatrix:
     """Square sparse matrix in compressed-sparse-row form.
 
-    Column indices are sorted and unique within each row, and every row
-    stores its diagonal entry: construction locates them once, as
-    ``diagonal_slots`` (the storage position of entry (i, i) of row i), and
-    raises SpdViolationError for a row that stores none, as such a matrix
-    cannot be SPD.  ``shares``, when set, are the row shares cg_solve runs
-    in (see CgShares).
+    Column indices lie in [0, n) and increase strictly within each row
+    (checked), and every row stores its diagonal entry: construction locates
+    them once, as ``diagonal_slots`` (the storage position of entry (i, i)
+    of row i), and raises SpdViolationError for a row that stores none.  The
+    pattern is int32 where nnz fits, else int64: the one index width.
+    ``shares``, when set, are the row shares cg_solve runs in (see CgShares).
     """
 
     row_offsets: np.ndarray
@@ -81,25 +82,31 @@ class CsrMatrix:
     diagonal_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
-        self.column_indices = np.ascontiguousarray(self.column_indices, dtype=np.int64)
+        offsets, cols = np.asarray(self.row_offsets), np.asarray(self.column_indices)
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.row_offsets.ndim != 1 or len(self.row_offsets) < 1:
+        if offsets.ndim != 1 or len(offsets) < 1:
             raise LinalgError("row_offsets must be a 1-d array of length n+1")
-        if self.row_offsets[0] != 0 or (np.diff(self.row_offsets) < 0).any():
+        if offsets[0] != 0 or (np.diff(offsets) < 0).any():
             raise LinalgError("row_offsets must start at 0 and be nondecreasing")
-        if self.row_offsets[-1] != len(self.column_indices):
+        if offsets[-1] != len(cols):
             raise LinalgError("row_offsets[-1] must equal nnz")
-        if len(self.values) != len(self.column_indices):
+        if len(self.values) != len(cols):
             raise LinalgError("values and column_indices must have equal length")
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_offsets))
-        self.diagonal_slots = np.flatnonzero(self.column_indices == rows)
-        count = np.bincount(rows[self.diagonal_slots], minlength=self.n)
-        if (count == 0).any():
-            i = int(np.argmin(count))
+        n = len(offsets) - 1
+        rows = np.repeat(np.arange(n), np.diff(offsets))
+        # checked before the narrowing below, so that no index wraps past them
+        if len(cols) and (cols.min() < 0 or cols.max() >= n):
+            raise LinalgError(f"column index outside [0, {n})")
+        unsorted = np.flatnonzero(np.diff(rows * n + cols) <= 0)
+        if len(unsorted):
+            raise LinalgError(f"the columns of row {rows[unsorted[0]]} are not strictly increasing")
+        self.diagonal_slots = np.flatnonzero(cols == rows)
+        if len(self.diagonal_slots) != n:
+            i = int(np.argmin(np.bincount(rows[self.diagonal_slots], minlength=n)))
             raise SpdViolationError(f"non-positive diagonal entry {0.0:.3e} at row {i}")
-        if len(self.diagonal_slots) != self.n:
-            raise LinalgError(f"row {int(np.argmax(count))} stores its diagonal entry twice")
+        index = np.int32 if len(cols) <= _INT32_NNZ else np.int64
+        self.row_offsets = np.ascontiguousarray(offsets, dtype=index)
+        self.column_indices = np.ascontiguousarray(cols, dtype=index)
 
     @property
     def n(self) -> int:
@@ -211,9 +218,8 @@ class CgShares:
     every share: in the calling process by default, or through ``run(tol,
     max_iter)``, which an owner of worker processes (fem.Assembler) passes
     to run the shares concurrently and return the result of one of them.
-    ``runs`` holds each share's row run for matvec_into, views of one int32
-    copy of the pattern (int64 if nnz needs it; half the int64 pattern's
-    bytes) and of matrix.values, so later in-place changes of the values
+    ``runs`` holds each share's row run for matvec_into, views of the
+    matrix's own pattern and values, so later in-place changes of the values
     (Dirichlet elimination) are what the solve sees, and so are the diagonal
     entries the loop gathers through matrix.diagonal_slots.
 
@@ -241,9 +247,7 @@ class CgShares:
             )
         self.work = CgWork(n, alloc, len(self.bounds) - 1)
         self.fixed = None
-        index = np.int32 if matrix.nnz <= np.iinfo(np.int32).max else np.int64
-        offsets, indices = (a.astype(index) for a in (matrix.row_offsets, matrix.column_indices))
-        self.runs = [(offsets[lo : hi + 1], indices, matrix.values)
+        self.runs = [(matrix.row_offsets[lo : hi + 1], matrix.column_indices, matrix.values)
                      for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.diagonal_slots = matrix.diagonal_slots
         self._run = run

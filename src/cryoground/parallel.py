@@ -30,6 +30,7 @@ pickled), and callers fall back to serial execution.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import mmap
 import multiprocessing
@@ -65,6 +66,16 @@ def pool_available() -> bool:
     """Whether ForkPool can run here: fork exists and the CPU orders the
     shared-flag stores and loads as the pool needs (x86 and x86-64)."""
     return fork_available() and platform.machine().lower() in _ORDERED_MACHINES
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of Linux's
+    /proc/self/stat), or None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def usable_cpus() -> int:
@@ -146,7 +157,11 @@ class ForkPool:
     worker processes; the calling process runs the last share itself
     instead of idling.  Shares communicate results through shared arrays
     created with shared_array() before the pool is constructed, and may meet
-    inside a task at ``sync.barrier(w)``.
+    inside a task at ``sync.barrier(w)``.  Each worker pins itself to a
+    usable CPU other than the one the calling process runs on when the
+    pool starts, where there is one: two shares on one CPU take turns at
+    every barrier, and a scheduler that does not balance load (as in some
+    containers) leaves them so for the whole run.
     """
 
     @staticmethod
@@ -179,9 +194,13 @@ class ForkPool:
         self._procs = []
         self._cmd_w = []
         ctx = multiprocessing.get_context("fork")
+        # the usable CPUs other than the caller's, where a process can be pinned
+        caller = _current_cpu() if hasattr(os, "sched_setaffinity") else None
+        cpus = [] if caller is None else sorted(os.sched_getaffinity(0) - {caller})
         for w in range(self._nworkers - 1):
             cmd_r, cmd_w = os.pipe()
-            proc = ctx.Process(target=self._worker_main, args=(w, cmd_r, cmd_w), daemon=True)
+            cpu = cpus[w % len(cpus)] if cpus else None
+            proc = ctx.Process(target=self._worker_main, args=(w, cmd_r, cmd_w, cpu), daemon=True)
             proc.start()
             os.close(cmd_r)
             self._procs.append(proc)
@@ -192,7 +211,7 @@ class ForkPool:
             self, ForkPool._cleanup, self.sync, self._procs, self._cmd_w
         )
 
-    def _worker_main(self, w: int, cmd_r: int, cmd_w: int):
+    def _worker_main(self, w: int, cmd_r: int, cmd_w: int, cpu: int | None):
         # child: drop the inherited parent-side descriptors, its own pipe's
         # write end included, so that the read below sees end-of-file once
         # the parent is gone
@@ -201,6 +220,9 @@ class ForkPool:
                 os.close(fd)
             except OSError:
                 pass
+        if cpu is not None:
+            with contextlib.suppress(OSError):  # a CPU taken away meanwhile
+                os.sched_setaffinity(0, {cpu})
         sync = self.sync
         parent = os.getppid()
         sync.check_peers = lambda: os.getppid() == parent

@@ -175,12 +175,13 @@ def full_sort_setup(mesh: Mesh, table: MaterialTable) -> dict:
     rows, cols = keys // n, keys % n
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
+    pattern = CsrMatrix(row_offsets, cols, np.zeros(len(cols)))  # in the width it picks
     fixed = np.zeros(m)
     for tag, lam in lam_const.items():
         fixed[column[mesh.cell_region == tag]] = lam
     return {
-        "row_offsets": row_offsets,
-        "column_indices": cols,
+        "row_offsets": pattern.row_offsets,
+        "column_indices": pattern.column_indices,
         "diag_slots": np.flatnonzero(cols == rows),
         "gk": leading_columns(gk, mv),
         "k_const": gk @ fixed,

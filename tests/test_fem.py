@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cryoground.fem as fem
+import cryoground.linalg as linalg
 from cryoground.fem import (
     Assembler,
     DirichletPlan,
@@ -161,7 +163,7 @@ class TestAssemble:
         field = rng.uniform(-10, 10, unit_box.n_nodes)
         asm = Assembler(unit_box, soil_table)
         kv = stiffness_values(asm, field)
-        k = CsrMatrix(asm.row_offsets, asm.column_indices, kv)
+        k = CsrMatrix(asm.pattern.row_offsets, asm.pattern.column_indices, kv)
         kd = scipy_view(k).toarray()
         assert np.abs(kd - kd.T).max() == 0.0
         scale = np.abs(kd).max()
@@ -262,9 +264,9 @@ class TestAssemble:
             try:
                 bounds = asm.assemble(field, 3600.0, reuse_buffers=True).matrix.shares.bounds
                 plans, shares, *_ = asm._serial if nw == 1 else asm._pooled
-                assert bounds == shares.bounds == share_bounds(asm.row_offsets, nw)
+                assert bounds == shares.bounds == share_bounds(asm.pattern.row_offsets, nw)
                 assert len(bounds) == nw + 1 and np.all(np.diff(bounds) > 0)
-                offsets = asm.row_offsets
+                offsets = asm.pattern.row_offsets
                 for plan, lo, hi in zip(plans, bounds[:-1], bounds[1:], strict=True):
                     assert plan.rows == slice(lo, hi)
                     assert plan.slots == slice(int(offsets[lo]), int(offsets[hi]))
@@ -768,8 +770,9 @@ class TestSetup:
         field = case.exact(mesh.nodes, 0.0)
         system = asm.assemble(field, tau=0.1 / 32, source=case.source(mesh.nodes, 0.0))
         got = {
-            "row_offsets": asm.row_offsets,
-            "column_indices": asm.column_indices,
+            # the index bytes of the int64 pattern the digests were recorded from
+            "row_offsets": asm.pattern.row_offsets.astype(np.int64),
+            "column_indices": asm.pattern.column_indices.astype(np.int64),
             "node_volumes": asm.node_volumes,
             "capacity": asm.capacity_diagonal(field),
             "matrix": system.matrix.values,
@@ -831,8 +834,8 @@ class TestSetup:
         wide = Assembler(mesh, table)
         assert key_dtypes == [np.int32, np.int64]
         pairs = {
-            "row_offsets": (narrow.row_offsets, wide.row_offsets),
-            "column_indices": (narrow.column_indices, wide.column_indices),
+            "row_offsets": (narrow.pattern.row_offsets, wide.pattern.row_offsets),
+            "column_indices": (narrow.pattern.column_indices, wide.pattern.column_indices),
             "diag_slots": (narrow.pattern.diagonal_slots, wide.pattern.diagonal_slots),
             "G_K data": (narrow._gk.data, wide._gk.data),
             "G_K indices": (narrow._gk.indices, wide._gk.indices),
@@ -848,6 +851,45 @@ class TestSetup:
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
         assert narrow._gk.shape == wide._gk.shape and narrow._gm.shape == wide._gm.shape
+
+    @pytest.mark.parametrize(
+        "workers",
+        [1, pytest.param(2, marks=pytest.mark.skipif(not pool_available(), reason="no pool"))],
+    )
+    def test_pattern_width_moves_no_bit(self, workers, monkeypatch):
+        """An int64 pattern, forced through linalg's limit, gives the int32
+        pattern's A, b, Dirichlet positions, solution and CG iterations bit
+        for bit, and every CG share's row run views the matrix's own
+        pattern arrays (no index copy)."""
+        monkeypatch.setattr(fem, "usable_cpus", lambda: 2)
+        mesh, table = lumpy_mesh(), default_materials()
+        field = np.random.default_rng(36).uniform(-2.0, 2.0, mesh.n_nodes)
+        top = nodes_for_tags(mesh, [6])
+        got = {}
+        for limit in (linalg._INT32_NNZ, 0):
+            monkeypatch.setattr(linalg, "_INT32_NNZ", limit)
+            asm = Assembler(mesh, table, workers=workers)
+            try:
+                plan = DirichletPlan(asm.pattern, top)
+                system = asm.assemble(
+                    field, 3600.0, reuse_buffers=True, constraints=(plan, np.full(len(top), 1.5))
+                )
+                m = system.matrix
+                assert len(m.shares.runs) == workers
+                for offsets, indices, values in m.shares.runs:
+                    assert np.shares_memory(offsets, m.row_offsets)
+                    assert indices is m.column_indices and values is m.values
+                x, report = cg_solve(m, system.rhs, tol=1e-12)
+                got[m.column_indices.dtype.type] = [
+                    m.values.copy(), system.rhs.copy(), x, np.array(report.iterations),
+                    plan._row_positions, plan._sym_positions, plan._diag_positions,
+                    *plan._correction, plan._correction_rows,
+                ]
+            finally:
+                asm.close()
+        assert m.row_offsets.dtype == np.int64 and list(got) == [np.int32, np.int64]
+        for a, b in zip(got[np.int32], got[np.int64], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("block", [fem._GEOMETRY_BLOCK, 7])
     @pytest.mark.parametrize(
@@ -874,8 +916,8 @@ class TestSetup:
         kmat = ref["element_matrices"]
         assert np.array_equal(kmat, kmat.transpose(0, 2, 1))
         pairs = {
-            "row_offsets": (asm.row_offsets, ref["row_offsets"]),
-            "column_indices": (asm.column_indices, ref["column_indices"]),
+            "row_offsets": (asm.pattern.row_offsets, ref["row_offsets"]),
+            "column_indices": (asm.pattern.column_indices, ref["column_indices"]),
             "diag_slots": (asm.pattern.diagonal_slots, ref["diag_slots"]),
             "G_K indptr": (asm._gk.indptr, ref["gk"].indptr),
             "G_K indices": (asm._gk.indices, ref["gk"].indices),
@@ -1123,7 +1165,8 @@ class TestApplyDirichlet:
             asm.assemble(field, 1.0, constraints=(plan, np.ones(2)))
         with pytest.raises(FemError, match="another sparsity pattern"):
             plan.apply(asm.assemble(field, 1.0), np.ones(2))
-        copied = CsrMatrix(asm.row_offsets.copy(), asm.column_indices.copy(), np.zeros(asm.nnz))
+        pattern = asm.pattern
+        copied = CsrMatrix(pattern.row_offsets.copy(), pattern.column_indices.copy(), pattern.values)
         got = asm.assemble(field, 1.0, constraints=(DirichletPlan(copied, np.array([0, 5])), np.ones(2)))
         want = asm.assemble(field, 1.0)
         DirichletPlan(asm.pattern, np.array([0, 5])).apply(want, np.ones(2))
@@ -1153,6 +1196,23 @@ class TestApplyDirichlet:
         assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
         assert got.rhs.tobytes() == want.rhs.tobytes()
 
+
+    def test_plan_keys_do_not_wrap_past_46340_nodes(self, monkeypatch):
+        """On an int32 pattern of 50,000 nodes (int32 column * n wraps past
+        46,340) a plan builds and eliminates as on the int64 pattern."""
+        n = 50_000
+        tri = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        nodes = np.array([0, 17, 46_341, 49_998, 49_999])
+        rhs = np.random.default_rng(37).standard_normal(n)
+        got = {}
+        for limit in (linalg._INT32_NNZ, 0):
+            monkeypatch.setattr(linalg, "_INT32_NNZ", limit)
+            system = LinearSystem(CsrMatrix(tri.indptr, tri.indices, tri.data.copy()), rhs.copy())
+            DirichletPlan(system.matrix, nodes).apply(system, np.arange(5.0))
+            got[system.matrix.column_indices.dtype.type] = system.matrix.values, system.rhs
+        assert list(got) == [np.int32, np.int64]
+        for a, b in zip(got[np.int32], got[np.int64], strict=True):
+            assert a.tobytes() == b.tobytes()
 
 class TestMaximumPrinciple:
     def test_one_step_stays_in_bounds(self, plain_table):

@@ -66,16 +66,48 @@ class TestCsrMatrix:
     @pytest.mark.parametrize(
         "columns, error, message",
         [
-            ([0, 0, 0], SpdViolationError, "at row 1"),  # (0, 0) twice, no (1, 1)
-            ([0, 0, 1], LinalgError, "row 0 stores its diagonal entry twice"),
+            ([0, 0, 0], LinalgError, "row 0 are not strictly increasing"),  # no (1, 1) either
+            ([0, 0, 1], LinalgError, "row 0 are not strictly increasing"),
         ],
         ids=["twice-and-none", "twice"],
     )
     def test_diagonal_stored_once_in_every_row(self, columns, error, message):
         """Built directly (csr() would sum the duplicates): row 0 stores
-        (0, 0) twice, so counting diagonal entries is not enough."""
+        (0, 0) twice, which the check of strictly increasing columns
+        rejects before the diagonal entries are counted."""
         with pytest.raises(error, match=message):
             CsrMatrix(np.array([0, 2, 3]), np.array(columns), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ([0, 5, 0, 1], r"column index outside \[0, 2\)"),  # cg_solve read past x
+            ([0, -1, 0, 1], r"column index outside \[0, 2\)"),
+            ([0, 2**32 + 1, 0, 1], r"column index outside \[0, 2\)"),  # 1 once narrowed to int32
+            ([0, 1, 1, 0], "columns of row 1 are not strictly increasing"),
+        ],
+        ids=["past-n", "negative", "wraps-in-int32", "descending"],
+    )
+    def test_malformed_columns_rejected(self, columns, message):
+        """Columns outside [0, n) or not strictly increasing within a row
+        are rejected, checked on the given array before it is narrowed."""
+        with pytest.raises(LinalgError, match=message):
+            CsrMatrix([0, 2, 4], np.array(columns), [2.0, 1e300, 0.5, 2.0])
+
+    def test_index_width_picked_from_nnz(self, monkeypatch):
+        """The pattern is int32 where nnz fits (whatever width it is given
+        in) and int64 beyond the limit; a pattern already of the width is
+        kept, not copied."""
+        offsets, cols = np.array([0, 2, 4]), np.array([0, 1, 0, 1])
+        narrow = CsrMatrix(offsets, cols, np.ones(4))
+        assert narrow.row_offsets.dtype == narrow.column_indices.dtype == np.int32
+        assert CsrMatrix(narrow.row_offsets, narrow.column_indices, np.ones(4)).column_indices is (
+            narrow.column_indices
+        )
+        monkeypatch.setattr(linalg, "_INT32_NNZ", 3)
+        wide = CsrMatrix(narrow.row_offsets, narrow.column_indices, np.ones(4))
+        assert wide.row_offsets.dtype == wide.column_indices.dtype == np.int64
+        assert np.array_equal(wide.column_indices, cols)
 
 
 class TestSpmv:

@@ -6,6 +6,7 @@ import pytest
 
 import cryoground.fem as fem
 import cryoground.linalg as linalg
+import cryoground.parallel as parallel
 from cryoground.fem import Assembler
 from cryoground.linalg import cg_solve
 from cryoground.mesh import BoxMeshSpec, generate_box
@@ -26,6 +27,44 @@ def test_shared_array_visible_to_workers():
     pool.dispatch()
     pool.close()
     assert arr[:4].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or parallel._current_cpu() is None
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs 2 usable CPUs and the CPU a process runs on",
+)
+def test_workers_pinned_off_the_callers_cpu(monkeypatch):
+    """Each worker runs on one usable CPU, not the one the calling process
+    ran on when the pool started (read once here, and by the pool)."""
+    caller = parallel._current_cpu()
+    monkeypatch.setattr(parallel, "_current_cpu", lambda: caller)
+    pool = ForkPool(3, lambda w: None)
+    try:
+        pool.dispatch()  # a worker pins itself before its first task
+        pinned = [os.sched_getaffinity(p.pid) for p in pool._procs]
+    finally:
+        pool.close()
+    for cpus in pinned:
+        assert len(cpus) == 1 and caller not in cpus and cpus <= os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("case", ["one-cpu", "cpu-unknown"])
+def test_workers_not_pinned_without_another_cpu(case, monkeypatch):
+    """Where the calling process may run on one CPU only, or its CPU cannot
+    be read, a worker keeps the affinity it was forked with."""
+    own, affinity = os.sched_getaffinity(0), os.sched_getaffinity
+    cpu = min(own)
+    monkeypatch.setattr(parallel, "_current_cpu", lambda: None if case == "cpu-unknown" else cpu)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
+    pool = ForkPool(2, lambda w: None)
+    try:
+        pool.dispatch()
+        assert affinity(pool._procs[0].pid) == own
+    finally:
+        pool.close()
 
 
 def test_repeated_dispatch_accumulates():

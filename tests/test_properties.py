@@ -30,7 +30,7 @@ def test_box_stiffness_offdiagonals_nonpositive(divisions, extents):
     mesh = generate_box(BoxMeshSpec(extents, divisions))
     asm = Assembler(mesh, PLAIN)
     kv = stiffness_values(asm, np.zeros(mesh.n_nodes))
-    k = CsrMatrix(asm.row_offsets, asm.column_indices, kv)
+    k = CsrMatrix(asm.pattern.row_offsets, asm.pattern.column_indices, kv)
     rows = np.repeat(np.arange(k.n), np.diff(k.row_offsets))
     off = k.values[rows != k.column_indices]
     assert off.max() <= 1e-12 * np.abs(k.values).max()
