@@ -41,11 +41,13 @@ What a step keeps, and what drops it:
   cells' keys and that plan stay: no law, no products, and only the rhs
   is corrected, from the coupling A_ji its free rows j stored then;
 - the CG's inverse diagonal and A x of the last solution, while its rows
-  stay and x0 equals that solution off the constrained (identity) rows.
+  stay and x0 equals that solution, whose constrained (identity) rows and
+  their A x each call sets to its constraint values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +55,7 @@ import scipy.sparse as _sp
 
 from .linalg import CgShares, CsrMatrix, matvec_into, share_bounds
 from .mesh import _GEOMETRY_BLOCK, Mesh, _adjugate, _volumes
-from .parallel import ForkPool, ShareSync, WorkerFailure, pool_available, usable_cpus
+from .parallel import ForkPool, ShareSync, pool_available, usable_cpus
 from .physics import (
     MaterialTable, apparent_coefficients, band_limits, frozen_thawed_coeffs, node_limits
 )
@@ -192,18 +194,27 @@ class _FillPlan:
 
 
 @dataclass(eq=False)
-class _Kept:
-    """What a layout keeps across steps: the record of its last fill (see
-    Assembler._rekey), whose keys of the phase-change cells the shares read,
-    and the DirichletPlan its A buffer holds eliminated (None: none) with
-    the coupling values that elimination read.  A dropped record, as a new
-    one, has every node moved (class -1) and every key and tau NaN."""
+class _Layout:
+    """A step in row shares (see Assembler._run) and what it keeps: fill
+    plan w fills the rows of CG share w of its system; the record of its
+    last fill (see Assembler._rekey), whose keys of the phase-change cells
+    the shares read; and the DirichletPlan its A holds eliminated (None:
+    none) with the coupling values that elimination read.  A dropped
+    record, as a new one, has every node moved (class -1) and every key and
+    tau NaN."""
 
+    plans: list
+    shares: CgShares
+    system: LinearSystem
+    m_tau: np.ndarray  # M/tau of all rows, which the plans' m_tau view
     classes: np.ndarray
     keys: np.ndarray
     retest: np.ndarray  # the uncertain cells, whose nodes are not all of class 0 or all 2
+    command: np.ndarray  # (command, tau or tol, max_iter) of a share task (see _run)
+    sync: ShareSync | None = None  # with more than one share, made before the pool forks
+    pool: ForkPool | None = None
     tau: float = np.nan
-    plan: object = None
+    dplan: object = None
     coupling: np.ndarray | None = None
 
     def drop(self):
@@ -389,30 +400,26 @@ class Assembler:
         self._limits = band_limits(table.phase)
         self._node_limits = node_limits(table.phase)
 
-        self._serial = self._pooled = None  # the steps' layouts (see _layout)
-        self._pool: ForkPool | None = None
+        self._serial = self._pooled = None  # the steps' layouts (see _layout_for)
 
     # -- per-step fill -----------------------------------------------------
 
-    def _fill(self, plan: _FillPlan, tau: float, bufs):
-        """A = K + M/tau and M/tau on the plan's rows, at the record's keys,
-        where its share is flagged to refill (see assemble), else nothing.
+    def _fill(self, layout: _Layout, plan: _FillPlan, tau: float):
+        """A = K + M/tau and M/tau on the plan's rows of the layout, at its
+        record's keys, unless its CG share keeps them (see _rekey).
 
-        ``bufs`` is (A, M/tau of all rows, the record's keys, refill flags
-        per share).  The law runs on the plan's cells' keys (see _rekey),
-        and the products, which read only its own cells of the cell
-        buffers, write its rows of A in place; the constant cells' share is
-        added to them."""
-        a_out, _, keys, refill = bufs
-        if not refill[plan.share]:
+        The law runs on the plan's cells' keys (see _rekey), and the
+        products, which read only its own cells of the cell buffers, write
+        its rows of A in place; the constant cells' share is added to them."""
+        if layout.shares.work.kept[plan.share]:
             return
         cells, slots, rows = plan.cells, plan.slots, plan.rows
-        a = a_out[slots]
+        a = layout.shares.values[slots]
         # single-phase cells are constant, so every phase-change cell is
         # freezing-porous and carries the phase model's latent heat
         model = self.table.phase
         apparent_coefficients(
-            keys[cells], model, *self._law[:, cells], model.latent_volumetric,
+            layout.keys[cells], model, *self._law[:, cells], model.latent_volumetric,
             out=(self._c[cells], self._lam[cells], *self._band[:, cells]),
         )
         matvec_into(*_rows_of(self._gk, slots), self._lam, a)
@@ -422,9 +429,9 @@ class Assembler:
         plan.m_tau /= tau
         a[plan.diag] += plan.m_tau
 
-    def _rekey(self, plans, kept: _Kept, t_prev: np.ndarray, tau: float, refill: np.ndarray):
-        """Bring the layout's record to t_prev and tau, and flag each plan
-        whose tau or a key in whose cell span changed (see _fill).
+    def _rekey(self, layout: _Layout, t_prev: np.ndarray, tau: float):
+        """Bring the layout's record to t_prev and tau; a CG share keeps its
+        rows (see _fill) unless tau or a key in its plan's cell span changed.
 
         Node classes are 0 at or below physics.node_limits, 2 at or above
         and 1 between.  A cell whose nodes are all of class 0 (2) has key lo
@@ -435,17 +442,18 @@ class Assembler:
         order: the full product's bits."""
         lo_n, hi_n = self._node_limits
         classes = (t_prev > lo_n).view(np.int8) + (t_prev >= hi_n).view(np.int8)
-        moved = np.flatnonzero(classes != kept.classes)
-        kept.classes = classes
-        refill[:] = tau != kept.tau
-        kept.tau = tau
-        cells = kept.retest
+        moved = np.flatnonzero(classes != layout.classes)
+        layout.classes = classes
+        kept = layout.shares.work.kept
+        kept[:] = tau == layout.tau
+        layout.tau = tau
+        cells = layout.retest
         if len(moved):
             starts, stops = self._gm.indptr[moved], self._gm.indptr[moved + 1]
             runs = stops - starts
             ends = np.cumsum(runs, dtype=np.int32)
             entries = np.arange(ends[-1], dtype=np.int32) + np.repeat(stops - ends, runs)
-            touched = np.zeros(len(kept.keys), dtype=bool)
+            touched = np.zeros(len(layout.keys), dtype=bool)
             touched[cells] = True
             touched[self._gm.indices[entries]] = True
             cells = np.flatnonzero(touched)
@@ -456,16 +464,16 @@ class Assembler:
                 # a cell's four node classes read as one int32: 0 when all
                 # are of class 0, 0x02020202 when all are of class 2
                 quads = np.take(classes, nodes).view(np.int32).ravel()
-                kept.retest = cells[(quads != 0) & (quads != 0x02020202)]
+                layout.retest = cells[(quads != 0) & (quads != 0x02020202)]
             # C is built with 4 entries of 0.25 a row, so the gathered rows
             # take the offsets and weights of its first len(cells) rows
             keys = np.empty(len(cells))
             matvec_into(c.indptr[: len(cells) + 1], nodes.ravel(), c.data, t_prev, keys)
             np.clip(keys, *self._limits, out=keys)
-            changed = keys != np.take(kept.keys, cells)
-            kept.keys[cells] = keys
-            spans = np.searchsorted(cells, [(p.cells.start, p.cells.stop) for p in plans])
-            refill[[changed[a:b].any() for a, b in spans]] = 1.0
+            changed = keys != np.take(layout.keys, cells)
+            layout.keys[cells] = keys
+            spans = np.searchsorted(cells, [(p.cells.start, p.cells.stop) for p in layout.plans])
+            kept[[changed[a:b].any() for a, b in spans]] = 0.0
 
     # -- assembly ----------------------------------------------------------
 
@@ -501,23 +509,65 @@ class Assembler:
         nw = min(nw, self._cpus)
         return nw if pool_available() else 1
 
-    def _layout(self, nw: int):
-        """(fill plans, CgShares, buffers (see _fill), _Kept, the system the
-        buffers hold) of the step in nw row shares, cut by
-        linalg.share_bounds: plan w fills the rows of CG share w.  One share
-        fills into np.zeros buffers, more into shared memory forked shares
-        see."""
-        alloc, run = (np.zeros, None) if nw == 1 else (ForkPool.shared_array, self._run_cg)
+    def _layout(self, nw: int) -> _Layout:
+        """The step in the nw row shares of linalg.share_bounds, with a new
+        record, in np.zeros buffers for one share, else in shared memory: the
+        layout, with its ShareSync and command slots, exists before its pool
+        forks.  One share solves in CgShares itself, so that no cycle through
+        this assembler outlives a serial layout's last use (a pool holds one)."""
+        alloc = np.zeros if nw == 1 else ForkPool.shared_array
         bounds = share_bounds(self.pattern.row_offsets, nw)
+        run = None if nw == 1 else (lambda tol, max_iter: self._run(layout, _CG, tol, max_iter))
         shares = CgShares(self.pattern.with_values(alloc(self.nnz)), bounds, alloc, run)
-        n = self.mesh.n_nodes
-        m_tau = alloc(n)
-        plans = [self._plan(w, r0, r1, m_tau) for w, (r0, r1) in enumerate(zip(bounds, bounds[1:]))]
-        kept = _Kept(np.empty(n, dtype=np.int8), alloc(self._cmean.shape[0]), np.empty(0, int))
-        kept.drop()
-        bufs = shares.values, m_tau, kept.keys, alloc(nw)
-        system = LinearSystem(self.pattern.with_values(shares.values, shares), shares.work.rhs)
-        return plans, shares, bufs, kept, system
+        m_tau = alloc(self.mesh.n_nodes)
+        layout = _Layout(
+            [self._plan(w, r0, r1, m_tau) for w, (r0, r1) in enumerate(zip(bounds, bounds[1:]))],
+            shares, LinearSystem(self.pattern.with_values(shares.values, shares), shares.work.rhs),
+            m_tau, np.empty(len(m_tau), dtype=np.int8), alloc(self._cmean.shape[0]),
+            np.empty(0, int), alloc(3), None if nw == 1 else ShareSync(nw),
+        )
+        layout.drop()
+        if nw > 1:
+            layout.pool = ForkPool(nw, functools.partial(self._share_task, layout), layout.sync)
+        return layout
+
+    def _plan(self, share: int, r0: int, r1: int, m_tau: np.ndarray):
+        """The fill plan of matrix rows [r0, r1), CG share ``share``, whose
+        M/tau is those rows of ``m_tau`` (see _fill)."""
+        touched = self._gm.indices[self._gm.indptr[r0] : self._gm.indptr[r1]]
+        c0, c1 = (int(touched.min()), int(touched.max()) + 1) if len(touched) else (0, 0)
+        s0, s1 = self.pattern.row_offsets[[r0, r1]].tolist()
+        return _FillPlan(
+            share, slice(c0, c1), slice(s0, s1), slice(r0, r1),
+            self.pattern.diagonal_slots[r0:r1] - s0, m_tau[r0:r1],
+        )
+
+    def _layout_for(self, nw: int) -> _Layout:
+        """The serial layout or the pooled one of nw shares, built on first
+        use and again for a pool that closed (as a dead worker's next
+        dispatch does) or had another share count."""
+        if nw == 1:
+            self._serial = self._serial or self._layout(1)
+            return self._serial
+        if self._pooled is None or self._pooled.pool.closed or len(self._pooled.plans) != nw:
+            self.close()
+            self._pooled = self._layout(nw)
+        return self._pooled
+
+    def _run(self, layout: _Layout, command: float, arg: float, arg2: float = 0.0):
+        """Run ``command`` on every share of the layout (see _share_task), in
+        the calling process for one share, else through its pool; returns the
+        calling process's result."""
+        layout.command[:] = (command, arg, arg2)
+        if layout.pool is None:
+            return self._share_task(layout, 0)
+        return layout.pool.dispatch()
+
+    def _share_task(self, layout: _Layout, w: int):
+        command, arg, arg2 = layout.command
+        if command == _FILL:
+            return self._fill(layout, layout.plans[w], arg)
+        return layout.shares.share(w, float(arg), int(arg2), lambda: layout.sync.barrier(w))
 
     def assemble(
         self,
@@ -548,101 +598,54 @@ class Assembler:
                 raise FemError(f"source shape {source.shape} does not match node count")
             if not np.isfinite(source).all():
                 raise FemError("source contains non-finite values")
-        nw = self.effective_workers(workers)
-        if nw > 1:
-            self._ensure_pool(nw)
-        elif self._serial is None:
-            self._serial = self._layout(1)
-        layout = self._pooled if nw > 1 else self._serial
-        plans, shares, bufs, kept, system = layout
+        layout = self._layout_for(self.effective_workers(workers))
+        system, work = layout.system, layout.shares.work
         dplan, g = constraints or (None, None)
         if dplan is not None:
             g = dplan._checked(system.matrix, g)
-        a_vals, m_tau, _, refill = bufs
-        work = shares.work
         try:
-            self._rekey(plans, kept, t_prev, tau, refill)
-            if kept.plan is not dplan:
-                refill[:] = 1.0  # the rows hold another elimination, or none
-            if nw == 1:
-                self._fill(plans[0], float(tau), bufs)
-            elif refill.any():
-                self._cmd[:2] = (_FILL, tau)
-                self._pool.dispatch()
-            # the CG shares keep what depends only on rows no plan refilled
-            work.kept[:] = refill == 0.0
-            work.valid[refill != 0.0] = 0.0
-            rhs = np.multiply(m_tau, t_prev, out=work.rhs)
+            self._rekey(layout, t_prev, tau)
+            if layout.dplan is not dplan:
+                work.kept[:] = 0.0  # the rows hold another elimination, or none
+            if not work.kept.all():
+                self._run(layout, _FILL, tau)
+            work.valid[work.kept == 0.0] = 0.0  # the last solve is not of these rows
+            rhs = np.multiply(layout.m_tau, t_prev, out=work.rhs)
             if source is not None:
                 rhs += self.node_volumes * source
             if dplan is not None:
-                self._eliminate(plans, work, kept, system, dplan, g)
-            kept.plan = dplan
-            shares.fixed = np.empty(0, int) if dplan is None else dplan.nodes
+                self._eliminate(layout, dplan, g)
+                # identity rows: the CG's last solution and its A x take g (a
+                # product sums from +0.0, so -0.0 gives +0.0), as x0 does
+                work.x[dplan.nodes] = g
+                work.ax[dplan.nodes] = g + 0.0
+            layout.dplan = dplan
         except BaseException:
-            kept.drop()  # rows cut short by an error must not be reused
+            layout.drop()  # rows cut short by an error must not be reused
             raise
         if reuse_buffers:
             return system
-        return LinearSystem(self.pattern.with_values(a_vals.copy()), rhs.copy())
+        return LinearSystem(self.pattern.with_values(system.matrix.values.copy()), rhs.copy())
 
-    def _eliminate(self, plans, work, kept, system: LinearSystem, dplan, g: np.ndarray):
+    def _eliminate(self, layout: _Layout, dplan, g: np.ndarray):
         """DirichletPlan.apply on the layout's system, keeping the coupling
         values (A_ji, j free, i constrained) it reads.  Each share that
         refilled its rows (see _fill; all of them on a full elimination)
         eliminates them, reading the coupling they store; the rhs correction
         takes it all."""
-        if not work.kept.any():
-            kept.coupling = np.empty(len(dplan._sym_positions))
-        for plan in plans:
-            if not work.kept[plan.share]:
-                dplan._eliminate_slots(system.matrix.values, kept.coupling, plan.slots)
-        dplan._correct(system.rhs, g, kept.coupling)
+        kept = layout.shares.work.kept
+        if not kept.any():
+            layout.coupling = np.empty(len(dplan._sym_positions))
+        for plan in layout.plans:
+            if not kept[plan.share]:
+                dplan._eliminate_slots(layout.shares.values, layout.coupling, plan.slots)
+        dplan._correct(layout.system.rhs, g, layout.coupling)
 
     # -- worker pool -------------------------------------------------------
 
-    def _ensure_pool(self, nw: int):
-        # a worker that died since the last dispatch fails the next one, which
-        # closes the pool; the next assemble() then builds a new one
-        if self._pool is not None and len(self._pooled[0]) == nw and not self._pool.closed:
-            return
-        self.close()
-        self._pooled = self._layout(nw)
-        self._cmd = ForkPool.shared_array(3)  # (command, tau or tol, max_iter)
-        self._sync = ShareSync(nw)
-        self._pool = ForkPool(nw, self._share_task, self._sync)
-
-    def _plan(self, share: int, r0: int, r1: int, m_tau: np.ndarray):
-        """The fill plan of matrix rows [r0, r1), CG share ``share``, whose
-        M/tau is those rows of ``m_tau`` (see _fill)."""
-        touched = self._gm.indices[self._gm.indptr[r0] : self._gm.indptr[r1]]
-        c0, c1 = (int(touched.min()), int(touched.max()) + 1) if len(touched) else (0, 0)
-        s0, s1 = self.pattern.row_offsets[[r0, r1]].tolist()
-        return _FillPlan(
-            share, slice(c0, c1), slice(s0, s1), slice(r0, r1),
-            self.pattern.diagonal_slots[r0:r1] - s0, m_tau[r0:r1],
-        )
-
-    def _share_task(self, w: int):
-        command, arg, arg2 = self._cmd
-        plans, shares, bufs = self._pooled[:3]
-        if command == _FILL:
-            self._fill(plans[w], arg, bufs)
-        else:
-            barrier = self._sync.barrier
-            self._cg_result = shares.share(w, float(arg), int(arg2), lambda: barrier(w))
-
-    def _run_cg(self, tol: float, max_iter: int):
-        if self._pool is None:
-            raise WorkerFailure("pool is closed")
-        self._cmd[:] = (_CG, tol, max_iter)
-        self._pool.dispatch()
-        return self._cg_result
-
     def close(self):
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        if self._pooled is not None:
+            self._pooled.pool.close()
 
     def __del__(self):
         try:
@@ -678,7 +681,10 @@ class DirichletPlan:
 
     def __init__(self, matrix: CsrMatrix, nodes: np.ndarray):
         n = np.int64(matrix.n)  # keys in int64: an int32 column * n wraps past 46,340 nodes
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.asarray(nodes)
+        if nodes.dtype.kind not in "iu":  # a cast would truncate 1.7 to node 1
+            raise FemError(f"constraint nodes must be integers, got dtype {nodes.dtype}")
+        nodes = nodes.astype(np.int64)
         if nodes.ndim != 1 or (np.diff(nodes) <= 0).any():
             raise FemError("constraint nodes must be strictly increasing (unique)")
         if len(nodes) and (nodes[0] < 0 or nodes[-1] >= n):

@@ -24,8 +24,8 @@ environment.
 
 A share whose rows did not change since the last solve keeps its inverse
 diagonal and the product A x of that solve's solution, its start residual
-while x0 equals that solution off the constrained rows; a failed solve,
-rewritten rows or a solve without their owner's word drop them (CgShares).
+while x0 is that solution bit for bit; a failed solve, rewritten rows or a
+solve without their owner's word drop them (CgShares).
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ class CgShares:
     gives them; the default is one share.  solve() runs share() for
     every share: in the calling process by default, or through ``run(tol,
     max_iter)``, which an owner of worker processes (fem.Assembler) passes
-    to run the shares concurrently and return the result of one of them.
+    to run the shares concurrently and return the calling process's result.
     ``runs`` holds each share's row run for matvec_into, views of the
     matrix's own pattern and values, so later in-place changes of the values
     (Dirichlet elimination) are what the solve sees, and so are the diagonal
@@ -225,9 +225,9 @@ class CgShares:
 
     A share whose rows did not change since the last solve may keep what
     depends only on them.  Their owner says so before a solve by setting
-    work.kept[s] (a solve consumes the flags), and names in ``fixed`` the
-    rows whose x0 may differ from that solve's solution: identity rows (the
-    constrained ones), where A x0 is x0; cg_solve checks the other rows.
+    work.kept[s] (a solve consumes the flags); an owner that changes rows
+    of the last solution w.x sets w.ax there to their product (fem.Assembler
+    sets both on the constrained, identity rows).
     """
 
     def __init__(self, matrix: CsrMatrix, bounds=None, alloc=np.zeros, run=None):
@@ -246,7 +246,6 @@ class CgShares:
                 f"multiples of {DOT_CHUNK}"
             )
         self.work = CgWork(n, alloc, len(self.bounds) - 1)
-        self.fixed = None
         self.runs = [(matrix.row_offsets[lo : hi + 1], matrix.column_indices, matrix.values)
                      for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.diagonal_slots = matrix.diagonal_slots
@@ -306,7 +305,7 @@ class CgShares:
 
         Where work.kept[s] is set and the last solve completed, the share
         keeps its inverse diagonal, and with work.start_kept also A x0 in
-        w.ax (cg_solve has written its fixed rows), so it forms no product.
+        w.ax (x0 is that solve's solution bit for bit), so it forms no product.
         """
         w, a_rows, lo, hi = self.work, self.runs[s], self.bounds[s], self.bounds[s + 1]
         if s not in self._views:
@@ -441,22 +440,26 @@ def cg_solve(
     one for b = 0.  Non-convergence within max_iter is reported, not
     raised; a non-positive diagonal entry ("non-positive diagonal entry
     ... at row i", CsrMatrix's error for a row that stores none) or
-    p^T A p raises SpdViolationError.  A matrix that carries CgShares over
-    its own values (the assembler's) is solved in those shares; any other
-    in one share.  ``b`` may be the shares' own w.rhs (the assembler writes
-    its rhs there), which is then not copied.  Shares that kept their rows
-    (see CgShares) start from their kept A x when x0 equals the last
-    solution off the fixed (identity) rows, checked here.
+    p^T A p raises SpdViolationError, and a non-finite b or x0 or a tol
+    that is not finite and > 0 raises LinalgError.  A matrix that carries
+    CgShares over its own values (the assembler's) is solved in those
+    shares; any other in one share.  ``b`` may be the shares' own w.rhs
+    (the assembler writes its rhs there), which is then not copied.  Shares
+    that kept their rows (see CgShares) start from their kept A x when x0
+    is the last solution bit for bit, checked here.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (a.n,):
         raise LinalgError(f"rhs shape {b.shape} does not match matrix size {a.n}")
-    if not tol > 0:
-        raise LinalgError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise LinalgError(f"tol must be finite and > 0, got {tol}")
     x0 = np.zeros(a.n) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != (a.n,):
         raise LinalgError(f"x0 shape {x0.shape} does not match matrix size {a.n}")
+    for name, v in (("rhs", b), ("x0", x0)):
+        if not np.isfinite(v).all():
+            raise LinalgError(f"{name} contains non-finite values")
     if direction is not None:
         direction = np.asarray(direction, dtype=np.float64)
         if direction.shape != (a.n,):
@@ -471,16 +474,10 @@ def cg_solve(
     if b is not w.rhs:
         w.rhs[:] = b
     # shares that kept their rows keep A x of the last solution, which is
-    # A x0 where x0 equals that solution off the fixed rows; w.x then holds
-    # x0 once those rows are written (a rewrite of the rest would only take
-    # the other shares' rows out of their caches)
-    w.start_kept[0] = 0.0
-    if w.kept @ w.valid:
-        rows = shares.fixed  # identity rows: A x0 is x0 there
-        w.x[rows] = x0[rows]
-        if (w.x[: a.n] == x0).all():
-            w.ax[rows] = x0[rows] + 0.0  # a product sums from +0.0: -0.0 gives +0.0
-            w.start_kept[0] = 1.0
+    # A x0 where x0 is that solution bit for bit (a zero of the other sign
+    # would start from the solution's; a rewrite of w.x would only take the
+    # other shares' rows out of their caches)
+    w.start_kept[0] = w.kept @ w.valid and (w.x[: a.n].view(np.int64) == x0.view(np.int64)).all()
     if not w.start_kept[0]:
         w.x[: a.n] = x0
     if direction is not None:

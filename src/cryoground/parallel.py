@@ -153,15 +153,15 @@ class ForkPool:
     """Persistent fork-based pool executing ``task(worker_index)`` on demand.
 
     dispatch() runs ``task(w)`` for every w in range(nworkers) concurrently
-    and returns when all are done.  Shares 0 .. nworkers - 2 run on forked
-    worker processes; the calling process runs the last share itself
-    instead of idling.  Shares communicate results through shared arrays
-    created with shared_array() before the pool is constructed, and may meet
-    inside a task at ``sync.barrier(w)``.  Each worker pins itself to a
-    usable CPU other than the one the calling process runs on when the
-    pool starts, where there is one: two shares on one CPU take turns at
-    every barrier, and a scheduler that does not balance load (as in some
-    containers) leaves them so for the whole run.
+    and, once all are done, returns what it returned in the calling process,
+    which runs the last share itself instead of idling; shares 0 ..
+    nworkers - 2 run on forked worker processes.  Shares communicate results
+    through shared arrays created with shared_array() before the pool is
+    constructed, and may meet inside a task at ``sync.barrier(w)``.  Each
+    worker pins itself to a usable CPU other than the one the calling
+    process runs on when the pool starts, where there is one: two shares on
+    one CPU take turns at every barrier, and a scheduler that does not
+    balance load (as in some containers) leaves them so for the whole run.
     """
 
     @staticmethod
@@ -275,9 +275,9 @@ class ForkPool:
             except OSError:  # the worker is dead; the wait below reports it
                 pass
         sync.set(_SEQ * _LINE, self._seq)
-        own_error = None
+        own_error = result = None
         try:
-            self._task(self._nworkers - 1)
+            result = self._task(self._nworkers - 1)
         except ShareAborted:
             pass
         except Exception as exc:
@@ -309,6 +309,7 @@ class ForkPool:
         if sync.get(_ABORT * _LINE):
             self.close()
             raise WorkerFailure("a share aborted without a reported cause")
+        return result
 
     @staticmethod
     def _cleanup(sync, procs, cmd_w):

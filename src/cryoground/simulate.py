@@ -95,12 +95,20 @@ class SimulationConfig:
     source: Callable | None = None
 
     def validate(self):
+        """Raise SimulationError for a setting a run cannot take as given,
+        before any mesh is built: what a config file's parser rejects is
+        rejected here too, not coerced (a fraction truncated, a NaN probe
+        snapped to node 0)."""
         if not 0 < self.tau < math.inf:
             raise SimulationError(f"tau must be > 0 and finite, got {self.tau}")
         if not self.tau <= self.t_max < math.inf:
             raise SimulationError(f"t_max must be finite and >= tau ({self.tau}), got {self.t_max}")
-        if int(self.cadence) < 1:
-            raise SimulationError(f"output cadence must be >= 1, got {self.cadence}")
+        for name, count in (
+            ("output cadence", self.cadence), ("workers", self.workers),
+            ("solver max_iter", self.solver_max_iter),
+        ):
+            if not _is_count(count):
+                raise SimulationError(f"{name} must be an integer >= 1, got {count!r}")
         if not math.isfinite(self.initial_temperature):
             raise SimulationError(f"initial temperature {self.initial_temperature} is not finite")
         for tag, value in self.dirichlet.items():
@@ -113,12 +121,31 @@ class SimulationConfig:
                 raise SimulationError(f"dirichlet value for tag {tag} is not finite: {value}")
         if self.controller.mode == SEASONAL and self.controller.probe_point is None:
             raise SimulationError("seasonal controller needs a probe_point")
-        if int(self.workers) < 1:
-            raise SimulationError(f"workers must be >= 1, got {self.workers}")
+        points = [("probe_points", p) for p in self.probe_points]
+        if self.controller.probe_point is not None:
+            points.append(("controller probe_point", self.controller.probe_point))
+        for name, point in points:
+            if not _is_point(point):
+                raise SimulationError(f"{name}: {point!r} is not 3 finite coordinates")
         if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise SimulationError(f"solver tol must be finite and > 0, got {self.solver_tol}")
-        if int(self.solver_max_iter) < 1:
-            raise SimulationError(f"solver max_iter must be >= 1, got {self.solver_max_iter}")
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is a whole number >= 1 (2.0 is, 2.5 and "2" are not)."""
+    try:
+        return int(value) == value >= 1
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _is_point(value) -> bool:
+    """Whether ``value`` is 3 finite coordinates."""
+    try:
+        point = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        return False
+    return point.shape == (3,) and bool(np.isfinite(point).all())
 
 
 @dataclass

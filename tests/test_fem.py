@@ -263,7 +263,8 @@ class TestAssemble:
             asm = Assembler(mesh, soil_table, workers=nw)
             try:
                 bounds = asm.assemble(field, 3600.0, reuse_buffers=True).matrix.shares.bounds
-                plans, shares, *_ = asm._serial if nw == 1 else asm._pooled
+                layout = asm._serial if nw == 1 else asm._pooled
+                plans, shares = layout.plans, layout.shares
                 assert bounds == shares.bounds == share_bounds(asm.pattern.row_offsets, nw)
                 assert len(bounds) == nw + 1 and np.all(np.diff(bounds) > 0)
                 offsets = asm.pattern.row_offsets
@@ -414,7 +415,8 @@ class TestFillReuse:
             for field, tau, expected in steps:
                 del products[:], laws[:]  # also those of the fresh assemblers below
                 system = asm.assemble(field, tau, reuse_buffers=True)
-                plans, *_, kept, _ = asm._serial if workers == 1 else asm._pooled
+                kept = asm._serial if workers == 1 else asm._pooled
+                plans = kept.plans
                 assert len(plans) == workers and all(p.rows.stop > p.rows.start for p in plans)
                 plan = plans[-1]
                 key = kept.keys[plan.cells]
@@ -531,10 +533,32 @@ class TestFillReuse:
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_kept_start_on_negative_zero_constraints(self, layered, workers):
-        """A kept start takes A x0 on the constrained (identity) rows from
-        x0; a product there sums from +0.0, so a constraint value -0.0 must
-        give the +0.0 a fresh solve starts from, and its sign in the
-        solution."""
+        """A kept start takes the constrained (identity) rows of the last
+        solution and of its A x from the constraint values; a product there
+        sums from +0.0, so a value -0.0 must give the +0.0 a fresh solve
+        starts from, and its sign in the solution."""
+        got, want, kept, top = self.kept_start_on_negative_zero(layered, workers, -0.0)
+        assert kept == 1.0
+        assert np.signbit(want[top]).all()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_kept_start_needs_x0_bit_for_bit(self, layered, workers):
+        """An x0 of +0.0 where the constraint value, and so the last
+        solution, is -0.0 equals that solution but not bit for bit: the
+        solve starts afresh, so its solution takes the sign a fresh solve
+        from that x0 gives."""
+        got, want, kept, top = self.kept_start_on_negative_zero(layered, workers, 0.0)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(want[top]).any()
+        assert kept == 0.0
+
+    def kept_start_on_negative_zero(self, layered, workers, start):
+        """Two steps of constraint value -0.0 on the top face whose rows are
+        kept; the second solve starts from the first's solution with
+        ``start`` on the top face.  Returns that solve's solution, a fresh
+        solve's from the same x0, whether the start was kept and the top
+        face's nodes."""
         mesh, table = layered
         frozen = self.fields(mesh)[0]
         top = nodes_for_tags(mesh, [6])
@@ -546,17 +570,16 @@ class TestFillReuse:
             x0[top] = g
             system = asm.assemble(frozen, self.TAU, reuse_buffers=True, constraints=(plan, g))
             x0 = cg_solve(system.matrix, system.rhs, x0, tol=1e-10)[0]
-            x0[top] = g
+            x0[top] = start
             field = frozen - 0.5  # the same keys and node classes: the rows are kept
             system = asm.assemble(field, self.TAU, reuse_buffers=True, constraints=(plan, g))
             got, report = cg_solve(system.matrix, system.rhs, x0, tol=1e-10)
-            assert system.matrix.shares.work.start_kept[0] == 1.0
             assert report.iterations > 0
+            kept = float(system.matrix.shares.work.start_kept[0])
             fresh = Assembler(mesh, table).assemble(field, self.TAU)
             DirichletPlan(fresh.matrix, top).apply(fresh, g)
             want = cg_solve(fresh.matrix, fresh.rhs, x0, tol=1e-10)[0]
-            assert np.signbit(want[top]).all()
-            assert got.tobytes() == want.tobytes()
+            return got, want, kept, top
         finally:
             asm.close()
 
@@ -1149,6 +1172,18 @@ class TestApplyDirichlet:
         system = Assembler(mesh, plain_table).assemble(np.zeros(mesh.n_nodes), tau=1.0)
         with pytest.raises(FemError, match="strictly increasing|outside"):
             DirichletPlan(system.matrix, np.array(nodes))
+
+    @pytest.mark.parametrize(
+        "nodes", [[1.7], [0.0, 5.0], [True, False, True]], ids=["fraction", "float", "bool"]
+    )
+    def test_non_integer_nodes_rejected(self, plain_table, nodes):
+        """Node arrays of another dtype are an error: a cast would take
+        node 1 for 1.7 and nodes 0 and 1 for a mask, without notice."""
+        mesh = generate_box(BoxMeshSpec((1.0, 1.0, 1.0), (2, 2, 2)))
+        system = Assembler(mesh, plain_table).assemble(np.zeros(mesh.n_nodes), tau=1.0)
+        with pytest.raises(FemError, match="must be integers"):
+            DirichletPlan(system.matrix, np.array(nodes))
+        DirichletPlan(system.matrix, np.array([1, 5], dtype=np.uint8))  # any integer dtype
 
     @pytest.mark.parametrize("divisions", [(3, 3, 3), (1, 2, 5)], ids=["larger", "same_size"])
     def test_plan_of_another_pattern_rejected(self, plain_table, divisions):

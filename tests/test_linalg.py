@@ -408,6 +408,34 @@ class TestCgSolve:
         with pytest.raises(SpdViolationError, match="row 1"):
             cg_solve(csr(a), np.ones(2))
 
+    @pytest.mark.parametrize(
+        "bad, value, match",
+        [("b", np.nan, "rhs contains non-finite"), ("b", -np.inf, "rhs contains non-finite"),
+         ("x0", np.inf, "x0 contains non-finite"), ("x0", np.nan, "x0 contains non-finite"),
+         ("tol", np.inf, "tol must be finite and > 0"), ("tol", np.nan, "tol must be finite"),
+         ("tol", 0.0, "tol must be finite and > 0")],
+        ids=["b-nan", "b-inf", "x0-inf", "x0-nan", "tol-inf", "tol-nan", "tol-zero"],
+    )
+    def test_unsolvable_input_rejected(self, bad, value, match):
+        """A non-finite rhs or start would run max_iter iterations on NaNs
+        (with a RuntimeWarning from the reductions) and an infinite tol
+        would return x0 as converged: each is an input error.  A NaN
+        direction stays harmless, as the projected start drops it."""
+        n = 2000
+        m = csr(np.diag(np.full(n, 2.5)) - np.eye(n, k=1) - np.eye(n, k=-1))
+        args = {"b": np.ones(n), "x0": np.zeros(n), "tol": 1e-8}
+        if bad == "tol":
+            args["tol"] = value
+        else:
+            args[bad][n // 2] = value
+        with pytest.raises(LinalgError, match=match):
+            cg_solve(m, args["b"], args["x0"], tol=args["tol"])
+        direction = np.ones(n)
+        direction[7] = np.nan
+        x, report = cg_solve(m, np.ones(n), direction=direction)
+        assert report.converged
+        assert x.tobytes() == cg_solve(m, np.ones(n))[0].tobytes()
+
     def test_warm_start_steady(self):
         rng = np.random.default_rng(9)
         g = rng.random((20, 20))

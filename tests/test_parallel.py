@@ -167,16 +167,33 @@ def test_assembler_rebuilds_pool_after_worker_death(monkeypatch):
     asm = Assembler(mesh, MaterialTable({1: Material.single_phase(1.0, 1.0)}, PhaseModel()), 2)
     field = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
     want = asm.assemble(field, tau=0.01)
-    pool = asm._pool
+    pool = asm._pooled.pool
     pool._procs[0].terminate()
     pool._procs[0].join()
     with pytest.raises(WorkerFailure, match="worker 0 died"):
         asm.assemble(field, tau=0.02)
     got = asm.assemble(field, tau=0.01)
-    assert asm._pool is not pool and asm._pool.alive()
+    assert asm._pooled.pool is not pool and asm._pooled.pool.alive()
     assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
     assert got.rhs.tobytes() == want.rhs.tobytes()
     asm.close()
+
+
+def test_dispatch_returns_the_calling_process_result():
+    """dispatch() returns what the task returned in the calling process,
+    which runs the last share; the forked shares' results stay with them."""
+    arr = ForkPool.shared_array(3)
+
+    def task(w):
+        arr[w] = w + 1.0
+        return f"share {w}"
+
+    pool = ForkPool(3, task)
+    try:
+        assert pool.dispatch() == "share 2"
+        assert arr.tolist() == [1.0, 2.0, 3.0]
+    finally:
+        pool.close()
 
 
 def test_dispatch_after_close_rejected():
@@ -217,7 +234,7 @@ def _boom():
 )
 def test_share_failure_inside_cg_surfaces(monkeypatch, fault, message):
     asm, system = _pooled_system(monkeypatch, fault)
-    pool = asm._pool
+    pool = asm._pooled.pool
     procs = list(pool._procs)
     assert len(system.matrix.shares.bounds) == 3
     t0 = time.perf_counter()

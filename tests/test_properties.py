@@ -11,6 +11,7 @@ import cryoground.fem as fem
 from cryoground.fem import Assembler, DirichletPlan, TemperatureField, nodes_for_tags
 from cryoground.linalg import CsrMatrix, cg_solve
 from cryoground.mesh import BoxMeshSpec, generate_box, paint_region
+from cryoground.parallel import pool_available
 from cryoground.physics import Material, MaterialTable, PhaseModel
 
 from fem_oracle import scipy_view, stiffness_values
@@ -184,3 +185,71 @@ def test_kept_step_state_matches_fresh(workers, steps):
                     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
         finally:
             asm.close()
+
+
+# one assembler whose calls alternate its serial and its pooled layout (where
+# there is a pool): each layout keeps its own record, rows, elimination and
+# CG state, and every call and solve must still give, bit for bit, what a
+# fresh assembler, DirichletPlan.apply and cg_solve give.  A call's settings:
+# the field (the last solution or one of _kept_mesh's), tau, the constraints
+# (none, static, static and column), the static and the column value (-0.0
+# included: a kept CG start must take +0.0 for A x0 there), the layout
+# (pooled or workers=1) and whether it solves; each call changes one setting
+# of the call before (0: none), so that runs of calls keep their rows
+LAYOUT_OPTIONS = (
+    [-1, 0, 2, 3, 4, 6], [3600.0, 7200.0], [1, 0, 2], [-4.0, -0.0, 0.0, 2.5],
+    [-0.0, -4.0, 0.0, 2.5], [True, False], [True, False],
+)
+layout_calls = st.lists(
+    st.tuples(st.integers(0, len(LAYOUT_OPTIONS)), st.integers(0, 5)), min_size=2, max_size=16
+)
+
+
+@given(calls=layout_calls)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_layouts_keep_what_a_fresh_step_gives(calls):
+    mesh, table, fields, _ = _kept_mesh()
+    static, column = nodes_for_tags(mesh, [6]), nodes_for_tags(mesh, [2])
+    node_sets = [None, static, np.union1d(static, column)]
+    with mock.patch.object(fem, "usable_cpus", lambda: 2):
+        asm = Assembler(mesh, table, workers=2 if pool_available() else 1)
+    try:
+        # the plans live as long as the assembler, as a simulation's do
+        dplans = [None if n is None else DirichletPlan(asm.pattern, n) for n in node_sets]
+        x, previous = fields[0].copy(), None  # the last solution and the one before it
+        current = [0] * len(LAYOUT_OPTIONS)
+        for change, pick in calls:
+            if change:
+                current[change - 1] = pick % len(LAYOUT_OPTIONS[change - 1])
+            which, tau, kind, g_static, g_column, pooled, solve = (
+                o[c] for o, c in zip(LAYOUT_OPTIONS, current)
+            )
+            field = x if which < 0 else fields[which]
+            dplan, g = dplans[kind], None
+            if dplan is not None:
+                g = np.full(len(dplan.nodes), g_column)
+                g[np.isin(dplan.nodes, static)] = g_static
+            system = asm.assemble(
+                field, tau, workers=None if pooled else 1, reuse_buffers=True,
+                constraints=None if dplan is None else (dplan, g),
+            )
+            fresh = Assembler(mesh, table).assemble(field, tau)
+            if dplan is not None:
+                DirichletPlan(fresh.matrix, dplan.nodes).apply(fresh, g)
+            assert system.matrix.values.tobytes() == fresh.matrix.values.tobytes()
+            assert system.rhs.tobytes() == fresh.rhs.tobytes()
+            if solve:
+                # a time stepper's start: the last solution with this call's
+                # constraints, moved along the last increment
+                x0, direction = x.copy(), None if previous is None else x - previous
+                if dplan is not None:
+                    x0[dplan.nodes] = g
+                    if direction is not None:
+                        direction[dplan.nodes] = 0.0
+                got, report = cg_solve(system.matrix, system.rhs, x0, 1e-10, direction=direction)
+                want, want_report = cg_solve(fresh.matrix, fresh.rhs, x0, 1e-10, direction=direction)
+                assert got.tobytes() == want.tobytes()
+                assert report.iterations == want_report.iterations
+                previous, x = x, got
+    finally:
+        asm.close()

@@ -72,6 +72,35 @@ class TestInitialize:
         with pytest.raises(SimulationError, match="cadence"):
             initialize(box_config(plain_table, cadence=0))
 
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"probe_points": [(math.nan, 0.5, 0.5)]}, "probe_points: .*nan"),
+            ({"probe_points": [(0.5, 0.5)]}, "probe_points: .* not 3 finite"),
+            ({"probe_points": [(0.5, 0.5, math.inf)]}, "probe_points"),
+            ({"probe_points": ["centre"]}, "probe_points"),
+            ({"controller": ColumnController(frozenset({5}), probe_point=(0.5, math.nan, 0.5))},
+             "controller probe_point"),
+            ({"cadence": 1.5}, "cadence must be an integer >= 1, got 1.5"),
+            ({"workers": 2.5}, "workers must be an integer >= 1, got 2.5"),
+            ({"solver_max_iter": 10.7}, "max_iter must be an integer >= 1, got 10.7"),
+            ({"solver_max_iter": math.inf}, "max_iter"),
+            ({"workers": "2"}, "workers"),
+        ],
+        ids=["probe-nan", "probe-2d", "probe-inf", "probe-str", "controller-nan", "cadence-1.5",
+             "workers-2.5", "max_iter-10.7", "max_iter-inf", "workers-str"],
+    )
+    def test_coercions_rejected(self, plain_table, setting, match, monkeypatch):
+        """What a config file cannot spell is rejected on the API path too,
+        before the mesh is built, instead of a NaN probe snapping to node 0,
+        a raw numpy error or a truncated count."""
+        monkeypatch.setattr("cryoground.simulate._build_mesh", pytest.fail)
+        with pytest.raises(SimulationError, match=match):
+            initialize(box_config(plain_table, **setting))
+
+    def test_whole_float_counts_accepted(self, plain_table):
+        initialize(box_config(plain_table, cadence=2.0, workers=1.0, solver_max_iter=50.0))
+
     def test_dirichlet_value_must_be_number_air_or_callable(self, plain_table):
         with pytest.raises(SimulationError, match="tag 6"):
             initialize(box_config(plain_table, dirichlet={6: "hot"}))
@@ -382,7 +411,7 @@ class TestDeterminism:
                 assert sim.assembler.effective_workers() == workers
                 iterations = [sim.step().solver.iterations for _ in range(5)]
                 if workers > 1:  # every share owns rows
-                    bounds = sim.assembler._pooled[1].bounds
+                    bounds = sim.assembler._pooled.shares.bounds
                     assert len(bounds) == workers + 1 and np.all(np.diff(bounds) > 0)
             finally:
                 sim.close()
@@ -416,7 +445,7 @@ class TestDeterminism:
                 assert sim.assembler.effective_workers() == workers
                 iterations = [sim.step().solver.iterations for _ in range(3)]
                 if workers > 1:
-                    bounds = sim.assembler._pooled[1].bounds
+                    bounds = sim.assembler._pooled.shares.bounds
                     assert len(bounds) == workers + 1 and 0 in np.diff(bounds)
                     assert all(c % DOT_CHUNK == 0 for c in bounds[:-1])
             finally:
@@ -537,7 +566,7 @@ class TestWarmStart:
             field = sim.field.copy()
             rec = sim.step()
             layout = sim.assembler._serial if workers == 1 else sim.assembler._pooled
-            assert layout[1].work.start_kept[0] == 1.0
+            assert layout.shares.work.start_kept[0] == 1.0
             assert rec.solver.iterations > 0
         finally:
             sim.close()
